@@ -8,16 +8,12 @@ when it fails, 2 for malformed input or usage errors.
 
 ``--report json`` emits a machine-readable report with stable field
 order: ``{"verdict": ..., "minors_checked": ..., "witnesses": [...]}``.
-The TOTPOS_THREADS environment variable caps internal parallelism; the
-current implementation is sequential, so any positive value is accepted
-and 1 thread is used.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -29,7 +25,8 @@ from . import positivity as pv
 from . import somos as sm
 from . import words as wd
 from .exact import format_scalar, laurent_has_nonnegative_coeffs
-from .matrices import Matrix, MinorSpec, desnanot_residual, minor
+from .matrices import (Matrix, MinorSpec, SingularLeadingMinorError,
+                       desnanot_residual, minor)
 
 
 class InputError(Exception):
@@ -71,18 +68,6 @@ def _parse_word_arg(text: str) -> wd.Word:
         return wd.parse_word(text)
     except ValueError as exc:
         raise InputError(f"bad word {text!r}: {exc}") from exc
-
-
-def _threads() -> int:
-    raw = os.environ.get("TOTPOS_THREADS", "")
-    if raw:
-        try:
-            if int(raw) < 1:
-                raise ValueError
-        except ValueError:
-            raise InputError(f"TOTPOS_THREADS={raw!r} is not a positive "
-                             f"integer") from None
-    return 1
 
 
 def _emit(args, report: dict, human_lines: list[str]) -> None:
@@ -148,9 +133,8 @@ def _cmd_tnn(args) -> int:
         verdict, checked = pv.test_tnn_efficient(x)
         failures = []
         if not verdict:
-            failures = [(spec, minor(x, spec))
-                        for spec in pv.tnn_efficient_specs(x.n)
-                        if minor(x, spec) < 0]
+            failures = pv.failing_minors(x, pv.tnn_efficient_specs(x.n),
+                                         strict=False)
     report = {"verdict": verdict, "minors_checked": checked,
               "witnesses": _witnesses(failures)}
     lines = [f"totally nonnegative: {str(verdict).lower()} "
@@ -208,13 +192,10 @@ def _cmd_twist(args) -> int:
     x = _load_matrix(args.matrix)
     try:
         result = fz.twist(x)
-    except Exception as exc:
-        from .matrices import SingularLeadingMinorError
-        if isinstance(exc, (SingularLeadingMinorError, ZeroDivisionError)):
-            _emit(args, {"verdict": False, "error": str(exc)},
-                  [f"twist undefined: {exc}"])
-            return 1
-        raise
+    except (SingularLeadingMinorError, ZeroDivisionError) as exc:
+        _emit(args, {"verdict": False, "error": str(exc)},
+              [f"twist undefined: {exc}"])
+        return 1
     _emit(args, result.to_json(), [str(result)])
     return 0
 
@@ -473,7 +454,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _threads()
         return args.func(args)
     except InputError as exc:
         print(f"totpos: {exc}", file=sys.stderr)

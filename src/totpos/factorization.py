@@ -125,25 +125,6 @@ def _prime_exponents(value: Fraction, primes: Sequence[int]) \
     return exps
 
 
-def _invert_rational(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    n = len(rows)
-    work = [[Fraction(v) for v in row]
-            + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
 _staircase_cache: dict[int, tuple[list[MinorSpec], list[list[int]],
                                   list[list[int]]]] = {}
 
@@ -167,12 +148,12 @@ def staircase_minor_exponents(n: int) \
                 f"initial minor {spec} of the staircase product is not a "
                 f"0/1 parameter monomial")
         exponents.append(exps)
-    inverse = _invert_rational([[Fraction(e) for e in row]
-                                for row in exponents])
-    if inverse is None:
-        raise AssertionError("staircase exponent matrix is singular")
+    try:
+        inverse = Matrix(exponents).inverse()
+    except ZeroDivisionError:
+        raise AssertionError("staircase exponent matrix is singular") from None
     int_inverse = []
-    for row in inverse:
+    for row in inverse.rows:
         if any(v.denominator != 1 for v in row):
             raise AssertionError("staircase exponent matrix is not unimodular")
         int_inverse.append([int(v) for v in row])
@@ -339,12 +320,12 @@ def verify_twist_monomial(scheme: Word, n: int | None = None,
 
     # parameter k is the monomial prod_j c_j ** beta[k][j]; the exponent
     # rows satisfy beta . E = identity, so beta is the inverse of E
-    inverse = _invert_rational([[Fraction(e) for e in row]
-                                for row in exponent_rows])
-    if inverse is None:
+    try:
+        inverse = Matrix(exponent_rows).inverse()
+    except ZeroDivisionError:
         return False
     beta: list[list[int]] = []
-    for row in inverse:
+    for row in inverse.rows:
         if any(v.denominator != 1 for v in row):
             return False
         beta.append([int(v) for v in row])

@@ -8,8 +8,12 @@ Conventions:
 * the empty determinant (size-0 minor) is 1 wherever the identities below
   need it (deleted minors of a 2x2 matrix, recursion bases).
 
-Minors are computed by fraction-free Bareiss elimination over the integers
-after clearing denominators, which keeps intermediate values small.
+One fraction-free (Bareiss) elimination kernel serves determinants,
+minors, rank, inverse and LDU.  It works on integer rows after each row's
+denominators are cleared; the row multipliers are positive, so signs
+survive.  Its k-th pivot is a leading k-minor and every entry it stores is
+a minor bordering it, so every division is exact and intermediate values
+stay small.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from .exact import as_scalar, format_scalar
@@ -135,31 +139,24 @@ class Matrix:
         return Matrix(list(zip(*self.rows)))
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse.  Fraction-free Gauss-Jordan elimination of
+        [x | I] leaves the last pivot d on the left and d * x^(-1) on the
+        right."""
         n = self.n
-        work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if work[r][col] != 0),
-                             None)
-            if pivot_row is None:
-                raise ZeroDivisionError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            work[col] = [v / pivot for v in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [v - factor * w
-                               for v, w in zip(work[r], work[col])]
-        return Matrix([row[n:] for row in work])
+        m, _ = _integer_rows([row + tuple(int(i == j) for j in range(n))
+                              for i, row in enumerate(self.rows)])
+        pivots, _ = _eliminate(m, jordan=True)
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        d = m[-1][n - 1]
+        return Matrix([[Fraction(v, d) for v in row[n:]] for row in m])
 
     def submatrix_rows(self, rows: Sequence[int], cols: Sequence[int]):
         """0-based-free helper: 1-based index lists -> list-of-lists."""
         return [[self.rows[i - 1][j - 1] for j in cols] for i in rows]
 
     def det(self) -> Fraction:
-        return _det_fraction_rows([list(row) for row in self.rows])
+        return _det_fraction_rows(self.rows)
 
     def minor(self, spec: MinorSpec) -> Fraction:
         return minor(self, spec)
@@ -184,46 +181,82 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# determinants and minors
+# the elimination kernel
 
 
-def _det_int_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
-    k = len(m)
-    if k == 0:
-        return 1
-    sign_flip = 1
-    prev = 1
-    for r in range(k - 1):
-        if m[r][r] == 0:
-            swap = next((i for i in range(r + 1, k) if m[i][r] != 0), None)
-            if swap is None:
-                return 0
-            m[r], m[swap] = m[swap], m[r]
-            sign_flip = -sign_flip
-        pivot = m[r][r]
-        for i in range(r + 1, k):
-            row_i = m[i]
-            row_r = m[r]
-            head = row_i[r]
-            for j in range(r + 1, k):
-                row_i[j] = (row_i[j] * pivot - head * row_r[j]) // prev
-            row_i[r] = 0
-        prev = pivot
-    return sign_flip * m[k - 1][k - 1]
-
-
-def _det_fraction_rows(rows: list[list[Fraction]]) -> Fraction:
-    k = len(rows)
-    if k == 0:
-        return Fraction(1)
-    scale = 1
-    cleared: list[list[int]] = []
+def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and those multipliers."""
+    cleared, mults = [], []
     for row in rows:
-        mult = lcm(*(v.denominator for v in row)) if row else 1
-        scale *= mult
-        cleared.append([int(v * mult) for v in row])
-    return Fraction(_det_int_bareiss(cleared), scale)
+        mult = lcm(*(v.denominator for v in row))
+        mults.append(mult)
+        cleared.append([v.numerator * (mult // v.denominator) for v in row])
+    return cleared, mults
+
+
+def _eliminate(m: list[list[int]], swaps: bool = True,
+               jordan: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of the integer rows ``m``, in
+    place; returns the pivot columns and the sign of the row permutation.
+
+    Once k pivots are chosen, the k-th pivot is the minor on the pivot rows
+    and columns, and each entry of a later row, right of the last pivot
+    column, is that minor bordered by the entry's row and column
+    (Sylvester's identity); under ``jordan`` the rows above hold minors of
+    the pivot block with one column replaced.  So every division is exact.
+    The entries of a pivot's own column are left at the bordered minors
+    they held when it was chosen; nothing reads them again except LDU.
+
+    With ``swaps`` a column with no nonzero entry at or below the current
+    row is skipped, so ``len(pivots)`` is the rank; without, elimination
+    stops at the first zero pivot.  ``jordan`` also reduces the rows above
+    each pivot.
+    """
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        if m[r][c] == 0:
+            if not swaps:
+                break
+            swap = next((i for i in range(r + 1, n_rows) if m[i][c]), None)
+            if swap is None:
+                continue
+            m[r], m[swap] = m[swap], m[r]
+            sign = -sign
+        row_r = m[r]
+        pivot = row_r[c]
+        others = range(r + 1, n_rows)
+        if jordan:
+            others = itertools.chain(range(r), others)
+        for i in others:
+            row_i = m[i]
+            head = row_i[c]
+            for j in range(c + 1, n_cols):
+                row_i[j] = (row_i[j] * pivot - head * row_r[j]) // prev
+        pivots.append(c)
+        prev = pivot
+        r += 1
+    return pivots, sign
+
+
+# ---------------------------------------------------------------------------
+# determinants, minors and rank
+
+
+def _det_fraction_rows(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    m, mults = _integer_rows(rows)
+    if not m:
+        return Fraction(1)
+    pivots, sign = _eliminate(m)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(sign * m[-1][-1], prod(mults))
 
 
 def minor(x: Matrix, spec: MinorSpec) -> Fraction:
@@ -237,28 +270,9 @@ def det(x: Matrix) -> Fraction:
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rectangular array of rationals, by Gaussian elimination."""
-    work = [list(row) for row in rows]
-    if not work or not work[0]:
-        return 0
-    n_rows, n_cols = len(work), len(work[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, n_rows)
-                          if work[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        for r in range(rank + 1, n_rows):
-            if work[r][col] != 0:
-                factor = work[r][col] / pivot
-                work[r] = [v - factor * w
-                           for v, w in zip(work[r], work[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    """Rank of a rectangular array of rationals."""
+    m, _ = _integer_rows(rows)
+    return len(_eliminate(m)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +352,19 @@ def ldu_decompose(y: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     naming the first order k at which the leading minor vanishes.
     """
     n = y.n
-    work = [list(row) for row in y.rows]
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        pivot = work[k][k]
-        if pivot == 0:
-            raise SingularLeadingMinorError(k + 1)
-        for i in range(k + 1, n):
-            if work[i][k] != 0:
-                factor = work[i][k] / pivot
-                lower[i][k] = factor
-                work[i] = [v - factor * w for v, w in zip(work[i], work[k])]
-    diag = [work[k][k] for k in range(n)]
-    upper = [[work[k][j] / diag[k] if j >= k else Fraction(0)
-              for j in range(n)] for k in range(n)]
+    m, mults = _integer_rows(y.rows)
+    pivots, _ = _eliminate(m, swaps=False)
+    if len(pivots) < n:
+        raise SingularLeadingMinorError(len(pivots) + 1)
+    # m[k][k] is the leading minor of order k + 1 of the row-scaled matrix;
+    # below it sit the minors bordering it by a lower row, right of it
+    # those bordering it by a later column
+    lead = [1] + [m[k][k] for k in range(n)]
+    lower = [[Fraction(m[i][k] * mults[k], mults[i] * lead[k + 1]) if k < i
+              else Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+    diag = [Fraction(lead[k + 1], lead[k] * mults[k]) for k in range(n)]
+    upper = [[Fraction(m[k][j], lead[k + 1]) if j > k
+              else Fraction(int(j == k)) for j in range(n)] for k in range(n)]
     return Matrix(lower), Matrix.diagonal(diag), Matrix(upper)
 
 

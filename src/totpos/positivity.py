@@ -146,18 +146,12 @@ def test_tp_given_tnn(x: Matrix) -> bool:
     """For a totally nonnegative x: totally positive iff the 2n - 1
     antiprincipal minors (top-right and bottom-left corner minors) are all
     nonzero."""
-    n = x.n
-    for i in range(1, n + 1):
-        top = MinorSpec(tuple(range(1, i + 1)), tuple(range(n - i + 1, n + 1)))
-        if minor(x, top) == 0:
-            return False
-        bottom = MinorSpec(tuple(range(n - i + 1, n + 1)), tuple(range(1, i + 1)))
-        if minor(x, bottom) == 0:
-            return False
-    return True
+    return all(minor(x, spec) != 0 for spec in antiprincipal_specs(x.n))
 
 
 def antiprincipal_specs(n: int) -> list[MinorSpec]:
+    """The 2n - 1 antiprincipal minors, top-right then bottom-left for each
+    size, the full determinant once."""
     specs = []
     for i in range(1, n + 1):
         specs.append(MinorSpec(tuple(range(1, i + 1)),

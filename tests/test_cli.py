@@ -57,6 +57,14 @@ class TestTnnAndFriends:
         assert main(["tnn", pascal3, "--method", "brute"]) == 0
         capsys.readouterr()
 
+    def test_efficient_witnesses(self, tmp_path, capsys):
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({"n": 2, "rows": [["1", "2"], ["3", "1"]]}))
+        assert main(["tnn", str(path), "--report", "json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": False, "minors_checked": 4,
+            "witnesses": [{"rows": [1, 2], "cols": [1, 2], "value": "-5"}]}
+
     def test_oscillatory(self, unit3, pascal3, capsys):
         assert main(["oscillatory", unit3]) == 0
         # lower triangular: block-triangular, hence not oscillatory
@@ -188,9 +196,28 @@ class TestErrors:
         assert main(["type", str(path)]) == 2
         capsys.readouterr()
 
-    def test_bad_thread_env(self, unit3, capsys, monkeypatch):
-        monkeypatch.setenv("TOTPOS_THREADS", "zero")
-        assert main(["test", unit3]) == 2
+    @pytest.mark.parametrize("argv, code", [
+        (["twist", "{singular}"], 1),
+        (["twist", "{zero}"], 1),
+        (["factor", "{pascal}"], 1),
+        (["tnn", "{singular}"], 2),
+        (["oscillatory", "{singular}"], 2),
+        (["type", "{zero}"], 2),
+        (["diagrams", "--n", "-2", "--enumerate"], 2),
+        (["somos", "--terms", "6", "--seed", "1,1,1,1,0"], 2),
+        (["test", "{list}"], 2),
+        (["twist", "{list}"], 2),
+    ])
+    def test_edge_inputs_exit_codes(self, argv, code, tmp_path, capsys):
+        files = {"singular": {"n": 2, "rows": [["1", "1"], ["1", "1"]]},
+                 "zero": {"n": 1, "rows": [["0"]]},
+                 "pascal": PASCAL3,
+                 "list": [["1", "2"], ["3", "4"]]}
+        paths = {}
+        for name, data in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(data))
+        assert main([arg.format(**paths) for arg in argv]) == code
         capsys.readouterr()
 
 

@@ -1,10 +1,13 @@
 """Matrices, minors, determinant identities, and LDU."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totpos.exact import LaurentPoly
 from totpos.matrices import (Matrix, MinorSpec, SingularLeadingMinorError,
@@ -215,3 +218,99 @@ class TestMatrixOps:
         assert exact_rank([[Fraction(0)]]) == 0
         assert exact_rank(Matrix.identity(3).submatrix_rows(
             (1, 2, 3), (1, 2, 3))) == 3
+
+
+# ---------------------------------------------------------------------------
+# every entry point of the elimination kernel against cofactor expansion
+
+ENTRIES = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                    st.builds(Fraction, st.integers(-9, 9),
+                              st.integers(1, 6)))
+
+
+@st.composite
+def arrays(draw, max_rows=5, max_cols=5, square=False):
+    """Rational arrays with mixed signs, often made degenerate: a zero row
+    or column, a repeated row, or a row that is a multiple of another."""
+    n_rows = draw(st.integers(1 if square else 0, max_rows))
+    n_cols = n_rows if square else draw(st.integers(0, max_cols))
+    rows = [[draw(ENTRIES) for _ in range(n_cols)] for _ in range(n_rows)]
+    if not (n_rows and n_cols):
+        return rows
+    damage = draw(st.sampled_from(["none", "zero row", "zero column",
+                                   "repeated row", "multiple row"]))
+    i, k = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_rows - 1))
+    if damage == "zero row":
+        rows[i] = [Fraction(0)] * n_cols
+    elif damage == "zero column":
+        j = draw(st.integers(0, n_cols - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    elif damage == "repeated row":
+        rows[i] = list(rows[k])
+    elif damage == "multiple row":
+        scale = draw(ENTRIES)
+        rows[i] = [scale * v for v in rows[k]]
+    return rows
+
+
+class TestKernelOracles:
+    @settings(deadline=None)
+    @given(arrays(square=True))
+    def test_det(self, rows):
+        assert Matrix(rows).det() == cofactor_det(rows)
+
+    @settings(deadline=None)
+    @given(arrays(square=True), st.data())
+    def test_minor(self, rows, data):
+        n = len(rows)
+        k = data.draw(st.integers(1, n))
+        picks = st.lists(st.integers(1, n), min_size=k, max_size=k,
+                         unique=True).map(sorted)
+        spec = MinorSpec(tuple(data.draw(picks)), tuple(data.draw(picks)))
+        x = Matrix(rows)
+        assert minor(x, spec) \
+            == cofactor_det(x.submatrix_rows(spec.rows, spec.cols))
+
+    @settings(deadline=None)
+    @given(arrays(max_rows=5, max_cols=6))
+    def test_rank(self, rows):
+        n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+
+        def has_nonzero_minor(k):
+            return any(cofactor_det([[rows[i][j] for j in cols] for i in sel])
+                       for sel in itertools.combinations(range(n_rows), k)
+                       for cols in itertools.combinations(range(n_cols), k))
+
+        rank = next((k for k in range(min(n_rows, n_cols), 0, -1)
+                     if has_nonzero_minor(k)), 0)
+        assert exact_rank(rows) == rank
+
+    @settings(deadline=None)
+    @given(arrays(square=True))
+    def test_inverse(self, rows):
+        x = Matrix(rows)
+        if cofactor_det(rows) == 0:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        else:
+            assert x * x.inverse() == Matrix.identity(x.n)
+
+    @settings(deadline=None)
+    @given(arrays(square=True))
+    def test_ldu(self, rows):
+        x = Matrix(rows)
+        vanishing = [k for k in range(1, x.n + 1)
+                     if cofactor_det([row[:k] for row in rows[:k]]) == 0]
+        if vanishing:
+            with pytest.raises(SingularLeadingMinorError) as info:
+                ldu_decompose(x)
+            assert info.value.k == vanishing[0]
+            return
+        lower_, diag_, upper_ = ldu_decompose(x)
+        assert lower_ * diag_ * upper_ == x
+        n = x.n
+        assert diag_ == Matrix.diagonal([diag_[k, k] for k in range(1, n + 1)])
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                assert lower_[i, j] == upper_[j, i] == (i == j)
