@@ -454,16 +454,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage error (2) or --help (0)
+        return exc.code
+    try:
         return args.func(args)
-    except InputError as exc:
-        print(f"totpos: {exc}", file=sys.stderr)
-        return 2
-    except (pv.NotApplicableError, pv.GuardExceeded, wd.WordError,
-            dg.DiagramError, nw.NetworkError, fz.ReconstructionError,
-            sm.SomosPivotError) as exc:
-        print(f"totpos: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError, sm.SomosPivotError) as exc:
         print(f"totpos: {exc}", file=sys.stderr)
         return 2
 

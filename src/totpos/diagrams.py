@@ -55,6 +55,8 @@ class DoubleWiringDiagram:
     def __post_init__(self):
         object.__setattr__(self, "word", tuple(self.word))
         n = self.n
+        if n < 1:
+            raise DiagramError(f"diagram size n={n} must be at least 1")
         for letter in self.word:
             if letter.kind not in (UPPER, LOWER):
                 raise DiagramError(f"letter {letter} is not a crossing")

@@ -125,6 +125,19 @@ def _prime_exponents(value: Fraction, primes: Sequence[int]) \
     return exps
 
 
+def _integer_inverse(rows: Sequence[Sequence[int]]) \
+        -> list[list[int]] | None:
+    """The inverse of a square integer matrix, or None when the matrix is
+    singular or its inverse is not integral."""
+    try:
+        inverse = Matrix(rows).inverse()
+    except ZeroDivisionError:
+        return None
+    if any(v.denominator != 1 for row in inverse.rows for v in row):
+        return None
+    return [[int(v) for v in row] for row in inverse.rows]
+
+
 _staircase_cache: dict[int, tuple[list[MinorSpec], list[list[int]],
                                   list[list[int]]]] = {}
 
@@ -148,15 +161,9 @@ def staircase_minor_exponents(n: int) \
                 f"initial minor {spec} of the staircase product is not a "
                 f"0/1 parameter monomial")
         exponents.append(exps)
-    try:
-        inverse = Matrix(exponents).inverse()
-    except ZeroDivisionError:
-        raise AssertionError("staircase exponent matrix is singular") from None
-    int_inverse = []
-    for row in inverse.rows:
-        if any(v.denominator != 1 for v in row):
-            raise AssertionError("staircase exponent matrix is not unimodular")
-        int_inverse.append([int(v) for v in row])
+    int_inverse = _integer_inverse(exponents)
+    if int_inverse is None:
+        raise AssertionError("staircase exponent matrix is not unimodular")
     _staircase_cache[n] = (specs, exponents, int_inverse)
     return _staircase_cache[n]
 
@@ -320,15 +327,9 @@ def verify_twist_monomial(scheme: Word, n: int | None = None,
 
     # parameter k is the monomial prod_j c_j ** beta[k][j]; the exponent
     # rows satisfy beta . E = identity, so beta is the inverse of E
-    try:
-        inverse = Matrix(exponent_rows).inverse()
-    except ZeroDivisionError:
+    beta = _integer_inverse(exponent_rows)
+    if beta is None:
         return False
-    beta: list[list[int]] = []
-    for row in inverse.rows:
-        if any(v.denominator != 1 for v in row):
-            return False
-        beta.append([int(v) for v in row])
 
     for _ in range(samples):
         params = [Fraction(rng.randint(1, 9), rng.randint(1, 9))

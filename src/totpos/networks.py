@@ -292,16 +292,15 @@ def chip(letter: Letter, t, n: int) -> PlanarNetwork:
                          essential=(special,))
 
 
-def concatenate(a: PlanarNetwork, b: PlanarNetwork) -> PlanarNetwork:
-    """Glue b's sources onto a's sinks; weight matrices multiply."""
-    if a.n != b.n:
-        raise NetworkError("cannot concatenate networks of different size")
-    a_sink_levels = [a.vertices[i][1] for i in a.sinks]
-    b_source_levels = [b.vertices[i][1] for i in b.sources]
-    if a_sink_levels != b_source_levels:
-        raise NetworkError("boundary levels do not match")
-    shift = (max(x for x, _ in a.vertices)
-             - min(x for x, _ in b.vertices))
+def concatenate(a: PlanarNetwork, *rest: PlanarNetwork) -> PlanarNetwork:
+    """Glue each network's sources onto the sinks of the one before it;
+    weight matrices multiply.  Planarity is checked once, on the result."""
+    for left, right in zip((a,) + rest, rest):
+        if right.n != a.n:
+            raise NetworkError("cannot concatenate networks of different size")
+        if ([left.vertices[i][1] for i in left.sinks]
+                != [right.vertices[i][1] for i in right.sources]):
+            raise NetworkError("boundary levels do not match")
     coords: dict[Coord, int] = {}
     vertices: list[Coord] = []
 
@@ -313,12 +312,15 @@ def concatenate(a: PlanarNetwork, b: PlanarNetwork) -> PlanarNetwork:
 
     edges: list[tuple[int, int, Fraction]] = []
     essential: list[int] = []
-    for net, dx in ((a, 0), (b, shift)):
+    end = min(x for x, _ in a.vertices)  # where the next network starts
+    for net in (a,) + rest:
+        dx = end - min(x for x, _ in net.vertices)
         local = [vertex_id((x + dx, level)) for x, level in net.vertices]
         offset = len(edges)
         for u, v, w in net.edges:
             edges.append((local[u], local[v], w))
         essential.extend(offset + e for e in net.essential)
+        end = max(x for x, _ in net.vertices) + dx
     return PlanarNetwork(a.n, tuple(vertices), tuple(edges),
                          essential=tuple(essential))
 
@@ -331,11 +333,8 @@ def chips_of_word(word: Word, params: Sequence, n: int) -> PlanarNetwork:
     if not word:
         net = chip(Letter(DIAG, 1), 1, n)  # single neutral column
         return net
-    nets = [chip(letter, t, n) for letter, t in zip(word, params)]
-    result = nets[0]
-    for net in nets[1:]:
-        result = concatenate(result, net)
-    return result
+    return concatenate(*(chip(letter, t, n)
+                         for letter, t in zip(word, params)))
 
 
 def standard_network(n: int, weights: Sequence | None = None) -> PlanarNetwork:

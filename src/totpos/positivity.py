@@ -210,22 +210,16 @@ def bruhat_type(x: Matrix) -> tuple[Permutation, Permutation]:
         raise NotApplicableError("Bruhat type is computed for invertible "
                                  "matrices only")
 
-    def sw_rank(i: int, j: int) -> int:
-        if j == 0:
-            return 0
-        return exact_rank(x.submatrix_rows(range(i, n + 1), range(1, j + 1)))
+    def rank(rows, cols) -> int:
+        return exact_rank(x.submatrix_rows(rows, cols))
 
-    def ne_rank(i: int, j: int) -> int:
-        if j == n + 1:
-            return 0
-        return exact_rank(x.submatrix_rows(range(1, i + 1), range(j, n + 1)))
-
-    u_images = []
-    for j in range(1, n + 1):
-        u_images.append(max(i for i in range(1, n + 1)
-                            if sw_rank(i, j) > sw_rank(i, j - 1)))
-    v_images = []
-    for j in range(1, n + 1):
-        v_images.append(min(i for i in range(1, n + 1)
-                            if ne_rank(i, j) > ne_rank(i, j + 1)))
+    # each rank once: sw[i, j] of rows i..n and columns 1..j, ne[i, j] of
+    # rows 1..i and columns j..n; empty column ranges have rank 0
+    idx = range(1, n + 1)
+    sw = {(i, j): rank(range(i, n + 1), range(1, j + 1)) if j else 0
+          for i in idx for j in range(n + 1)}
+    ne = {(i, j): rank(range(1, i + 1), range(j, n + 1)) if j <= n else 0
+          for i in idx for j in range(1, n + 2)}
+    u_images = [max(i for i in idx if sw[i, j] > sw[i, j - 1]) for j in idx]
+    v_images = [min(i for i in idx if ne[i, j] > ne[i, j + 1]) for j in idx]
     return Permutation(tuple(u_images)), Permutation(tuple(v_images))

@@ -8,6 +8,10 @@ parameter t and an elementary matrix:
 * ``diag i``  (1 <= i <= n): identity with entry (i, i) replaced by t
   (t must be nonzero); written ``@i``
 
+`product_map` is the one place that says what a letter does: letters act
+on the running product as column operations, and `elementary_matrix` is
+the product of a one-letter word.
+
 Words are whitespace-separated in the ASCII encoding, e.g.
 ``"2~ 1 @3 2 1~ @1 2~ 1 @2"``.  A *factorization scheme* is a word that
 contains each diag letter exactly once and whose lower (resp. upper)
@@ -16,7 +20,9 @@ subwords represent.
 
 Local moves rewrite a word while transporting parameters so that the
 matrix product is unchanged; all transport formulas are subtraction-free,
-so positive parameters stay positive.  Three kinds exist:
+so positive parameters stay positive.  `apply_move_word` is the one
+rewrite of the letters; `local_move_transport` adds the parameter formulas.
+Three kinds exist:
 
 * ``swap``: two adjacent commuting letters trade places.  Slant letters of
   the same kind commute when their indices differ by >= 2, slant letters of
@@ -223,25 +229,19 @@ def validate_word(word: Word, n: int) -> None:
 
 
 def elementary_matrix(letter: Letter, t, n: int) -> Matrix:
-    """The elementary Jacobi matrix of one letter at parameter t."""
+    """The elementary Jacobi matrix of one letter at parameter t: the
+    product map of the one-letter word."""
     t = as_scalar(t)
-    validate_word((letter,), n)
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    i = letter.index
-    if letter.kind == UPPER:
-        rows[i - 1][i] = t
-    elif letter.kind == LOWER:
-        rows[i][i - 1] = t
-    else:
-        if t == 0:
-            raise WordError(f"diag letter @{i} is undefined at parameter 0")
-        rows[i - 1][i - 1] = t
-    return Matrix(rows)
+    validate_word((letter,), n)  # a bad letter is named even when n < 1
+    return product_map((letter,), (t,), n)
 
 
 def product_map(word: Word, params: Sequence, n: int | None = None) -> Matrix:
     """Ordered product of the elementary matrices of a word.
 
+    Each letter acts on the running product as one column operation:
+    ``upper i`` adds t times column i to column i+1, ``lower i`` adds t
+    times column i+1 to column i, and ``diag i`` scales column i by t.
     Diag letters require nonzero parameters; slant parameters may be any
     rational (zero included, for boundary factorizations).
     """
@@ -250,10 +250,23 @@ def product_map(word: Word, params: Sequence, n: int | None = None) -> Matrix:
     params = [as_scalar(t) for t in params]
     if len(params) != len(word):
         raise WordError(f"{len(word)} letters but {len(params)} parameters")
-    result = Matrix.identity(n)
+    rows = [list(row) for row in Matrix.identity(n).rows]
     for letter, t in zip(word, params):
-        result = result * elementary_matrix(letter, t, n)
-    return result
+        validate_word((letter,), n)
+        i = letter.index - 1
+        if letter.kind == UPPER:
+            for row in rows:
+                row[i + 1] += t * row[i]
+        elif letter.kind == LOWER:
+            for row in rows:
+                row[i] += t * row[i + 1]
+        else:
+            if t == 0:
+                raise WordError(
+                    f"diag letter @{i + 1} is undefined at parameter 0")
+            for row in rows:
+                row[i] *= t
+    return Matrix(rows)
 
 
 def staircase_scheme(n: int) -> Word:
@@ -340,20 +353,6 @@ def _diag_passes_slant_right(diag_index: int, slant: Letter, t: Fraction,
     return t
 
 
-def _apply_swap(word: list[Letter], params: list[Fraction], p: int) -> None:
-    a, b = word[p], word[p + 1]
-    if not _swap_ok(a, b):
-        raise WordError(f"letters {a} {b} do not commute")
-    ta, tb = params[p], params[p + 1]
-    if a.kind == DIAG and b.kind != DIAG:
-        tb = _diag_passes_slant_right(a.index, b, tb, ta)
-    elif b.kind == DIAG and a.kind != DIAG:
-        # diag moves left: inverse of the rescaling it applies moving right
-        ta = _diag_passes_slant_right(b.index, a, ta, 1 / tb)
-    word[p], word[p + 1] = b, a
-    params[p], params[p + 1] = tb, ta
-
-
 def _braid_ok(word: Sequence[Letter], p: int) -> bool:
     if p + 2 >= len(word):
         return False
@@ -362,86 +361,84 @@ def _braid_ok(word: Sequence[Letter], p: int) -> bool:
             and a.index == c.index and abs(a.index - b.index) == 1)
 
 
-def _apply_braid(word: list[Letter], params: list[Fraction], p: int) -> None:
-    if not _braid_ok(word, p):
-        raise WordError(f"no braid pattern at position {p}")
-    t1, t2, t3 = params[p:p + 3]
-    total = t1 + t3
-    if total == 0:
-        raise WordError("braid transport undefined: t1 + t3 = 0")
-    kind = word[p].kind
-    i, j = word[p].index, word[p + 1].index
-    word[p:p + 3] = [Letter(kind, j), Letter(kind, i), Letter(kind, j)]
-    params[p:p + 3] = [t2 * t3 / total, total, t1 * t2 / total]
-
-
-def _mixed_pattern(word: Sequence[Letter], p: int) -> str | None:
-    """Return "forward" for (upper i, diag i, diag i+1, lower i),
-    "backward" for the reversed kinds, else None."""
+def _mixed_ok(word: Sequence[Letter], p: int) -> bool:
+    """(upper i, diag i, diag i+1, lower i), or the same with the two slant
+    kinds exchanged."""
     if p + 3 >= len(word):
-        return None
+        return False
     a, b, c, d = word[p:p + 4]
-    if not (b.kind == DIAG and c.kind == DIAG
+    return (b.kind == DIAG and c.kind == DIAG
             and b.index == a.index and c.index == a.index + 1
-            and d.index == a.index):
-        return None
-    if a.kind == UPPER and d.kind == LOWER:
-        return "forward"
-    if a.kind == LOWER and d.kind == UPPER:
-        return "backward"
-    return None
+            and d.index == a.index and {a.kind, d.kind} == {UPPER, LOWER})
 
 
-def _apply_mixed(word: list[Letter], params: list[Fraction], p: int) -> None:
-    pattern = _mixed_pattern(word, p)
-    if pattern is None:
-        raise WordError(f"no mixed four-letter pattern at position {p}")
-    t1, t2, t3, t4 = params[p:p + 4]
-    i = word[p].index
-    if pattern == "forward":
-        total = t2 + t1 * t3 * t4
-        if total == 0:
-            raise WordError("mixed transport undefined at this parameter point")
-        params[p:p + 4] = [t3 * t4 / total, total,
-                           t2 * t3 / total, t1 * t3 / total]
-        word[p] = lower(i)
-        word[p + 3] = upper(i)
+def apply_move_word(word: Word, move: Move) -> Word:
+    """The letters of a word after one local move: a swap exchanges two
+    letters, a braid turns (a, b, a) into (b, a, b), and a mixed move
+    exchanges the letters at pos and pos + 3.  Raises :class:`WordError`
+    when the move does not apply at its position."""
+    p = move.pos
+    if p < 0 or p >= len(word):
+        raise WordError(f"move position {p} out of range")
+    letters = list(word)
+    if move.kind == "swap":
+        if p + 1 == len(word):
+            raise WordError(f"move position {p} out of range")
+        a, b = word[p], word[p + 1]
+        if not _swap_ok(a, b):
+            raise WordError(f"letters {a} {b} do not commute")
+        letters[p:p + 2] = [b, a]
+    elif move.kind == "braid":
+        if not _braid_ok(word, p):
+            raise WordError(f"no braid pattern at position {p}")
+        a, b = word[p], word[p + 1]
+        letters[p:p + 3] = [b, a, b]
+    elif move.kind == "mixed":
+        if not _mixed_ok(word, p):
+            raise WordError(f"no mixed four-letter pattern at position {p}")
+        letters[p], letters[p + 3] = word[p + 3], word[p]
     else:
-        total = t3 + t1 * t2 * t4
-        if total == 0:
-            raise WordError("mixed transport undefined at this parameter point")
-        params[p:p + 4] = [t2 * t4 / total, t2 * t3 / total,
-                           total, t1 * t2 / total]
-        word[p] = upper(i)
-        word[p + 3] = lower(i)
+        raise WordError(f"unknown move kind {move.kind!r}")
+    return tuple(letters)
 
 
 def local_move_transport(word: Word, params: Sequence, move: Move) \
         -> tuple[Word, tuple[Fraction, ...]]:
     """Apply one local move, returning the rewritten word and transported
     parameters; the matrix product is preserved exactly."""
-    letters = list(word)
     values = [as_scalar(t) for t in params]
-    if len(letters) != len(values):
+    if len(word) != len(values):
         raise WordError("word/parameter length mismatch")
-    if move.pos < 0 or move.pos >= len(letters):
-        raise WordError(f"move position {move.pos} out of range")
+    new_word = apply_move_word(word, move)
+    p = move.pos
     if move.kind == "swap":
-        _apply_swap(letters, values, move.pos)
+        a, b = word[p], word[p + 1]
+        ta, tb = values[p], values[p + 1]
+        if a.kind == DIAG and b.kind != DIAG:
+            tb = _diag_passes_slant_right(a.index, b, tb, ta)
+        elif b.kind == DIAG and a.kind != DIAG:
+            # diag moves left: inverse of the rescaling it applies moving right
+            ta = _diag_passes_slant_right(b.index, a, ta, 1 / tb)
+        values[p:p + 2] = [tb, ta]
     elif move.kind == "braid":
-        _apply_braid(letters, values, move.pos)
-    elif move.kind == "mixed":
-        _apply_mixed(letters, values, move.pos)
+        t1, t2, t3 = values[p:p + 3]
+        total = t1 + t3
+        if total == 0:
+            raise WordError("braid transport undefined: t1 + t3 = 0")
+        values[p:p + 3] = [t2 * t3 / total, total, t1 * t2 / total]
     else:
-        raise WordError(f"unknown move kind {move.kind!r}")
-    return tuple(letters), tuple(values)
-
-
-def apply_move_word(word: Word, move: Move) -> Word:
-    """Word-only rewriting (used for path search; no parameters)."""
-    ones = [Fraction(1)] * len(word)
-    new_word, _ = local_move_transport(word, ones, move)
-    return new_word
+        t1, t2, t3, t4 = values[p:p + 4]
+        forward = word[p].kind == UPPER
+        total = t2 + t1 * t3 * t4 if forward else t3 + t1 * t2 * t4
+        if total == 0:
+            raise WordError("mixed transport undefined at this parameter point")
+        if forward:
+            values[p:p + 4] = [t3 * t4 / total, total,
+                               t2 * t3 / total, t1 * t3 / total]
+        else:
+            values[p:p + 4] = [t2 * t4 / total, t2 * t3 / total,
+                               total, t1 * t2 / total]
+    return new_word, tuple(values)
 
 
 def applicable_moves(word: Word) -> list[Move]:
@@ -454,7 +451,7 @@ def applicable_moves(word: Word) -> list[Move]:
         if _braid_ok(word, p):
             moves.append(Move("braid", p))
     for p in range(len(word) - 3):
-        if _mixed_pattern(word, p) is not None:
+        if _mixed_ok(word, p):
             moves.append(Move("mixed", p))
     return moves
 
@@ -467,32 +464,13 @@ class _Rewriter:
     """Mutable word with a move log; used to canonicalize schemes."""
 
     def __init__(self, word: Word):
-        self.word = list(word)
+        self.word = tuple(word)
         self.moves: list[Move] = []
 
-    def swap(self, p: int) -> None:
-        if not _swap_ok(self.word[p], self.word[p + 1]):
-            raise WordError(f"illegal swap at {p}")
-        self.word[p], self.word[p + 1] = self.word[p + 1], self.word[p]
-        self.moves.append(Move("swap", p))
-
-    def braid(self, p: int) -> None:
-        if not _braid_ok(self.word, p):
-            raise WordError(f"illegal braid at {p}")
-        a, b = self.word[p], self.word[p + 1]
-        self.word[p:p + 3] = [b, a, b]
-        self.moves.append(Move("braid", p))
-
-    def mixed(self, p: int) -> None:
-        pattern = _mixed_pattern(self.word, p)
-        if pattern is None:
-            raise WordError(f"illegal mixed move at {p}")
-        i = self.word[p].index
-        if pattern == "forward":
-            self.word[p], self.word[p + 3] = lower(i), upper(i)
-        else:
-            self.word[p], self.word[p + 3] = upper(i), lower(i)
-        self.moves.append(Move("mixed", p))
+    def apply(self, kind: str, p: int) -> None:
+        move = Move(kind, p)
+        self.word = apply_move_word(self.word, move)
+        self.moves.append(move)
 
     def push_diags_right(self) -> None:
         moved = True
@@ -501,7 +479,7 @@ class _Rewriter:
             for p in range(len(self.word) - 1):
                 if (self.word[p].kind == DIAG
                         and self.word[p + 1].kind != DIAG):
-                    self.swap(p)
+                    self.apply("swap", p)
                     moved = True
 
     def find_diag(self, index: int) -> int:
@@ -513,10 +491,10 @@ class _Rewriter:
     def pull_diag_to(self, index: int, target: int) -> None:
         p = self.find_diag(index)
         while p > target:
-            self.swap(p - 1)
+            self.apply("swap", p - 1)
             p -= 1
         while p < target:
-            self.swap(p)
+            self.apply("swap", p)
             p += 1
 
 
@@ -533,12 +511,12 @@ def _sort_slants(rw: _Rewriter) -> None:
         if pos is None:
             return
         if rw.word[pos].index != rw.word[pos + 1].index:
-            rw.swap(pos)
+            rw.apply("swap", pos)
             continue
         i = rw.word[pos].index
         rw.pull_diag_to(i, pos + 1)
         rw.pull_diag_to(i + 1, pos + 2)
-        rw.mixed(pos)
+        rw.apply("mixed", pos)
         rw.push_diags_right()
 
 
@@ -601,7 +579,7 @@ def moves_to_staircase(word: Word, n: int | None = None) -> list[Move]:
         p = next(q for q in range(n_lower + slot, len(rw.word))
                  if rw.word[q].kind == DIAG)
         while p > n_lower + slot:
-            rw.swap(p - 1)
+            rw.apply("swap", p - 1)
             p -= 1
     # sort the diag block ascending
     base = n_lower
@@ -609,7 +587,7 @@ def moves_to_staircase(word: Word, n: int | None = None) -> list[Move]:
         swapped = False
         for p in range(base, base + n - 1):
             if rw.word[p].index > rw.word[p + 1].index:
-                rw.swap(p)
+                rw.apply("swap", p)
                 swapped = True
         if not swapped:
             break
@@ -618,11 +596,11 @@ def moves_to_staircase(word: Word, n: int | None = None) -> list[Move]:
     lower_now = tuple(l.index for l in rw.word[:n_lower])
     lower_goal = tuple(l.index for l in target[:n_lower])
     for move in _coxeter_path(lower_now, lower_goal, 0):
-        getattr(rw, move.kind)(move.pos)
+        rw.apply(move.kind, move.pos)
     upper_now = tuple(l.index for l in rw.word[n_lower + n:])
     upper_goal = tuple(l.index for l in target[n_lower + n:])
     for move in _coxeter_path(upper_now, upper_goal, n_lower + n):
-        getattr(rw, move.kind)(move.pos)
+        rw.apply(move.kind, move.pos)
     if tuple(rw.word) != target:
         raise WordError("canonicalization failed to reach the staircase")
     return rw.moves

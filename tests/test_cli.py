@@ -207,6 +207,9 @@ class TestErrors:
         (["somos", "--terms", "6", "--seed", "1,1,1,1,0"], 2),
         (["test", "{list}"], 2),
         (["twist", "{list}"], 2),
+        (["test"], 2),
+        (["diagrams", "--n", "0", "--enumerate"], 2),
+        (["--help"], 0),
     ])
     def test_edge_inputs_exit_codes(self, argv, code, tmp_path, capsys):
         files = {"singular": {"n": 2, "rows": [["1", "1"], ["1", "1"]]},

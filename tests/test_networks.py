@@ -182,6 +182,18 @@ class TestChips:
         with pytest.raises(NetworkError):
             concatenate(chip(upper(1), 1, 2), chip(upper(1), 1, 3))
 
+    def test_concatenate_many_equals_pairwise_fold(self):
+        rng = random.Random(9)
+        for n in (1, 2, 3):
+            letters = [diag(1)] + ([upper(n - 1), lower(1)] if n > 1 else [])
+            a = standard_network(n, [rand_positive(rng)
+                                     for _ in range(n * n)])
+            b, c = (chip(rng.choice(letters), rand_positive(rng), n)
+                    for _ in range(2))
+            assert concatenate(a, b, c) \
+                == concatenate(concatenate(a, b), c)
+            assert concatenate(a) == a
+
     def test_four_chip_worked_example(self):
         word = parse_word("@1 1~ @2 1")
         t = [Fraction(2), Fraction(3), Fraction(5), Fraction(7)]

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totpos.matrices import Matrix
 from totpos.positivity import is_tp_bruteforce
-from totpos.words import (Move, Permutation, WordError,
+from totpos.words import (Move, Permutation, WordError, apply_move_word,
                           applicable_moves, diag, elementary_matrix,
                           format_word, infer_n,
                           is_reduced_word, is_reduced_word_for,
@@ -17,7 +19,32 @@ from totpos.words import (Move, Permutation, WordError,
                           staircase_scheme, transport_params, upper,
                           validate_scheme)
 
-from util import rand_full_scheme, rand_positive
+from util import matrix_product_map, rand_full_scheme, rand_positive
+
+SLANT_PARAMS = st.one_of(st.just(Fraction(0)),
+                         st.integers(-3, 3).map(Fraction),
+                         st.builds(Fraction, st.integers(-9, 9),
+                                   st.integers(1, 6)))
+DIAG_PARAMS = SLANT_PARAMS.filter(bool)
+
+
+@st.composite
+def words_with_params(draw):
+    """(word, params, n) for n = 1..6; slant parameters may be zero or
+    negative, diag parameters are nonzero, and the word may be empty."""
+    n = draw(st.integers(1, 6))
+    kinds = ["diag"] + (["upper", "lower"] if n > 1 else [])
+    word, params = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "diag":
+            word.append(diag(draw(st.integers(1, n))))
+            params.append(draw(DIAG_PARAMS))
+        else:
+            make = upper if kind == "upper" else lower
+            word.append(make(draw(st.integers(1, n - 1))))
+            params.append(draw(SLANT_PARAMS))
+    return tuple(word), params, n
 
 
 class TestPermutations:
@@ -106,6 +133,24 @@ class TestProductMap:
     def test_length_mismatch(self):
         with pytest.raises(WordError):
             product_map((upper(1),), [1, 2], 2)
+
+    @settings(deadline=None)
+    @given(words_with_params())
+    def test_matches_matrix_product_oracle(self, case):
+        word, params, n = case
+        assert product_map(word, params, n) \
+            == matrix_product_map(word, params, n)
+
+    def test_out_of_range_letters(self):
+        for word in ((upper(2),), (lower(2),), (diag(3),),
+                     (upper(1), diag(3))):
+            with pytest.raises(WordError, match="out of range for n=2"):
+                product_map(word, [1] * len(word), 2)
+
+    def test_zero_diag_parameter(self):
+        with pytest.raises(WordError,
+                           match="diag letter @2 is undefined at parameter 0"):
+            product_map((upper(1), diag(2), upper(5)), [1, 0, 1], 3)
 
     def test_mixed_order_scheme_matches_its_chip_network(self):
         from totpos.networks import chips_of_word, weight_matrix
@@ -229,6 +274,31 @@ class TestTransport:
             assert product_map(word, params, n) == target
 
 
+class TestApplyMoveWord:
+    @pytest.mark.parametrize("text, move", [
+        ("1 1~", Move("swap", 0)),
+        ("1 3", Move("swap", 1)),
+        ("1 2 2", Move("braid", 0)),
+        ("1 2", Move("braid", 0)),
+        ("1 @1 @2 1", Move("mixed", 0)),
+        ("1 @1 @2", Move("mixed", 0)),
+        ("1 3", Move("swap", -1)),
+        ("1 3", Move("swap", 2)),
+        ("1 3", Move("flip", 0)),
+    ])
+    def test_inapplicable_moves_raise(self, text, move):
+        with pytest.raises(WordError):
+            apply_move_word(parse_word(text), move)
+
+    def test_rewrites(self):
+        assert apply_move_word(parse_word("1 3"), Move("swap", 0)) \
+            == parse_word("3 1")
+        assert apply_move_word(parse_word("@1 2~ 1~ 2~"), Move("braid", 1)) \
+            == parse_word("@1 1~ 2~ 1~")
+        assert apply_move_word(parse_word("1~ @1 @2 1"), Move("mixed", 0)) \
+            == parse_word("1 @1 @2 1~")
+
+
 class TestRouting:
     def test_staircase_is_canonical(self):
         for n in (1, 2, 3):
@@ -257,6 +327,27 @@ class TestRouting:
             end, out = transport_params(a, params, move_path(a, b, n))
             assert end == b
             assert product_map(b, out, n) == product_map(a, params, n)
+
+    @pytest.mark.parametrize("text, moves", [
+        ("2~ 1 @3 2 1~ @1 2~ 1 @2",
+         "s2 s3 s5 s6 s4 s5 s2 s6 s5 s4 s3 s2 s7 s6 s5 s4 s3 m1 s3 s4 s5 "
+         "s6 s2 s3 s4 s5 s6 s5 s4 s7 s6 s5 m3 s5 s6 s4 s5 s2 s5 s4 s3 s6 "
+         "s5 s4 s7 s6 s5 s4 s3 b6"),
+        ("3~ 2~ 3~ 1~ @1 2~ 3 @2 3~ @3 @4 2 3 1 2 3",
+         "s4 s5 s7 s10 s11 s12 s13 s14 s6 s9 s10 s11 s12 s13 s8 s9 s10 "
+         "s11 s12 s7 s8 s9 s10 s11 s13 s12 s11 s10 s9 s8 s7 s6 s14 s13 "
+         "s12 s11 s10 s9 s8 s7 m5 s7 s8 s9 s10 s11 s12 s6 s7 s8 s9 s10 "
+         "s11 s11 s10 s9 s8 s7 s6 s12 s11 s10 s9 s8 s7 s13 s12 s11 s10 s9 "
+         "s8 s14 s13 s12 s11 s10 s9 s7 s8 s6 s7"),
+        ("2~ 3~ 2~ 1~ 2~ 3~ @2 @1 @3 @4 3 2 3 1 2 3",
+         "s9 s10 s11 s12 s13 s14 s8 s9 s10 s11 s12 s13 s7 s8 s9 s10 s11 "
+         "s12 s6 s7 s8 s9 s10 s11 s11 s10 s9 s8 s7 s6 s12 s11 s10 s9 s8 "
+         "s7 s13 s12 s11 s10 s9 s8 s14 s13 s12 s11 s10 s9 s6 b0"),
+    ])
+    def test_pinned_move_lists(self, text, moves):
+        kinds = {"s": "swap", "b": "braid", "m": "mixed"}
+        expected = [Move(kinds[tok[0]], int(tok[1:])) for tok in moves.split()]
+        assert moves_to_staircase(parse_word(text)) == expected
 
     def test_rejects_partial_type(self):
         with pytest.raises(WordError):

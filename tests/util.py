@@ -8,8 +8,8 @@ from fractions import Fraction
 
 from totpos.matrices import Matrix
 from totpos.networks import PlanarNetwork
-from totpos.words import (Permutation, Word, diag, lower, product_map,
-                          reduced_words, staircase_scheme, upper)
+from totpos.words import (LOWER, UPPER, Permutation, Word, diag, lower,
+                          product_map, reduced_words, staircase_scheme, upper)
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9,
@@ -109,6 +109,23 @@ def cofactor_det(rows) -> Fraction:
         term = Fraction(rows[0][j]) * cofactor_det(sub)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def matrix_product_map(word: Word, params, n: int) -> Matrix:
+    """Independent product-map oracle: the ordered `Matrix` product of
+    elementary matrices written out entry by entry."""
+    result = Matrix.identity(n)
+    for letter, t in zip(word, params):
+        rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        i = letter.index - 1
+        if letter.kind == UPPER:
+            rows[i][i + 1] = Fraction(t)
+        elif letter.kind == LOWER:
+            rows[i + 1][i] = Fraction(t)
+        else:
+            rows[i][i] = Fraction(t)
+        result = result * Matrix(rows)
+    return result
 
 
 def enumerate_paths(net: PlanarNetwork, start: int, goal: int):
