@@ -130,11 +130,7 @@ def _cmd_tnn(args) -> int:
         verdict = not failures
         checked = len(specs)
     else:
-        verdict, checked = pv.test_tnn_efficient(x)
-        failures = []
-        if not verdict:
-            failures = pv.failing_minors(x, pv.tnn_efficient_specs(x.n),
-                                         strict=False)
+        verdict, checked, failures = pv.tnn_efficient_report(x)
     report = {"verdict": verdict, "minors_checked": checked,
               "witnesses": _witnesses(failures)}
     lines = [f"totally nonnegative: {str(verdict).lower()} "
@@ -145,8 +141,7 @@ def _cmd_tnn(args) -> int:
 
 def _cmd_oscillatory(args) -> int:
     x = _load_matrix(args.matrix)
-    verdicts = {c: pv.is_oscillatory(x, c, guard=_guard(args, 6))
-                for c in "bcd"}
+    verdicts = pv.oscillation_criteria(x, guard=_guard(args, 6))
     if len(set(verdicts.values())) != 1:
         raise AssertionError(f"oscillation criteria disagree: {verdicts}")
     verdict = verdicts["b"]

@@ -29,7 +29,7 @@ from .diagrams import DoubleWiringDiagram, chamber_minors
 from .exact import as_scalar
 from .matrices import (Matrix, MinorSpec, _det_fraction_rows,
                        initial_minor_spec, initial_minor_specs, ldu_decompose,
-                       minor)
+                       minor, minor_values)
 from .words import (DIAG, Permutation, Word, WordError, infer_n,
                     is_full_scheme, move_path, product_map, staircase_scheme,
                     transport_params, validate_scheme)
@@ -51,7 +51,8 @@ class ReconstructionError(ValueError):
 
 def initial_minors(x: Matrix) -> dict[MinorSpec, Fraction]:
     """All n^2 initial minors of x, keyed by spec."""
-    return {spec: minor(x, spec) for spec in initial_minor_specs(x.n)}
+    specs = initial_minor_specs(x.n)
+    return dict(zip(specs, minor_values(x, specs)))
 
 
 def reconstruct_from_initial_minors(values: Mapping[MinorSpec, Fraction],
@@ -154,8 +155,8 @@ def staircase_minor_exponents(n: int) \
     x = product_map(word, primes, n)
     specs = initial_minor_specs(n)
     exponents = []
-    for spec in specs:
-        exps = _prime_exponents(minor(x, spec), primes)
+    for spec, value in zip(specs, minor_values(x, specs)):
+        exps = _prime_exponents(value, primes)
         if exps is None or any(e not in (0, 1) for e in exps):
             raise AssertionError(
                 f"initial minor {spec} of the staircase product is not a "
@@ -202,12 +203,10 @@ def factor_staircase(x: Matrix) -> tuple[Fraction, ...]:
     """
     n = x.n
     specs, _, inverse = staircase_minor_exponents(n)
-    values = []
-    for spec in specs:
-        value = minor(x, spec)
+    values = minor_values(x, specs)
+    for spec, value in zip(specs, values):
         if value <= 0:
             raise NotTotallyPositiveError(spec, value)
-        values.append(value)
     params = []
     for row in inverse:
         t = Fraction(1)
@@ -308,7 +307,7 @@ def verify_twist_monomial(scheme: Word, n: int | None = None,
     def chamber_values(params) -> list[Fraction] | None:
         x = product_map(scheme, params, n)
         twisted = twist(x)
-        return [minor(twisted, spec) for spec in chamber_specs]
+        return minor_values(twisted, chamber_specs)
 
     exponent_rows: list[list[int]] | None = None
     base = _primes(size)

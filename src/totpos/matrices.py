@@ -14,6 +14,21 @@ denominators are cleared; the row multipliers are positive, so signs
 survive.  Its k-th pivot is a leading k-minor and every entry it stores is
 a minor bordering it, so every division is exact and intermediate values
 stay small.
+
+Families of minors go through one entry point, :func:`minor_family`.  It
+clears the row denominators once per matrix and returns scaled integer
+minors: each is the true minor times the multipliers of its rows, so it
+has the true minor's sign, and :func:`unscale` gives the exact value.  The
+algorithm follows the family:
+
+* solid minors (Fekete, initial, antiprincipal): Dodgson condensation,
+  level by level, O(1) per minor; a minor reached through a zero divisor
+  is evaluated by the kernel instead;
+* all minors, and the minors on rows [1..k] or columns [1..k] (the
+  efficient TNN test): Laplace expansion along the last row, row sets
+  depth first, O(k) per minor from its parent's;
+* any other list (chamber minors): the kernel on each submatrix of the
+  cleared rows.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exact import as_scalar, format_scalar
 
@@ -54,6 +69,17 @@ class MinorSpec:
     @classmethod
     def of(cls, rows: Iterable[int], cols: Iterable[int]) -> "MinorSpec":
         return cls(tuple(sorted(rows)), tuple(sorted(cols)))
+
+    @classmethod
+    def trusted(cls, rows: tuple[int, ...],
+                cols: tuple[int, ...]) -> "MinorSpec":
+        """A spec from int tuples already known to be valid, as the family
+        generators make them, without checking them again."""
+        spec = object.__new__(cls)
+        fields = spec.__dict__
+        fields["rows"] = rows
+        fields["cols"] = cols
+        return spec
 
     @property
     def size(self) -> int:
@@ -188,9 +214,11 @@ def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
     """Each row times the lcm of its denominators, and those multipliers."""
     cleared, mults = [], []
     for row in rows:
-        mult = lcm(*(v.denominator for v in row))
+        pairs = [v.as_integer_ratio() for v in row]
+        mult = lcm(*[d for _, d in pairs])
         mults.append(mult)
-        cleared.append([v.numerator * (mult // v.denominator) for v in row])
+        cleared.append([p * (mult // d) for p, d in pairs] if mult > 1
+                       else [p for p, _ in pairs])
     return cleared, mults
 
 
@@ -276,6 +304,184 @@ def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the family engine
+
+
+def minor_family(x: Matrix, specs: Sequence[MinorSpec],
+                 stop: Callable[[int], bool] | None = None) \
+        -> tuple[list[int], list[int]] | None:
+    """The minors of x on ``specs``, as (values, multipliers).
+
+    ``values[k]`` is the minor on ``specs[k]`` of the row-scaled integer
+    matrix, so ``minor(x, spec) == unscale(spec, values[k], multipliers)``
+    and both have the same sign.  With ``stop``, returns None as soon as
+    some value satisfies it (the specs are then visited in no fixed order).
+    """
+    n = x.n
+    for spec in specs:
+        spec.validate_for(n)
+    m, mults = _integer_rows(x.rows)
+    values: list = [None] * len(specs)
+    if all(s.rows[-1] - s.rows[0] == s.cols[-1] - s.cols[0] == len(s.rows) - 1
+           for s in specs):
+        done = _condense(m, specs, values, stop)
+    elif _covers(specs, comb(2 * n, n) - 1):
+        done = _laplace(m, specs, range(len(specs)), values, stop,
+                        chain=False)
+    elif (_covers(specs, 2 ** (n + 1) - n - 2)
+          and all(s.rows[-1] == len(s.rows) or s.cols[-1] == len(s.cols)
+                  for s in specs)):
+        # rows [1..k] on x, the rest (columns [1..k]) on its transpose
+        on_rows = [k for k, s in enumerate(specs)
+                   if s.rows[-1] == len(s.rows)]
+        on_cols = [k for k, s in enumerate(specs)
+                   if s.rows[-1] != len(s.rows)]
+        done = (_laplace(m, specs, on_rows, values, stop, chain=True)
+                and _laplace([list(c) for c in zip(*m)], specs, on_cols,
+                             values, stop, chain=True, transpose=True))
+    else:
+        done = _direct(m, specs, range(len(specs)), values, stop)
+    return (values, mults) if done else None
+
+
+def _covers(specs: Sequence[MinorSpec], count: int) -> bool:
+    """Whether ``specs`` name ``count`` distinct minors."""
+    return (len(specs) >= count
+            and len({(s.rows, s.cols) for s in specs}) == count)
+
+
+def unscale(spec: MinorSpec, value: int, mults: Sequence[int]) -> Fraction:
+    """The true minor from its row-scaled integer value."""
+    return Fraction(value, prod(mults[i - 1] for i in spec.rows))
+
+
+def minor_values(x: Matrix, specs: Sequence[MinorSpec]) -> list[Fraction]:
+    """Exact minors of x on ``specs``, in order, from one engine pass."""
+    values, mults = minor_family(x, specs)
+    return [unscale(s, v, mults) for s, v in zip(specs, values)]
+
+
+def _det_int(m: list[list[int]]) -> int:
+    """Determinant of a square integer array (consumed)."""
+    pivots, sign = _eliminate(m)
+    return sign * m[-1][-1] if len(pivots) == len(m) else 0
+
+
+def _direct(m, specs, indices, values, stop) -> bool:
+    """Bareiss on each listed spec's integer submatrix."""
+    for k in indices:
+        spec = specs[k]
+        cols = [j - 1 for j in spec.cols]
+        value = _det_int([[m[i - 1][j] for j in cols] for i in spec.rows])
+        values[k] = value
+        if stop is not None and stop(value):
+            return False
+    return True
+
+
+def _condense(m, specs, values, stop) -> bool:
+    """Solid minors by Dodgson condensation, level by level.
+
+    The size-k solid minor at top-left (i, j) times the size-(k-2) one at
+    (i+1, j+1) equals the 2x2 determinant of the size-(k-1) ones at (i, j),
+    (i, j+1), (i+1, j) and (i+1, j+1) (Desnanot), so every division is
+    exact.  A minor whose divisor vanishes, or whose inputs are unknown, is
+    unknown (None); requested unknown minors are evaluated directly.
+    """
+    n = len(m)
+    wanted: dict[int, list[int]] = {}
+    for k, spec in enumerate(specs):
+        wanted.setdefault(len(spec.rows), []).append(k)
+    unknown = []
+    # level holds the solid minors of size - 1, below those of size - 2
+    below, level = None, [[1] * (n + 1) for _ in range(n + 1)]
+    for size in range(1, max(wanted, default=0) + 1):
+        if size == 1:
+            nxt = m
+        else:
+            nxt = [[_step(a0, a1, b0, b1, d) for a0, a1, b0, b1, d
+                    in zip(up, up[1:], lo, lo[1:], div[1:])]
+                   for up, lo, div in zip(level, level[1:], below[1:])]
+        below, level = level, nxt
+        for k in wanted.get(size, ()):
+            spec = specs[k]
+            value = level[spec.rows[0] - 1][spec.cols[0] - 1]
+            if value is None:
+                unknown.append(k)
+                continue
+            values[k] = value
+            if stop is not None and stop(value):
+                return False
+    return _direct(m, specs, sorted(unknown), values, stop)
+
+
+def _step(a0, a1, b0, b1, d):
+    """One condensation step; None when the divisor d is 0 or unknown or
+    an input is unknown."""
+    if not d or a0 is None or a1 is None or b0 is None or b1 is None:
+        return None
+    return (a0 * b1 - a1 * b0) // d
+
+
+def _laplace(m, specs, indices, values, stop, chain: bool,
+             transpose: bool = False) -> bool:
+    """Minors by Laplace expansion along the last row.
+
+    Row sets are visited depth first, each extended by a later row (only
+    the next row under ``chain``); at each, the minors on every column set
+    of its size come from the parent's, at O(k) per minor.  With
+    ``transpose``, ``m`` is the transposed array and a spec's columns act
+    as its rows.
+    """
+    n = len(m)
+    wanted: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    for k in indices:
+        spec = specs[k]
+        rows, cols = ((spec.cols, spec.rows) if transpose
+                      else (spec.rows, spec.cols))
+        wanted.setdefault(rows, []).append((k, cols))
+    if not wanted:
+        return True
+    depth = max(map(len, wanted))
+    # each column set up to that size; column c (1-based) is bit c
+    mask_of = {(): 0}
+    col_sets: list[list[tuple[int, tuple[int, ...]]]] = [[]]
+    for size in range(1, depth + 1):
+        col_sets.append([])
+        for cols in itertools.combinations(range(1, n + 1), size):
+            mask = mask_of[cols[:-1]] | 1 << cols[-1]
+            mask_of[cols] = mask
+            col_sets[size].append((mask, cols))
+    m = [[0] + row for row in m]
+    stack: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {0: 1})]
+    while stack:
+        rows, parent = stack.pop()
+        size = len(rows) + 1
+        first = rows[-1] + 1 if rows else 1
+        for r in range(first, (first if chain else n) + 1):
+            row = m[r - 1]
+            node = {}
+            for mask, cols in col_sets[size]:
+                total = 0
+                negative = size % 2 == 0
+                for c in cols:
+                    v = row[c]
+                    if v:
+                        term = v * parent[mask ^ 1 << c]
+                        total = total - term if negative else total + term
+                    negative = not negative
+                node[mask] = total
+            child = rows + (r,)
+            for k, cols in wanted.get(child, ()):
+                values[k] = node[mask_of[cols]]
+                if stop is not None and stop(values[k]):
+                    return False
+            if size < depth:
+                stack.append((child, node))
+    return True
+
+
+# ---------------------------------------------------------------------------
 # minor families
 
 
@@ -286,7 +492,7 @@ def all_minor_specs(n: int) -> list[MinorSpec]:
     for k in range(1, n + 1):
         for rows in itertools.combinations(indices, k):
             for cols in itertools.combinations(indices, k):
-                specs.append(MinorSpec(rows, cols))
+                specs.append(MinorSpec.trusted(rows, cols))
     assert len(specs) == comb(2 * n, n) - 1
     return specs
 
@@ -295,10 +501,9 @@ def solid_minor_specs(n: int) -> list[MinorSpec]:
     """Minors whose row set and column set are both intervals."""
     specs = []
     for k in range(1, n + 1):
-        for i0 in range(1, n - k + 2):
-            for j0 in range(1, n - k + 2):
-                specs.append(MinorSpec(tuple(range(i0, i0 + k)),
-                                       tuple(range(j0, j0 + k))))
+        intervals = [tuple(range(i0, i0 + k)) for i0 in range(1, n - k + 2)]
+        specs += [MinorSpec.trusted(rows, cols)
+                  for rows in intervals for cols in intervals]
     return specs
 
 
@@ -312,8 +517,13 @@ def initial_minor_spec(n: int, i: int, j: int) -> MinorSpec:
 
 def initial_minor_specs(n: int) -> list[MinorSpec]:
     """All n^2 initial minors, in row-major corner order."""
-    return [initial_minor_spec(n, i, j)
-            for i in range(1, n + 1) for j in range(1, n + 1)]
+    specs = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            k = min(i, j)
+            specs.append(MinorSpec.trusted(tuple(range(i - k + 1, i + 1)),
+                                           tuple(range(j - k + 1, j + 1))))
+    return specs
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from typing import Iterable
 
 from .diagrams import DoubleWiringDiagram, chamber_minors
 from .matrices import (Matrix, MinorSpec, all_minor_specs, exact_rank,
-                       initial_minor_specs, is_block_triangular, minor,
-                       solid_minor_specs)
+                       initial_minor_specs, is_block_triangular, minor_family,
+                       solid_minor_specs, unscale)
 from .words import Permutation
 
 
@@ -49,33 +49,49 @@ def check_guard(n: int, guard: int) -> None:
             f"pass a larger guard to override")
 
 
+def _nonpositive(value) -> bool:
+    return value <= 0
+
+
+def _negative(value) -> bool:
+    return value < 0
+
+
+def _passes(x: Matrix, specs: list[MinorSpec], fails) -> bool:
+    """No minor on ``specs`` fails; stops at the first that does."""
+    return minor_family(x, specs, stop=fails) is not None
+
+
+def _failures(specs, values, mults, fails) -> list[tuple[MinorSpec, Fraction]]:
+    return [(spec, unscale(spec, value, mults))
+            for spec, value in zip(specs, values) if fails(value)]
+
+
 def failing_minors(x: Matrix, specs: Iterable[MinorSpec], *,
                    strict: bool) -> list[tuple[MinorSpec, Fraction]]:
     """Specs whose minors fail the sign requirement (> 0, or >= 0)."""
-    bad = []
-    for spec in specs:
-        value = minor(x, spec)
-        if (value <= 0) if strict else (value < 0):
-            bad.append((spec, value))
-    return bad
+    specs = list(specs)
+    values, mults = minor_family(x, specs)
+    return _failures(specs, values, mults,
+                     _nonpositive if strict else _negative)
 
 
 def is_tp_bruteforce(x: Matrix, guard: int = 6) -> bool:
     """Every one of the C(2n, n) - 1 minors is positive."""
     check_guard(x.n, guard)
-    return not failing_minors(x, all_minor_specs(x.n), strict=True)
+    return _passes(x, all_minor_specs(x.n), _nonpositive)
 
 
 def is_tnn_bruteforce(x: Matrix, guard: int = 6) -> bool:
     """Every minor is nonnegative."""
     check_guard(x.n, guard)
-    return not failing_minors(x, all_minor_specs(x.n), strict=False)
+    return _passes(x, all_minor_specs(x.n), _negative)
 
 
 def test_initial_minors(x: Matrix) -> bool:
     """Positivity of the n^2 initial minors; equivalent to total
     positivity."""
-    return not failing_minors(x, initial_minor_specs(x.n), strict=True)
+    return _passes(x, initial_minor_specs(x.n), _nonpositive)
 
 
 def test_chamber_minors(x: Matrix, d: DoubleWiringDiagram) -> bool:
@@ -83,12 +99,12 @@ def test_chamber_minors(x: Matrix, d: DoubleWiringDiagram) -> bool:
     total positivity for every diagram."""
     if d.n != x.n:
         raise ValueError(f"diagram size {d.n} does not match matrix {x.n}")
-    return not failing_minors(x, chamber_minors(d), strict=True)
+    return _passes(x, chamber_minors(d), _nonpositive)
 
 
 def test_fekete_solid(x: Matrix) -> bool:
     """Positivity of all solid minors; equivalent to total positivity."""
-    return not failing_minors(x, solid_minor_specs(x.n), strict=True)
+    return _passes(x, solid_minor_specs(x.n), _nonpositive)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +120,8 @@ def tnn_efficient_specs(n: int) -> list[MinorSpec]:
     for k in range(1, n + 1):
         head = tuple(range(1, k + 1))
         for other in itertools.combinations(indices, k):
-            for spec in (MinorSpec(head, other), MinorSpec(other, head)):
+            for spec in (MinorSpec.trusted(head, other),
+                         MinorSpec.trusted(other, head)):
                 key = (spec.rows, spec.cols)
                 if key not in seen:
                     seen.add(key)
@@ -126,27 +143,32 @@ def test_tnn_efficient(x: Matrix) -> tuple[bool, int]:
     :class:`NotApplicableError` on singular input (use the brute-force
     test instead).
     """
-    n = x.n
+    verdict, checked, _ = tnn_efficient_report(x)
+    return verdict, checked
+
+
+def tnn_efficient_report(x: Matrix) \
+        -> tuple[bool, int, list[tuple[MinorSpec, Fraction]]]:
+    """:func:`test_tnn_efficient`'s verdict and count, with its negative
+    minors in spec order as witnesses."""
     if x.det() == 0:
         raise NotApplicableError(
             "matrix is singular; the efficient criterion requires an "
             "invertible input -- use the brute-force test")
-    specs = tnn_efficient_specs(n)
-    leading = {tuple(range(1, k + 1)) for k in range(1, n + 1)}
-    for spec in specs:
-        value = minor(x, spec)
-        if value < 0:
-            return False, len(specs)
-        if value == 0 and spec.rows in leading and spec.rows == spec.cols:
-            return False, len(specs)
-    return True, len(specs)
+    specs = tnn_efficient_specs(x.n)
+    values, mults = minor_family(x, specs)
+    verdict = all(
+        value > 0 if spec.rows == spec.cols and spec.rows[-1] == spec.size
+        else value >= 0
+        for spec, value in zip(specs, values))
+    return verdict, len(specs), _failures(specs, values, mults, _negative)
 
 
 def test_tp_given_tnn(x: Matrix) -> bool:
     """For a totally nonnegative x: totally positive iff the 2n - 1
     antiprincipal minors (top-right and bottom-left corner minors) are all
     nonzero."""
-    return all(minor(x, spec) != 0 for spec in antiprincipal_specs(x.n))
+    return _passes(x, antiprincipal_specs(x.n), lambda value: value == 0)
 
 
 def antiprincipal_specs(n: int) -> list[MinorSpec]:
@@ -154,11 +176,11 @@ def antiprincipal_specs(n: int) -> list[MinorSpec]:
     size, the full determinant once."""
     specs = []
     for i in range(1, n + 1):
-        specs.append(MinorSpec(tuple(range(1, i + 1)),
-                               tuple(range(n - i + 1, n + 1))))
+        specs.append(MinorSpec.trusted(tuple(range(1, i + 1)),
+                                       tuple(range(n - i + 1, n + 1))))
         if i < n:
-            specs.append(MinorSpec(tuple(range(n - i + 1, n + 1)),
-                                   tuple(range(1, i + 1))))
+            specs.append(MinorSpec.trusted(tuple(range(n - i + 1, n + 1)),
+                                           tuple(range(1, i + 1))))
     return specs
 
 
@@ -174,11 +196,26 @@ def is_oscillatory(x: Matrix, criterion: str = "b", guard: int = 6) -> bool:
     * ``"c"``: x^(n-1) totally positive (checked brute force);
     * ``"d"``: x is not block-triangular.
     """
+    _check_oscillation_input(x, guard)
+    return _oscillation_criterion(x, criterion, guard)
+
+
+def oscillation_criteria(x: Matrix, guard: int = 6) -> dict[str, bool]:
+    """:func:`is_oscillatory` by each criterion b, c and d, with the input
+    checked once."""
+    _check_oscillation_input(x, guard)
+    return {c: _oscillation_criterion(x, c, guard) for c in "bcd"}
+
+
+def _check_oscillation_input(x: Matrix, guard: int) -> None:
     if x.det() == 0:
         raise NotApplicableError("oscillation is defined for invertible "
                                  "totally nonnegative matrices")
     if not is_tnn_bruteforce(x, guard=guard):
         raise NotApplicableError("input is not totally nonnegative")
+
+
+def _oscillation_criterion(x: Matrix, criterion: str, guard: int) -> bool:
     n = x.n
     if criterion == "b":
         return all(x.entry(i, i + 1) > 0 and x.entry(i + 1, i) > 0

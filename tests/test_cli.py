@@ -51,6 +51,60 @@ class TestTest:
         capsys.readouterr()
 
 
+# A mixed-sign matrix with zero and negative minors of sizes 1 and 2, and a
+# totally nonnegative tridiagonal one; the reports are pinned whole.
+MIXED3 = {"n": 3, "rows": [["2", "-1", "1/2"], ["1", "3", "0"],
+                           ["-2", "1", "1"]]}
+TRI3 = {"n": 3, "rows": [["1", "1", "0"], ["1", "2", "1"], ["0", "1", "2"]]}
+
+
+def _witness(rows, cols, value):
+    return {"rows": rows, "cols": cols, "value": value}
+
+
+@pytest.mark.parametrize("matrix, argv, code, report", [
+    (MIXED3, ["test", "--method", "initial"], 1,
+     {"verdict": False, "minors_checked": 9, "witnesses": [
+         _witness([1], [2], "-1"), _witness([1, 2], [2, 3], "-3/2"),
+         _witness([3], [1], "-2")]}),
+    (MIXED3, ["test", "--method", "fekete"], 1,
+     {"verdict": False, "minors_checked": 14, "witnesses": [
+         _witness([1], [2], "-1"), _witness([2], [3], "0"),
+         _witness([3], [1], "-2"), _witness([1, 2], [2, 3], "-3/2")]}),
+    (MIXED3, ["test", "--method", "brute"], 1,
+     {"verdict": False, "minors_checked": 19, "witnesses": [
+         _witness([1], [2], "-1"), _witness([2], [3], "0"),
+         _witness([3], [1], "-2"), _witness([1, 2], [1, 3], "-1/2"),
+         _witness([1, 2], [2, 3], "-3/2"), _witness([1, 3], [1, 2], "0"),
+         _witness([1, 3], [2, 3], "-3/2")]}),
+    (MIXED3, ["test", "--method", "chamber"], 1,
+     {"verdict": False, "minors_checked": 9, "witnesses": [
+         _witness([3], [1], "-2"), _witness([1], [2], "-1"),
+         _witness([1, 2], [2, 3], "-3/2")]}),
+    (MIXED3, ["tnn", "--method", "efficient"], 1,
+     {"verdict": False, "minors_checked": 11, "witnesses": [
+         _witness([1], [2], "-1"), _witness([3], [1], "-2"),
+         _witness([1, 2], [1, 3], "-1/2"), _witness([1, 2], [2, 3], "-3/2")]}),
+    (MIXED3, ["tnn", "--method", "brute"], 1,
+     {"verdict": False, "minors_checked": 19, "witnesses": [
+         _witness([1], [2], "-1"), _witness([3], [1], "-2"),
+         _witness([1, 2], [1, 3], "-1/2"), _witness([1, 2], [2, 3], "-3/2"),
+         _witness([1, 3], [2, 3], "-3/2")]}),
+    (TRI3, ["test", "--method", "initial"], 1,
+     {"verdict": False, "minors_checked": 9, "witnesses": [
+         _witness([1], [3], "0"), _witness([3], [1], "0")]}),
+    (TRI3, ["tnn", "--method", "efficient"], 0,
+     {"verdict": True, "minors_checked": 11, "witnesses": []}),
+    (TRI3, ["tnn", "--method", "brute"], 0,
+     {"verdict": True, "minors_checked": 19, "witnesses": []}),
+])
+def test_pinned_reports(matrix, argv, code, report, tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(matrix))
+    assert main([argv[0], str(path), *argv[1:], "--report", "json"]) == code
+    assert json.loads(capsys.readouterr().out) == report
+
+
 class TestTnnAndFriends:
     def test_pascal_tnn(self, pascal3, capsys):
         assert main(["tnn", pascal3, "--method", "efficient"]) == 0

@@ -96,6 +96,19 @@ class TestFactorStaircase:
             factor_staircase(Matrix.identity(3))
         assert info.value.spec in set(initial_minors(Matrix.identity(3)))
 
+    def test_cites_first_failing_initial_minor_in_row_major_order(self):
+        # two failing initial minors: [1,2|1,2] = -3 at corner (2, 2) comes
+        # before the smaller [3|1] = -1 at corner (3, 1)
+        x = Matrix([[1, 2, 1], [2, 1, 1], [-1, 1, 1]])
+        failing = [spec for spec, value in initial_minors(x).items()
+                   if value <= 0]
+        assert failing[:2] == [MinorSpec((1, 2), (1, 2)),
+                               MinorSpec((3,), (1,))]
+        with pytest.raises(NotTotallyPositiveError) as info:
+            factor_staircase(x)
+        assert info.value.spec == MinorSpec((1, 2), (1, 2))
+        assert info.value.value == -3
+
     def test_edge_bijection_n3(self):
         mapping = staircase_edge_for_minor(3)
         order = {
