@@ -262,7 +262,7 @@ def _cmd_somos(args) -> int:
             raise InputError("seed needs exactly five comma-separated values")
         seed = parts
     if args.symbolic:
-        terms = sm.somos5_symbolic(args.terms, limit=max(args.terms, 12))
+        terms = sm.somos5_symbolic(args.terms, limit=_guard(args, 12))
         report = {"terms": [t.to_json() for t in terms],
                   "nonnegative": [laurent_has_nonnegative_coeffs(t)
                                   for t in terms]}
@@ -373,9 +373,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", choices=["json"], default=None,
                        help="emit a machine-readable JSON report")
         p.add_argument("--guard-n", type=int, default=None, dest="guard_n",
-                       help="override the brute-force size guards "
-                            "(all-minors tests default to 6, diagram "
-                            "enumeration to 4)")
+                       help="override the size guards (all-minors "
+                            "tests default to 6, diagram enumeration to "
+                            "4, symbolic Somos to 12 terms)")
 
     p = sub.add_parser("test", help="total positivity test")
     p.add_argument("matrix")

@@ -31,12 +31,22 @@ the classes:
 Each move exchanges exactly one chamber minor Y for a new one Z; the five
 surrounding chambers satisfy A*C + B*D = Y*Z (with the label of the
 bottom region read as the empty minor 1).
+
+One move finder serves :func:`moves_from_word`, :func:`local_moves` and
+:func:`enumerate_move_graph`.  It runs on plain integers: a word is a
+tuple of letter codes (lower h -> h, upper h -> n + h, which sort as the
+letters do) and a chamber label is a (rows, cols) pair of int tuples read
+straight off the line states, valid by construction.  Letter and
+:class:`MinorSpec` objects are made only for a move that is returned or
+kept as an edge witness, one letter per code and one spec per label within
+a call.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterator
 
 from .matrices import MinorSpec
 from .words import (LOWER, UPPER, Letter, Word, format_word,
@@ -93,27 +103,57 @@ def minimal_diagram(n: int) -> DoubleWiringDiagram:
 # ---------------------------------------------------------------------------
 # chambers
 
+# A chamber label: the rows and the columns of its minor, increasing.
+Label = tuple[tuple[int, ...], tuple[int, ...]]
 
-def _line_states(word: Word, n: int) -> list[tuple[tuple[int, ...],
-                                                   tuple[int, ...]]]:
+
+def _codes(word: Word, n: int) -> tuple[int, ...]:
+    """The crossings of ``word`` coded lower h -> h and upper h -> n + h, so
+    codes sort as the letters' (kind, index) pairs do."""
+    codes = []
+    for letter in word:
+        if letter.kind not in (UPPER, LOWER) or not 1 <= letter.index < n:
+            raise DiagramError(f"letter {letter} is not a crossing of a "
+                               f"diagram with n={n}")
+        codes.append(letter.index if letter.kind == LOWER
+                     else n + letter.index)
+    return tuple(codes)
+
+
+def _letters(n: int) -> dict[int, Letter]:
+    """One letter object per code."""
+    return {code: lower(code) if code < n else upper(code - n)
+            for code in [*range(1, n), *range(n + 1, 2 * n)]}
+
+
+def _line_states(codes: tuple[int, ...], n: int) \
+        -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """States (thin lines by track, bold lines by track) after each prefix;
     track index 0 is the bottom line position."""
     thin = list(range(n, 0, -1))   # thin line at track h is numbered n+1-h
     bold = list(range(1, n + 1))
     states = [(tuple(thin), tuple(bold))]
-    for letter in word:
-        h = letter.index - 1
-        if letter.kind == LOWER:
-            thin[h], thin[h + 1] = thin[h + 1], thin[h]
-        else:
-            bold[h], bold[h + 1] = bold[h + 1], bold[h]
+    for code in codes:
+        lines, h = (thin, code) if code < n else (bold, code - n)
+        lines[h - 1], lines[h] = lines[h], lines[h - 1]
         states.append((tuple(thin), tuple(bold)))
     return states
 
 
-def _label(state, level: int) -> MinorSpec:
-    thin, bold = state
-    return MinorSpec.of(thin[:level], bold[:level])
+def _label(thin, bold, level: int) -> Label:
+    """The chamber at ``level``: the thin and the bold lines below it."""
+    return tuple(sorted(thin[:level])), tuple(sorted(bold[:level]))
+
+
+def _crossing_label(thin, bold, code: int, n: int) -> Label:
+    """The chamber at the crossing's own level once the crossing ``code``
+    is applied to the tracks: its two lines trade places there."""
+    if code < n:
+        return (tuple(sorted((*thin[:code - 1], thin[code]))),
+                tuple(sorted(bold[:code])))
+    h = code - n
+    return (tuple(sorted(thin[:h])),
+            tuple(sorted((*bold[:h - 1], bold[h]))))
 
 
 @dataclass(frozen=True)
@@ -127,7 +167,7 @@ class Chamber:
 
 def chamber_layout(d: DoubleWiringDiagram) -> list[Chamber]:
     """All n^2 chambers with their slice extents, level by level."""
-    states = _line_states(d.word, d.n)
+    states = _line_states(_codes(d.word, d.n), d.n)
     length = len(d.word)
     chambers: list[Chamber] = []
     for level in range(1, d.n + 1):
@@ -137,8 +177,8 @@ def chamber_layout(d: DoubleWiringDiagram) -> list[Chamber]:
         stops = [c - 1 for c in cuts] + [length]
         for k, (a, b) in enumerate(zip(starts, stops)):
             bounded = 0 < k < len(starts) - 1
-            chambers.append(Chamber(_label(states[a], level), level, a, b,
-                                    bounded))
+            spec = MinorSpec.trusted(*_label(*states[a], level))
+            chambers.append(Chamber(spec, level, a, b, bounded))
     return chambers
 
 
@@ -168,29 +208,6 @@ def chamber_key(d: DoubleWiringDiagram) -> tuple:
 # local moves
 
 
-def _free_swap_ok(a: Letter, b: Letter) -> bool:
-    # crossings that can slide past each other without changing any chamber
-    if a.kind == b.kind:
-        return abs(a.index - b.index) >= 2
-    return a.index != b.index
-
-
-def _commutation_class(word: Word) -> set[Word]:
-    seen = {word}
-    frontier = [word]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for p in range(len(w) - 1):
-                if _free_swap_ok(w[p], w[p + 1]):
-                    child = w[:p] + (w[p + 1], w[p]) + w[p + 2:]
-                    if child not in seen:
-                        seen.add(child)
-                        nxt.append(child)
-        frontier = nxt
-    return seen
-
-
 @dataclass(frozen=True)
 class DiagramMove:
     """One local move, with the chamber specs of the exchange identity
@@ -210,78 +227,116 @@ class DiagramMove:
     d: MinorSpec | None
 
 
-def _apply_letter(state, letter: Letter):
-    thin, bold = state
-    h = letter.index - 1
-    if letter.kind == LOWER:
-        thin = thin[:h] + (thin[h + 1], thin[h]) + thin[h + 2:]
-    else:
-        bold = bold[:h] + (bold[h + 1], bold[h]) + bold[h + 2:]
-    return thin, bold
+# A move found in an int-coded word: (word, pos, kind, y, z).
+Candidate = tuple[tuple[int, ...], int, str, Label, Label]
 
 
-def _braid_moves(word: Word, n: int, states) -> Iterable[DiagramMove]:
-    for p in range(len(word) - 2):
-        first, mid, last = word[p:p + 3]
-        if not (first.kind == mid.kind == last.kind
-                and first.index == last.index
-                and abs(first.index - mid.index) == 1):
-            continue
-        h, g = first.index, mid.index
-        new = (word[:p] + (Letter(first.kind, g), Letter(first.kind, h),
-                           Letter(first.kind, g)) + word[p + 3:])
-        yield DiagramMove(
-            kind=f"braid-{first.kind}",
-            word=word,
-            pos=p,
-            result=new,
-            y=_label(states[p + 1], h),
-            z=_label(_apply_letter(states[p], Letter(first.kind, g)), g),
-            a=_label(states[p], h),
-            b=_label(states[p + 1], g),
-            c=_label(states[p + 2], g),
-            d=_label(states[p + 3], h),
-        )
+def _commutation_class(word: tuple[int, ...], n: int) \
+        -> list[tuple[int, ...]]:
+    """The int-coded words reached from ``word`` by sliding crossings that
+    bound no common chamber past each other, sorted.  Those are crossings
+    of one color at heights two or more apart and crossings of two colors
+    at different heights: their codes differ by 2 or more, and not by n."""
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for p in range(len(w) - 1):
+                gap = abs(w[p] - w[p + 1])
+                if gap >= 2 and gap != n:
+                    child = w[:p] + (w[p + 1], w[p]) + w[p + 2:]
+                    if child not in seen:
+                        seen.add(child)
+                        nxt.append(child)
+        frontier = nxt
+    return sorted(seen)
 
 
-def _mixed_moves(word: Word, n: int, states) -> Iterable[DiagramMove]:
+def _word_moves(word: tuple[int, ...], n: int) -> list[Candidate]:
+    """The moves on literally adjacent crossings of one int-coded word:
+    braid moves (h, g, h) -> (g, h, g) of one color, then mixed moves on a
+    thin and a bold crossing at one height, each by position.  ``y`` is
+    the chamber the first crossing makes at its level, ``z`` the one the
+    second would make in its place."""
+    thin = list(range(n, 0, -1))
+    bold = list(range(1, n + 1))
+    braids: list[Candidate] = []
+    mixed: list[Candidate] = []
     for p in range(len(word) - 1):
         first, second = word[p], word[p + 1]
-        if first.kind == second.kind or first.index != second.index:
-            continue
-        h = first.index
-        new = word[:p] + (second, first) + word[p + 2:]
-        yield DiagramMove(
-            kind="mixed",
-            word=word,
-            pos=p,
-            result=new,
-            y=_label(states[p + 1], h),
-            z=_label(_apply_letter(states[p], second), h),
-            a=_label(states[p], h),
-            b=_label(states[p], h + 1),
-            c=_label(states[p + 2], h),
-            d=_label(states[p], h - 1) if h > 1 else None,
-        )
+        gap = abs(first - second)
+        if gap == n:
+            mixed.append((word, p, "mixed",
+                          _crossing_label(thin, bold, first, n),
+                          _crossing_label(thin, bold, second, n)))
+        elif gap == 1 and p + 2 < len(word) and word[p + 2] == first:
+            kind = f"braid-{LOWER if first < n else UPPER}"
+            braids.append((word, p, kind,
+                           _crossing_label(thin, bold, first, n),
+                           _crossing_label(thin, bold, second, n)))
+        lines, h = (thin, first) if first < n else (bold, first - n)
+        lines[h - 1], lines[h] = lines[h], lines[h - 1]
+    return braids + mixed
+
+
+def _class_moves(word: tuple[int, ...], n: int) -> Iterator[Candidate]:
+    """The move finder: the moves of every word in the commutation class of
+    ``word``, word by word in sorted order, so that crossings that bound a
+    common chamber become literally adjacent."""
+    for w in _commutation_class(word, n):
+        yield from _word_moves(w, n)
+
+
+def _move(found: Candidate, n: int, letters: dict[int, Letter],
+          specs: dict[Label, MinorSpec]) -> DiagramMove:
+    """The full move of a candidate.  Its letters come from ``letters`` and
+    its specs from ``specs``, which holds one spec per label and is filled
+    as labels appear, so the moves of one call share them."""
+    word, p, kind, y, z = found
+    states = _line_states(word[:p + 3], n)
+    first, second = word[p], word[p + 1]
+    h = first if first < n else first - n
+    if kind == "mixed":
+        result = word[:p] + (second, first) + word[p + 2:]
+        a = _label(*states[p], h)
+        b = _label(*states[p], h + 1)
+        c = _label(*states[p + 2], h)
+        d = _label(*states[p], h - 1) if h > 1 else None
+    else:
+        g = second if second < n else second - n
+        result = word[:p] + (second, first, second) + word[p + 3:]
+        a = _label(*states[p], h)
+        b = _label(*states[p + 1], g)
+        c = _label(*states[p + 2], g)
+        d = _label(*states[p + 3], h)
+
+    def spec(label: Label | None) -> MinorSpec | None:
+        if label is None:
+            return None
+        found_spec = specs.get(label)
+        if found_spec is None:
+            found_spec = specs[label] = MinorSpec.trusted(*label)
+        return found_spec
+
+    return DiagramMove(kind, tuple(letters[x] for x in word), p,
+                       tuple(letters[x] for x in result), spec(y), spec(z),
+                       spec(a), spec(b), spec(c), spec(d))
 
 
 def moves_from_word(word: Word, n: int) -> list[DiagramMove]:
-    states = _line_states(word, n)
-    return (list(_braid_moves(word, n, states))
-            + list(_mixed_moves(word, n, states)))
+    """The moves on literally adjacent crossings of ``word``."""
+    letters, specs = _letters(n), {}
+    return [_move(found, n, letters, specs)
+            for found in _word_moves(_codes(word, n), n)]
 
 
 def local_moves(d: DoubleWiringDiagram) -> list[DiagramMove]:
-    """All local moves available anywhere in the isotopy class of d.
-
-    The commutation class of the word is explored so that crossings that
-    bound a common chamber become literally adjacent."""
-    moves = []
-    order = sorted(_commutation_class(d.word),
-                   key=lambda w: [(l.kind, l.index) for l in w])
-    for w in order:
-        moves.extend(moves_from_word(w, d.n))
-    return moves
+    """All local moves available anywhere in the isotopy class of d, word
+    by word through its commutation class in sorted order."""
+    letters, specs = _letters(d.n), {}
+    return [_move(found, d.n, letters, specs)
+            for found in _class_moves(_codes(d.word, d.n), d.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,37 +361,51 @@ class MoveGraph:
 
 def enumerate_move_graph(n: int, guard: int = 4) -> MoveGraph:
     """Breadth-first closure of the local moves starting from the minimal
-    diagram.  Vertices are isotopy classes keyed by chamber multisets."""
+    diagram.  Vertices are isotopy classes keyed by chamber multisets; the
+    witness of each edge is the first move found that joins its ends."""
     if n > guard:
         raise DiagramError(
             f"enumeration guard: n={n} exceeds {guard}; raise the guard "
             f"explicitly to proceed")
     start = minimal_diagram(n)
     start_key = chamber_key(start)
+    letters: dict[int, Letter] = _letters(n)
+    specs: dict[Label, MinorSpec] = {}
     keys = [start_key]
+    index = {start_key: 0}
     reps: dict[tuple, Word] = {start_key: start.word}
-    edge_seen: set[frozenset] = set()
+    edge_seen: set[tuple[int, int]] = set()
     edges: list[tuple[tuple, tuple, DiagramMove]] = []
     frontier = [start_key]
     while frontier:
         nxt = []
         for key in frontier:
-            d = DoubleWiringDiagram(reps[key], n)
-            for move in local_moves(d):
-                # a move exchanges exactly the chamber y for z
-                bag = list(key)
-                bag.remove((move.y.rows, move.y.cols))
-                bag.append((move.z.rows, move.z.cols))
-                target = tuple(sorted(bag))
-                if target == key:
+            k = index[key]
+            tried: set[tuple[Label, Label]] = set()
+            for found in _class_moves(_codes(reps[key], n), n):
+                y, z = found[3], found[4]
+                # a move exchanges exactly the chamber y for z, so a repeat
+                # of (y, z) reaches the same class again
+                if y == z or (y, z) in tried:
                     continue
-                if target not in reps:
-                    reps[target] = move.result
+                tried.add((y, z))
+                i = bisect_left(key, y)
+                bag = key[:i] + key[i + 1:]
+                j = bisect_left(bag, z)
+                target = bag[:j] + (z,) + bag[j:]
+                t = index.get(target)
+                fresh = t is None
+                if fresh:
+                    t = index[target] = len(keys)
                     keys.append(target)
+                pair = (k, t) if k < t else (t, k)
+                if pair in edge_seen:
+                    continue
+                edge_seen.add(pair)
+                move = _move(found, n, letters, specs)
+                edges.append((key, target, move))
+                if fresh:
+                    reps[target] = move.result
                     nxt.append(target)
-                pair = frozenset((key, target))
-                if pair not in edge_seen:
-                    edge_seen.add(pair)
-                    edges.append((key, target, move))
         frontier = nxt
     return MoveGraph(n, keys, reps, edges)

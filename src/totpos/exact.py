@@ -8,12 +8,16 @@ sparse Laurent-polynomial type used for symbolic recurrence checks.
 
 A Laurent polynomial is stored as a map from integer exponent vectors
 (negative entries allowed) to nonzero rational coefficients, over a fixed
-ordered tuple of variable names.
+ordered tuple of variable names.  Products and exact quotients clear each
+operand's denominators once and run their term loops on integers; the
+coefficients become `Fraction`s again only where the result is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add, sub
 from typing import Mapping, Sequence
 
 Scalar = Fraction
@@ -147,16 +151,15 @@ class LaurentPoly:
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         self._check_ring(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exps, 0) + c1 * c2
-                if acc == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = acc
-        return LaurentPoly(self.variables, out)
+        left, left_mult = _integer_terms(self)
+        right, right_mult = _integer_terms(other)
+        out: dict[tuple[int, ...], int] = {}
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                exps = tuple(map(add, e1, e2))
+                out[exps] = out.get(exps, 0) + c1 * c2
+        return _from_integer_terms(self.variables, out,
+                                   left_mult * right_mult)
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self * other
@@ -248,13 +251,34 @@ class LaurentPoly:
         return cls(variables, terms)
 
 
-def _monomial_shift(p: LaurentPoly) -> tuple[tuple[int, ...], LaurentPoly]:
-    """Split ``p = x^shift * q`` where q is a polynomial whose exponents are
-    componentwise >= 0 with per-variable minimum 0."""
-    shift = tuple(min(e[i] for e in p.terms) for i in range(len(p.variables)))
-    shifted = {tuple(a - b for a, b in zip(e, shift)): c
-               for e, c in p.terms.items()}
-    return shift, LaurentPoly(p.variables, shifted)
+def _integer_terms(p: LaurentPoly) -> tuple[dict[tuple[int, ...], int], int]:
+    """The terms of ``p`` times the lcm of their denominators, and that
+    positive multiplier."""
+    pairs = {e: c.as_integer_ratio() for e, c in p.terms.items()}
+    mult = lcm(*[d for _, d in pairs.values()])
+    return {e: c * (mult // d) for e, (c, d) in pairs.items()}, mult
+
+
+def _from_integer_terms(variables: tuple[str, ...], terms: Mapping,
+                        mult: int) -> LaurentPoly:
+    """The polynomial with the coefficients ``terms`` divided by ``mult``,
+    zero coefficients dropped.  The exponent vectors are trusted."""
+    if mult == 1:
+        clean = {e: Fraction(c) for e, c in terms.items() if c}
+    else:
+        clean = {e: Fraction(c, mult) for e, c in terms.items() if c}
+    poly = object.__new__(LaurentPoly)
+    object.__setattr__(poly, "variables", variables)
+    object.__setattr__(poly, "terms", clean)
+    return poly
+
+
+def _monomial_shift(terms: dict[tuple[int, ...], int]) \
+        -> tuple[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """Split ``terms = x^shift * q`` where q is a polynomial whose exponents
+    are componentwise >= 0 with per-variable minimum 0."""
+    shift = tuple(map(min, zip(*terms)))
+    return shift, {tuple(map(sub, e, shift)): c for e, c in terms.items()}
 
 
 def laurent_divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -264,7 +288,10 @@ def laurent_divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     :class:`LaurentDivisionError` when no Laurent-polynomial quotient
     exists.  Monomials are units, so both operands are first reduced by
     their monomial content and the remaining polynomial parts are divided
-    by leading-term elimination under the graded-lex order.
+    by leading-term elimination under the graded-lex order.  The loop runs
+    on the integer terms of both operands; a quotient coefficient is a
+    `Fraction` only where the divisor's leading coefficient does not divide
+    the remainder's.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
@@ -272,32 +299,38 @@ def laurent_divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero(num.variables)
     num._check_ring(den)
 
-    shift_n, top = _monomial_shift(num)
-    shift_d, bot = _monomial_shift(den)
-    lt_d, lc_d = bot.leading_term()
+    top, num_mult = _integer_terms(num)
+    bot, den_mult = _integer_terms(den)
+    shift_n, rem = _monomial_shift(top)
+    shift_d, bot = _monomial_shift(bot)
+    lt_d = max(bot, key=_glex_key)
+    lc_d = bot[lt_d]
 
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    rem = dict(top.terms)
+    # divides num * num_mult by den * den_mult
+    quotient: dict[tuple[int, ...], int | Fraction] = {}
     while rem:
         lt = max(rem, key=_glex_key)
-        step = tuple(a - b for a, b in zip(lt, lt_d))
+        step = tuple(map(sub, lt, lt_d))
         if any(e < 0 for e in step):
             raise LaurentDivisionError(
                 f"no Laurent quotient: term x^{lt} is not reachable")
-        coeff = rem[lt] / lc_d
+        whole, part = divmod(rem[lt], lc_d)
+        coeff = Fraction(rem[lt], lc_d) if part else whole
         quotient[step] = coeff
-        for e, c in bot.terms.items():
-            target = tuple(a + b for a, b in zip(e, step))
+        for e, c in bot.items():
+            target = tuple(map(add, e, step))
             acc = rem.get(target, 0) - coeff * c
             if acc == 0:
                 rem.pop(target, None)
             else:
                 rem[target] = acc
 
-    total_shift = tuple(a - b for a, b in zip(shift_n, shift_d))
-    return LaurentPoly(num.variables,
-                       {tuple(a + b for a, b in zip(e, total_shift)): c
-                        for e, c in quotient.items()})
+    total_shift = tuple(map(sub, shift_n, shift_d))
+    return _from_integer_terms(
+        num.variables,
+        {tuple(map(add, e, total_shift)): c * den_mult
+         for e, c in quotient.items()},
+        num_mult)
 
 
 def laurent_has_nonnegative_coeffs(p: LaurentPoly) -> bool:

@@ -70,6 +70,8 @@ def somos5_symbolic(count: int, limit: int = 12) -> list[LaurentPoly]:
     step divides exactly in the Laurent ring; a remainder raises
     :class:`SomosLaurentFalsification`.
     """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     if count > limit:
         raise ValueError(
             f"symbolic horizon is {limit} terms; pass a larger limit "

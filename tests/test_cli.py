@@ -224,6 +224,13 @@ class TestNetworkSomos:
         assert main(["somos", "--terms", "6", "--seed", "2,2,2,2,2"]) == 0
         assert "a6 = 4" in capsys.readouterr().out
 
+    def test_somos_symbolic_horizon_follows_guard_n(self, capsys):
+        assert main(["somos", "--terms", "13", "--symbolic"]) == 2
+        assert "symbolic horizon is 12 terms" in capsys.readouterr().err
+        assert main(["somos", "--terms", "13", "--symbolic",
+                     "--guard-n", "13"]) == 0
+        assert "a13 = " in capsys.readouterr().out
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -264,6 +271,7 @@ class TestErrors:
         (["test"], 2),
         (["diagrams", "--n", "0", "--enumerate"], 2),
         (["--help"], 0),
+        (["somos", "--terms", "-3", "--symbolic"], 2),
     ])
     def test_edge_inputs_exit_codes(self, argv, code, tmp_path, capsys):
         files = {"singular": {"n": 2, "rows": [["1", "1"], ["1", "1"]]},

@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 
 from totpos.diagrams import (DiagramError, DoubleWiringDiagram,
-                             bounded_chambers, chamber_key, chamber_minors,
-                             enumerate_move_graph, local_moves,
-                             minimal_diagram, moves_from_word,
+                             bounded_chambers, chamber_key, chamber_layout,
+                             chamber_minors, enumerate_move_graph,
+                             local_moves, minimal_diagram, moves_from_word,
                              unbounded_chambers)
 from totpos.matrices import initial_minor_specs, minor
-from totpos.words import lower, upper
+from totpos.words import diag, lower, upper
 
-from util import rand_matrix, rand_tp
+from util import (oracle_chamber_key, oracle_chamber_layout,
+                  oracle_local_moves, oracle_move_graph,
+                  oracle_moves_from_word, rand_matrix, rand_tp)
 
 RUNNING_EXAMPLE = "2~ 1 2 1~ 2~ 1"
 
@@ -201,3 +203,41 @@ class TestMoveGraph:
     def test_guard(self):
         with pytest.raises(DiagramError):
             enumerate_move_graph(5)
+
+
+class TestAgainstOracle:
+    """The int-coded move finder against the Letter-based one in `util`,
+    object for object, witness moves included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_move_graph(self, n):
+        got, want = enumerate_move_graph(n), oracle_move_graph(n)
+        assert got.keys == want.keys
+        assert list(got.representatives.items()) \
+            == list(want.representatives.items())
+        assert got.edges == want.edges
+
+    def test_random_diagrams(self):
+        rng = random.Random(57)
+        for n in (3, 3, 3, 4, 4, 4):
+            d = random_diagram(rng, n)
+            assert local_moves(d) == oracle_local_moves(d)
+            assert moves_from_word(d.word, n) \
+                == oracle_moves_from_word(d.word, n)
+            assert chamber_layout(d) == oracle_chamber_layout(d)
+            assert chamber_key(d) == oracle_chamber_key(d)
+
+    def test_walk_from_minimal_diagram(self):
+        rng = random.Random(58)
+        d = minimal_diagram(4)
+        for _ in range(4):
+            moves = local_moves(d)
+            assert moves == oracle_local_moves(d)
+            d = DoubleWiringDiagram(rng.choice(moves).result, 4)
+        assert local_moves(d) == oracle_local_moves(d)
+
+    def test_moves_from_word_rejects_non_crossings(self):
+        with pytest.raises(DiagramError):
+            moves_from_word((lower(1), diag(1), upper(1)), 2)
+        with pytest.raises(DiagramError):
+            moves_from_word((lower(2),), 2)

@@ -10,6 +10,8 @@ from totpos.exact import (LaurentDivisionError, LaurentPoly, as_scalar,
                           format_scalar, laurent_divide_exact,
                           laurent_has_nonnegative_coeffs, sign)
 
+from util import oracle_laurent_divide, oracle_laurent_mul
+
 VARS = ("p", "q")
 
 
@@ -111,6 +113,84 @@ class TestLaurentDivision:
         point = {"p": Fraction(pnum, 3), "q": Fraction(qnum, 2)}
         assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
         assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+
+
+rational_coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+rational_polys = st.dictionaries(small_exps, rational_coeffs, max_size=5).map(
+    lambda terms: poly(terms))
+
+
+def all_fractions(p: LaurentPoly) -> bool:
+    return all(type(c) is Fraction for c in p.terms.values())
+
+
+class TestIntegerKernelAgainstOracle:
+    """`*`, `**` and exact division run on cleared integer terms; the
+    oracles in `util` run the same loops on `Fraction` coefficients."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(rational_polys, rational_polys)
+    def test_product(self, a, b):
+        got = a * b
+        assert got == oracle_laurent_mul(a, b)
+        assert all_fractions(got)
+
+    @settings(deadline=None, max_examples=60)
+    @given(rational_polys, st.integers(0, 4))
+    def test_power(self, a, k):
+        want = LaurentPoly.constant(VARS, 1)
+        for _ in range(k):
+            want = oracle_laurent_mul(want, a)
+        got = a ** k
+        assert got == want
+        assert all_fractions(got)
+
+    @settings(deadline=None, max_examples=150)
+    @given(rational_polys, rational_polys)
+    def test_exact_quotient(self, a, b):
+        if b.is_zero():
+            return
+        num = oracle_laurent_mul(a, b)
+        got = laurent_divide_exact(num, b)
+        assert got == a == oracle_laurent_divide(num, b)
+        assert all_fractions(got)
+
+    @settings(deadline=None, max_examples=150)
+    @given(rational_polys, rational_polys)
+    def test_any_quotient_or_the_same_error(self, num, den):
+        if den.is_zero():
+            return
+        try:
+            want = oracle_laurent_divide(num, den)
+        except LaurentDivisionError as exc:
+            with pytest.raises(LaurentDivisionError) as info:
+                laurent_divide_exact(num, den)
+            assert str(info.value) == str(exc)
+        else:
+            got = laurent_divide_exact(num, den)
+            assert got == want
+            assert all_fractions(got)
+
+    def test_cancellation(self):
+        # (p + q)(p - q): the cross terms cancel to zero and are dropped
+        got = (var("p") + var("q")) * (var("p") - var("q"))
+        assert got.terms == {(2, 0): 1, (0, 2): -1}
+        assert laurent_divide_exact(got - got, var("p") + 1).is_zero()
+        half = poly({(1, -1): Fraction(1, 2), (0, 0): Fraction(-1, 3)})
+        assert (half - half) * half == LaurentPoly.zero(VARS)
+
+    def test_fractional_quotient_of_integer_operands(self):
+        # the divisor's leading coefficient 2 does not divide 1
+        num = var("p") + var("q")
+        den = 2 * var("p") + 2 * var("q")
+        got = laurent_divide_exact(num, den)
+        assert got == LaurentPoly.constant(VARS, Fraction(1, 2))
+        assert all_fractions(got)
+
+    def test_inexact_message_names_the_unreachable_term(self):
+        with pytest.raises(LaurentDivisionError,
+                           match=r"term x\^\(1, 0\) is not reachable"):
+            laurent_divide_exact(var("p") + 1, var("q") + 1)
 
 
 class TestNonnegativity:

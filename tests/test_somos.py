@@ -75,3 +75,10 @@ class TestSymbolic:
         with pytest.raises(ValueError):
             somos5_symbolic(13)
         assert len(somos5_symbolic(13, limit=13)) == 13
+
+    def test_negative_count_is_rejected_like_numeric(self):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            somos5_symbolic(-3)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            somos5_numeric([1] * 5, -3)
+        assert somos5_symbolic(0) == []

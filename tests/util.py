@@ -6,10 +6,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from totpos.matrices import Matrix
+from totpos.diagrams import (Chamber, DiagramMove, DoubleWiringDiagram,
+                             MoveGraph, minimal_diagram)
+from totpos.exact import LaurentDivisionError, LaurentPoly
+from totpos.matrices import Matrix, MinorSpec
 from totpos.networks import PlanarNetwork
-from totpos.words import (LOWER, UPPER, Permutation, Word, diag, lower,
-                          product_map, reduced_words, staircase_scheme, upper)
+from totpos.words import (LOWER, UPPER, Letter, Permutation, Word, diag,
+                          lower, product_map, reduced_words, staircase_scheme,
+                          upper)
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9,
@@ -142,3 +146,210 @@ def enumerate_paths(net: PlanarNetwork, start: int, goal: int):
 
     walk(start, [start], Fraction(1))
     return results
+
+
+# ---------------------------------------------------------------------------
+# move-graph oracle: the Letter-based move finder, each label validated
+
+
+def _oracle_line_states(word: Word, n: int):
+    thin = list(range(n, 0, -1))
+    bold = list(range(1, n + 1))
+    states = [(tuple(thin), tuple(bold))]
+    for letter in word:
+        h = letter.index - 1
+        if letter.kind == LOWER:
+            thin[h], thin[h + 1] = thin[h + 1], thin[h]
+        else:
+            bold[h], bold[h + 1] = bold[h + 1], bold[h]
+        states.append((tuple(thin), tuple(bold)))
+    return states
+
+
+def _oracle_label(state, level: int) -> MinorSpec:
+    thin, bold = state
+    return MinorSpec.of(thin[:level], bold[:level])
+
+
+def oracle_chamber_layout(d: DoubleWiringDiagram) -> list[Chamber]:
+    states = _oracle_line_states(d.word, d.n)
+    chambers = []
+    for level in range(1, d.n + 1):
+        cuts = [p + 1 for p, letter in enumerate(d.word)
+                if letter.index == level]
+        starts = [0] + cuts
+        stops = [c - 1 for c in cuts] + [len(d.word)]
+        for k, (a, b) in enumerate(zip(starts, stops)):
+            chambers.append(Chamber(_oracle_label(states[a], level), level,
+                                    a, b, 0 < k < len(starts) - 1))
+    return chambers
+
+
+def oracle_chamber_key(d: DoubleWiringDiagram) -> tuple:
+    return tuple(sorted((c.spec.rows, c.spec.cols)
+                        for c in oracle_chamber_layout(d)))
+
+
+def _oracle_free_swap_ok(a: Letter, b: Letter) -> bool:
+    if a.kind == b.kind:
+        return abs(a.index - b.index) >= 2
+    return a.index != b.index
+
+
+def _oracle_commutation_class(word: Word) -> set:
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for p in range(len(w) - 1):
+                if _oracle_free_swap_ok(w[p], w[p + 1]):
+                    child = w[:p] + (w[p + 1], w[p]) + w[p + 2:]
+                    if child not in seen:
+                        seen.add(child)
+                        nxt.append(child)
+        frontier = nxt
+    return seen
+
+
+def _oracle_apply_letter(state, letter: Letter):
+    thin, bold = state
+    h = letter.index - 1
+    if letter.kind == LOWER:
+        thin = thin[:h] + (thin[h + 1], thin[h]) + thin[h + 2:]
+    else:
+        bold = bold[:h] + (bold[h + 1], bold[h]) + bold[h + 2:]
+    return thin, bold
+
+
+def oracle_moves_from_word(word: Word, n: int) -> list[DiagramMove]:
+    states = _oracle_line_states(word, n)
+    braids, mixed = [], []
+    for p in range(len(word) - 2):
+        first, mid, last = word[p:p + 3]
+        if not (first.kind == mid.kind == last.kind
+                and first.index == last.index
+                and abs(first.index - mid.index) == 1):
+            continue
+        h, g = first.index, mid.index
+        new = (word[:p] + (Letter(first.kind, g), Letter(first.kind, h),
+                           Letter(first.kind, g)) + word[p + 3:])
+        braids.append(DiagramMove(
+            f"braid-{first.kind}", word, p, new,
+            y=_oracle_label(states[p + 1], h),
+            z=_oracle_label(_oracle_apply_letter(
+                states[p], Letter(first.kind, g)), g),
+            a=_oracle_label(states[p], h),
+            b=_oracle_label(states[p + 1], g),
+            c=_oracle_label(states[p + 2], g),
+            d=_oracle_label(states[p + 3], h)))
+    for p in range(len(word) - 1):
+        first, second = word[p], word[p + 1]
+        if first.kind == second.kind or first.index != second.index:
+            continue
+        h = first.index
+        mixed.append(DiagramMove(
+            "mixed", word, p, word[:p] + (second, first) + word[p + 2:],
+            y=_oracle_label(states[p + 1], h),
+            z=_oracle_label(_oracle_apply_letter(states[p], second), h),
+            a=_oracle_label(states[p], h),
+            b=_oracle_label(states[p], h + 1),
+            c=_oracle_label(states[p + 2], h),
+            d=_oracle_label(states[p], h - 1) if h > 1 else None))
+    return braids + mixed
+
+
+def oracle_local_moves(d: DoubleWiringDiagram) -> list[DiagramMove]:
+    moves = []
+    for w in sorted(_oracle_commutation_class(d.word),
+                    key=lambda w: [(l.kind, l.index) for l in w]):
+        moves.extend(oracle_moves_from_word(w, d.n))
+    return moves
+
+
+def oracle_move_graph(n: int) -> MoveGraph:
+    """Breadth-first closure of `oracle_local_moves`, one witness (the
+    first move found) per edge."""
+    start = minimal_diagram(n)
+    start_key = oracle_chamber_key(start)
+    keys = [start_key]
+    reps = {start_key: start.word}
+    edge_seen: set = set()
+    edges = []
+    frontier = [start_key]
+    while frontier:
+        nxt = []
+        for key in frontier:
+            for move in oracle_local_moves(DoubleWiringDiagram(reps[key], n)):
+                bag = list(key)
+                bag.remove((move.y.rows, move.y.cols))
+                bag.append((move.z.rows, move.z.cols))
+                target = tuple(sorted(bag))
+                if target == key:
+                    continue
+                if target not in reps:
+                    reps[target] = move.result
+                    keys.append(target)
+                    nxt.append(target)
+                pair = frozenset((key, target))
+                if pair not in edge_seen:
+                    edge_seen.add(pair)
+                    edges.append((key, target, move))
+        frontier = nxt
+    return MoveGraph(n, keys, reps, edges)
+
+
+# ---------------------------------------------------------------------------
+# Laurent oracles: term loops on Fraction coefficients
+
+
+def oracle_laurent_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    out: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            out[exps] = out.get(exps, 0) + c1 * c2
+    return LaurentPoly(p.variables, out)
+
+
+def oracle_laurent_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """Leading-term elimination under graded-lex order, after both operands
+    are reduced by their monomial content; raises `LaurentDivisionError`
+    naming the first term that no quotient term reaches."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero Laurent polynomial")
+    if num.is_zero():
+        return LaurentPoly.zero(num.variables)
+
+    def shifted(p):
+        shift = tuple(min(e[i] for e in p.terms)
+                      for i in range(len(p.variables)))
+        return shift, {tuple(a - b for a, b in zip(e, shift)): c
+                       for e, c in p.terms.items()}
+
+    def glex(e):
+        return (sum(e), e)
+
+    shift_n, rem = shifted(num)
+    shift_d, bot = shifted(den)
+    lt_d = max(bot, key=glex)
+    quotient = {}
+    while rem:
+        lt = max(rem, key=glex)
+        step = tuple(a - b for a, b in zip(lt, lt_d))
+        if any(e < 0 for e in step):
+            raise LaurentDivisionError(
+                f"no Laurent quotient: term x^{lt} is not reachable")
+        coeff = rem[lt] / bot[lt_d]
+        quotient[step] = coeff
+        for e, c in bot.items():
+            target = tuple(a + b for a, b in zip(e, step))
+            acc = rem.get(target, 0) - coeff * c
+            if acc == 0:
+                rem.pop(target, None)
+            else:
+                rem[target] = acc
+    total = tuple(a - b for a, b in zip(shift_n, shift_d))
+    return LaurentPoly(num.variables,
+                       {tuple(a + b for a, b in zip(e, total)): c
+                        for e, c in quotient.items()})
