@@ -28,10 +28,11 @@ class LaurentDivisionError(ArithmeticError):
 
 
 def as_scalar(value) -> Fraction:
-    """Coerce an int, Fraction, or string like ``"5"`` / ``"-3/4"``."""
+    """Coerce an int, Fraction, or string like ``"5"`` / ``"-3/4"``; a bool
+    is not a number here."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())

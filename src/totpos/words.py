@@ -39,6 +39,11 @@ Three kinds exist:
 Only the braid and mixed formulas are forced; the diag rescalings follow
 from 2x2 matrix algebra and are re-verified by the product-preservation
 tests.
+
+`moves_to_staircase` routes a full-type scheme to the staircase scheme by
+fetching each staircase letter, from the left, to its place: the
+constructive proof of Tits' word property, with a mixed move where an
+upper and a lower letter of one index meet.  `move_path` joins two routes.
 """
 
 from __future__ import annotations
@@ -461,148 +466,71 @@ def applicable_moves(word: Word) -> list[Move]:
 
 
 class _Rewriter:
-    """Mutable word with a move log; used to canonicalize schemes."""
+    """Mutable word with a move log; `bring` rewrites it letter by letter."""
 
     def __init__(self, word: Word):
         self.word = tuple(word)
         self.moves: list[Move] = []
 
-    def apply(self, kind: str, p: int) -> None:
-        move = Move(kind, p)
+    def apply(self, move: Move) -> None:
         self.word = apply_move_word(self.word, move)
         self.moves.append(move)
 
-    def push_diags_right(self) -> None:
-        moved = True
-        while moved:
-            moved = False
-            for p in range(len(self.word) - 1):
-                if (self.word[p].kind == DIAG
-                        and self.word[p + 1].kind != DIAG):
-                    self.apply("swap", p)
-                    moved = True
+    def bring(self, letter: Letter, p: int) -> None:
+        """Rewrite the word so that ``letter`` sits at position p, leaving
+        the positions before p alone.  A diag met while fetching a slant goes
+        to the end of the word; otherwise ``letter`` is fetched to p + 1 and
+        exchanged with the letter ``here`` at p by a swap if they commute, a
+        braid if they are slants of one kind (``here`` fetched to p + 2
+        first), or a mixed move if they are slants of opposite kinds and one
+        index i (@i fetched to p + 1 and @i+1 to p + 2 first).  The mixed
+        branch is safe because it runs only while lowers are placed: the
+        prefix before p then holds lowers only, so both diags lie beyond
+        p + 1 and diag swaps, which always apply, bring them in.
 
-    def find_diag(self, index: int) -> int:
-        for p, letter in enumerate(self.word):
-            if letter.kind == DIAG and letter.index == index:
-                return p
-        raise WordError(f"diag letter @{index} missing")
-
-    def pull_diag_to(self, index: int, target: int) -> None:
-        p = self.find_diag(index)
-        while p > target:
-            self.apply("swap", p - 1)
-            p -= 1
-        while p < target:
-            self.apply("swap", p)
-            p += 1
-
-
-def _sort_slants(rw: _Rewriter) -> None:
-    """Rewrite the slant region into all lowers followed by all uppers.
-
-    Adjacent (upper, lower) pairs with distinct indices commute; equal
-    indices need the four-letter mixed relation, for which the two diag
-    letters involved are pulled in from the diag block and pushed back."""
-    while True:
-        pos = next((p for p in range(len(rw.word) - 1)
-                    if rw.word[p].kind == UPPER
-                    and rw.word[p + 1].kind == LOWER), None)
-        if pos is None:
-            return
-        if rw.word[pos].index != rw.word[pos + 1].index:
-            rw.apply("swap", pos)
-            continue
-        i = rw.word[pos].index
-        rw.pull_diag_to(i, pos + 1)
-        rw.pull_diag_to(i + 1, pos + 2)
-        rw.apply("mixed", pos)
-        rw.push_diags_right()
-
-
-def _coxeter_path(source: tuple[int, ...], target: tuple[int, ...],
-                  offset: int) -> list[Move]:
-    """Braid/swap moves turning one reduced word into another, by breadth-
-    first search over the reduced-word graph; positions get ``offset``."""
-    if source == target:
-        return []
-    frontier = [source]
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], Move]] = {
-        source: (source, Move("swap", -1))}
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for p in range(len(node) - 1):
-                a, b = node[p], node[p + 1]
-                child = None
-                move = None
-                if abs(a - b) >= 2:
-                    child = node[:p] + (b, a) + node[p + 2:]
-                    move = Move("swap", offset + p)
-                elif (p + 2 < len(node) and abs(a - b) == 1
-                      and node[p + 2] == a):
-                    child = node[:p] + (b, a, b) + node[p + 3:]
-                    move = Move("braid", offset + p)
-                if child is None or child in parents:
-                    continue
-                parents[child] = (node, move)
-                if child == target:
-                    path = [move]
-                    back = node
-                    while back != source:
-                        back, mv = parents[back]
-                        path.append(mv)
-                    path.reverse()
-                    return path
-                nxt.append(child)
-        frontier = nxt
-    raise WordError("reduced words are not connected (should not happen)")
+        A fetch at p nests fetches at p + 1 and p + 2 only, so the recursion
+        is at most ``len(word) - p`` deep.  That reaches the word length, past
+        Python's frame limit from n = 32 on, so it runs on a stack of pending
+        fetches and moves, at most three per level."""
+        todo: list = [(letter, p)]
+        while todo:
+            task = todo.pop()
+            if isinstance(task, Move):
+                self.apply(task)
+                continue
+            letter, p = task
+            here = self.word[p]
+            if here == letter:
+                continue
+            if here.kind == DIAG and letter.kind != DIAG:
+                for q in range(p, len(self.word) - 1):
+                    self.apply(Move("swap", q))
+                todo.append(task)
+            elif _swap_ok(here, letter):
+                todo += [Move("swap", p), (letter, p + 1)]
+            elif here.kind == letter.kind:
+                todo += [Move("braid", p), (here, p + 2), (letter, p + 1)]
+            else:
+                todo += [Move("mixed", p), (diag(here.index + 1), p + 2),
+                         (diag(here.index), p + 1), (letter, p + 1)]
 
 
 def moves_to_staircase(word: Word, n: int | None = None) -> list[Move]:
     """A move sequence rewriting a full-type scheme into the staircase
-    scheme.  Raises if the word is not a scheme of type
+    scheme: the lowers, then the diags, then the uppers of the staircase are
+    fetched one by one, from the left, to their positions by
+    `_Rewriter.bring`.  Raises if the word is not a scheme of type
     (reversal, reversal)."""
     if n is None:
         n = infer_n(word)
     if not is_full_scheme(word, n):
         raise WordError("word is not a factorization scheme of full type")
-    if tuple(word) == staircase_scheme(n):
-        return []
-    rw = _Rewriter(word)
-    rw.push_diags_right()
-    _sort_slants(rw)
-    # layout is now [lowers][uppers][diags]; bring diags into the middle
-    n_lower = n * (n - 1) // 2
-    for slot in range(n):
-        # leftmost diag letter still to the right of its final block
-        p = next(q for q in range(n_lower + slot, len(rw.word))
-                 if rw.word[q].kind == DIAG)
-        while p > n_lower + slot:
-            rw.apply("swap", p - 1)
-            p -= 1
-    # sort the diag block ascending
-    base = n_lower
-    while True:
-        swapped = False
-        for p in range(base, base + n - 1):
-            if rw.word[p].index > rw.word[p + 1].index:
-                rw.apply("swap", p)
-                swapped = True
-        if not swapped:
-            break
-    # braid each slant block into the staircase word
     target = staircase_scheme(n)
-    lower_now = tuple(l.index for l in rw.word[:n_lower])
-    lower_goal = tuple(l.index for l in target[:n_lower])
-    for move in _coxeter_path(lower_now, lower_goal, 0):
-        rw.apply(move.kind, move.pos)
-    upper_now = tuple(l.index for l in rw.word[n_lower + n:])
-    upper_goal = tuple(l.index for l in target[n_lower + n:])
-    for move in _coxeter_path(upper_now, upper_goal, n_lower + n):
-        rw.apply(move.kind, move.pos)
-    if tuple(rw.word) != target:
-        raise WordError("canonicalization failed to reach the staircase")
+    rw = _Rewriter(word)
+    for p, letter in enumerate(target):
+        rw.bring(letter, p)
+    if rw.word != target:
+        raise WordError("rewriting failed to reach the staircase")
     return rw.moves
 
 

@@ -272,12 +272,14 @@ class TestErrors:
         (["diagrams", "--n", "0", "--enumerate"], 2),
         (["--help"], 0),
         (["somos", "--terms", "-3", "--symbolic"], 2),
+        (["test", "{boolean}"], 2),
     ])
     def test_edge_inputs_exit_codes(self, argv, code, tmp_path, capsys):
         files = {"singular": {"n": 2, "rows": [["1", "1"], ["1", "1"]]},
                  "zero": {"n": 1, "rows": [["0"]]},
                  "pascal": PASCAL3,
-                 "list": [["1", "2"], ["3", "4"]]}
+                 "list": [["1", "2"], ["3", "4"]],
+                 "boolean": {"rows": [[1, True], [1, 1]]}}
         paths = {}
         for name, data in files.items():
             paths[name] = tmp_path / f"{name}.json"

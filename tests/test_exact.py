@@ -37,6 +37,10 @@ class TestScalars:
         assert format_scalar(Fraction(2, 4)) == "1/2"
         assert format_scalar(Fraction(5, 1)) == "5"
 
+    def test_bool_is_not_a_scalar(self):
+        with pytest.raises(TypeError):
+            as_scalar(True)
+
     def test_parse_round_trip(self):
         for text in ("0", "-3/4", "17", "22/7"):
             assert format_scalar(as_scalar(text)) == text

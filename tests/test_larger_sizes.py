@@ -6,10 +6,12 @@ from totpos.factorization import factor_scheme, twist, verify_twist_monomial
 from totpos.positivity import (bruhat_type, is_oscillatory,
                                is_tnn_bruteforce, is_tp_bruteforce)
 from totpos.positivity import test_tnn_efficient as tnn_efficient_criterion
-from totpos.words import product_map
+from totpos.words import (apply_move_word, moves_to_staircase, product_map,
+                          staircase_scheme)
 
 from util import (rand_full_scheme, rand_matrix, rand_positive,
-                  rand_tnn_invertible, rand_tp, rand_typed_scheme)
+                  rand_tnn_invertible, rand_tp, rand_typed_scheme,
+                  rand_walk_full_scheme)
 
 
 def test_twist_monomial_certifies_at_n4():
@@ -24,6 +26,21 @@ def test_factor_scheme_round_trips_at_n5():
         scheme = rand_full_scheme(rng, 5)
         t = tuple(rand_positive(rng) for _ in scheme)
         assert factor_scheme(product_map(scheme, t, 5), scheme) == t
+
+
+def test_factor_scheme_round_trips_at_n6_to_n8():
+    rng = random.Random(208)
+    for n in (6, 7, 8):
+        scheme = rand_walk_full_scheme(rng, n)
+        t = tuple(rand_positive(rng) for _ in scheme)
+        assert factor_scheme(product_map(scheme, t, n), scheme) == t
+
+
+def test_route_to_staircase_replays_at_n12():
+    word = rand_walk_full_scheme(random.Random(209), 12)
+    for move in moves_to_staircase(word, 12):
+        word = apply_move_word(word, move)
+    assert word == staircase_scheme(12)
 
 
 def test_efficient_tnn_agrees_with_brute_force_at_n5_and_n6():

@@ -28,6 +28,19 @@ SLANT_PARAMS = st.one_of(st.just(Fraction(0)),
 DIAG_PARAMS = SLANT_PARAMS.filter(bool)
 
 
+# moves_to_staircase output for three schemes, braid and mixed moves included
+PINNED_ROUTES = {
+    "2~ 1 @3 2 1~ @1 2~ 1 @2":
+        "s2 s3 s4 s5 s6 s7 s2 s3 s2 s6 s5 s4 s3 m1 s2 s3 s4 s5 s6 s7 s2 s3 "
+        "s4 s5 s6 s7 s7 s6 s5 s4 s6 s5 m3 s2 s7 s6 s5 s4 s3 s4 s5 b6",
+    "3~ 2~ 3~ 1~ @1 2~ 3 @2 3~ @3 @4 2 3 1 2 3":
+        "s4 s5 s6 s7 s8 s9 s10 s11 s12 s13 s14 s6 s7 s8 s9 s10 s11 s12 "
+        "s13 s14 s6 s7 m5 s13 s12 s11 s10 s9 s8 s7 s6 s14 s13 s12 s11 s10 "
+        "s9 s8 s7",
+    "2~ 3~ 2~ 1~ 2~ 3~ @2 @1 @3 @4 3 2 3 1 2 3": "b0 s6",
+}
+
+
 @st.composite
 def words_with_params(draw):
     """(word, params, n) for n = 1..6; slant parameters may be zero or
@@ -328,26 +341,16 @@ class TestRouting:
             assert end == b
             assert product_map(b, out, n) == product_map(a, params, n)
 
-    @pytest.mark.parametrize("text, moves", [
-        ("2~ 1 @3 2 1~ @1 2~ 1 @2",
-         "s2 s3 s5 s6 s4 s5 s2 s6 s5 s4 s3 s2 s7 s6 s5 s4 s3 m1 s3 s4 s5 "
-         "s6 s2 s3 s4 s5 s6 s5 s4 s7 s6 s5 m3 s5 s6 s4 s5 s2 s5 s4 s3 s6 "
-         "s5 s4 s7 s6 s5 s4 s3 b6"),
-        ("3~ 2~ 3~ 1~ @1 2~ 3 @2 3~ @3 @4 2 3 1 2 3",
-         "s4 s5 s7 s10 s11 s12 s13 s14 s6 s9 s10 s11 s12 s13 s8 s9 s10 "
-         "s11 s12 s7 s8 s9 s10 s11 s13 s12 s11 s10 s9 s8 s7 s6 s14 s13 "
-         "s12 s11 s10 s9 s8 s7 m5 s7 s8 s9 s10 s11 s12 s6 s7 s8 s9 s10 "
-         "s11 s11 s10 s9 s8 s7 s6 s12 s11 s10 s9 s8 s7 s13 s12 s11 s10 s9 "
-         "s8 s14 s13 s12 s11 s10 s9 s7 s8 s6 s7"),
-        ("2~ 3~ 2~ 1~ 2~ 3~ @2 @1 @3 @4 3 2 3 1 2 3",
-         "s9 s10 s11 s12 s13 s14 s8 s9 s10 s11 s12 s13 s7 s8 s9 s10 s11 "
-         "s12 s6 s7 s8 s9 s10 s11 s11 s10 s9 s8 s7 s6 s12 s11 s10 s9 s8 "
-         "s7 s13 s12 s11 s10 s9 s8 s14 s13 s12 s11 s10 s9 s6 b0"),
-    ])
-    def test_pinned_move_lists(self, text, moves):
+    @pytest.mark.parametrize("text", PINNED_ROUTES)
+    def test_pinned_move_lists(self, text):
         kinds = {"s": "swap", "b": "braid", "m": "mixed"}
-        expected = [Move(kinds[tok[0]], int(tok[1:])) for tok in moves.split()]
-        assert moves_to_staircase(parse_word(text)) == expected
+        expected = [Move(kinds[tok[0]], int(tok[1:]))
+                    for tok in PINNED_ROUTES[text].split()]
+        word = parse_word(text)
+        assert moves_to_staircase(word) == expected
+        for move in expected:
+            word = apply_move_word(word, move)
+        assert word == staircase_scheme(infer_n(word))
 
     def test_rejects_partial_type(self):
         with pytest.raises(WordError):

@@ -57,6 +57,29 @@ def rand_full_scheme(rng: random.Random, n: int) -> Word:
                             [diag(i) for i in range(1, n + 1)]])
 
 
+def rand_reduced_word(rng: random.Random, w: Permutation) -> tuple[int, ...]:
+    """Random reduced word for w, read off a walk down random right
+    descents; unlike `reduced_words` it needs no enumeration, so it reaches
+    any n."""
+    images = list(w.images)
+    letters = []
+    while True:
+        descents = [i for i in range(1, w.n) if images[i - 1] > images[i]]
+        if not descents:
+            return tuple(reversed(letters))
+        i = rng.choice(descents)
+        images[i - 1], images[i] = images[i], images[i - 1]
+        letters.append(i)
+
+
+def rand_walk_full_scheme(rng: random.Random, n: int) -> Word:
+    """Random factorization scheme of full type from two descent walks."""
+    rev = Permutation.reversal(n)
+    return interleave(rng, [[lower(i) for i in rand_reduced_word(rng, rev)],
+                            [upper(i) for i in rand_reduced_word(rng, rev)],
+                            [diag(i) for i in range(1, n + 1)]])
+
+
 def rand_typed_scheme(rng: random.Random, n: int) \
         -> tuple[Word, Permutation, Permutation]:
     """Random scheme of a random type (u, v), returned with its type."""
