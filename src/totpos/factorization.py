@@ -1,15 +1,15 @@
 """Inverse problems: recovering parameters and matrices, and the twist map.
 
-* `reconstruct_from_initial_minors` inverts initial-minor evaluation: a
-  matrix is determined by its n^2 initial minors when they are all
-  nonzero, through the corner recursion det = (corner cofactor) * x_ij +
-  (rest).
 * `factor_staircase` recovers the unique positive parameter vector of the
-  staircase scheme for a totally positive matrix.  The initial minors of
-  the staircase product are monomials in the parameters with an
-  invertible (unimodular) exponent matrix, so factoring is exact monomial
-  inversion; the exponent matrix is computed once per size by evaluating
-  the product at distinct primes and factoring the minors back.
+  staircase scheme for a totally positive matrix, and
+  `reconstruct_from_initial_minors` rebuilds the unique matrix with given
+  nonzero initial minors as the staircase product at the parameters they
+  determine.  Both read the parameters off a closed form: each is a
+  Laurent monomial in at most four initial minors, a Neville elimination
+  multiplier or pivot (Gasca and Peña 1992; Koev 2007), see
+  `_staircase_params`.  `staircase_minor_exponents` fits the same
+  monomials at primes; it is the certificate behind
+  `staircase_edge_for_minor`, not a step of factoring.
 * `factor_scheme` factors along any full-type scheme by routing the
   staircase parameters through local moves.
 * `twist` is the birational map assembled from the LDU factors of the
@@ -27,11 +27,10 @@ from typing import Mapping, Sequence
 
 from .diagrams import DoubleWiringDiagram, chamber_minors
 from .exact import as_scalar
-from .matrices import (Matrix, MinorSpec, _det_fraction_rows,
-                       initial_minor_spec, initial_minor_specs, ldu_decompose,
-                       minor, minor_values)
-from .words import (DIAG, Permutation, Word, WordError, infer_n,
-                    is_full_scheme, move_path, product_map, staircase_scheme,
+from .matrices import (Matrix, MinorSpec, initial_minor_specs,
+                       ldu_decompose, minor, minor_values)
+from .words import (DIAG, Word, WordError, infer_n, is_full_scheme,
+                    move_path, product_map, staircase_scheme,
                     transport_params, validate_scheme)
 
 
@@ -59,11 +58,11 @@ def reconstruct_from_initial_minors(values: Mapping[MinorSpec, Fraction],
                                     n: int) -> Matrix:
     """The unique matrix with the given nonzero initial minors.
 
-    Entries are recovered in order of increasing i + j: the initial minor
-    with corner (i, j) is linear in the unknown corner entry with
-    coefficient the corner-(i-1, j-1) initial minor.
+    The initial minors of the staircase product are the monomials t^E of
+    its parameters, so the staircase product at ``_staircase_params`` of
+    the values has exactly these initial minors, whatever their signs.
     """
-    vals: dict[MinorSpec, Fraction] = {}
+    vals = []
     for spec in initial_minor_specs(n):
         if spec not in values:
             raise ReconstructionError(f"missing initial minor {spec}")
@@ -72,22 +71,51 @@ def reconstruct_from_initial_minors(values: Mapping[MinorSpec, Fraction],
             raise ReconstructionError(
                 f"initial minor {spec} is zero; reconstruction needs all "
                 f"initial minors nonzero")
-        vals[spec] = value
-    entries: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
-    for total in range(2, 2 * n + 1):
-        for i in range(max(1, total - n), min(n, total - 1) + 1):
-            j = total - i
-            spec = initial_minor_spec(n, i, j)
-            if min(i, j) == 1:
-                entries[i - 1][j - 1] = vals[spec]
-                continue
-            sub = [[(Fraction(0) if (r, c) == (i, j)
-                     else entries[r - 1][c - 1])
-                    for c in spec.cols] for r in spec.rows]
-            rest = _det_fraction_rows(sub)
-            cofactor = vals[initial_minor_spec(n, i - 1, j - 1)]
-            entries[i - 1][j - 1] = (vals[spec] - rest) / cofactor
-    return Matrix(entries)
+        vals.append(value)
+    return product_map(staircase_scheme(n), _staircase_params(vals, n), n)
+
+
+def _staircase_params(values: Sequence[Fraction], n: int) \
+        -> tuple[Fraction, ...]:
+    """The staircase parameters of the matrix x whose initial minors, in
+    `initial_minor_specs` order, are the nonzero ``values``.
+
+    Write D(i, j) for the initial minor with corner (i, j), and 1 when i
+    or j is 0.  For i >= j the Neville pivot p(i, j) = D(i, j) / D(i-1,
+    j-1) is the ratio of the minors on rows i-j+1..i and i-j+1..i-1 against
+    the first j and j-1 columns, and the multiplier m(i, j) = p(i, j) /
+    p(i-1, j).  Lower letter i of staircase block k (blocks k = n-1 down to
+    1, i = k..n-1) has parameter m(i+1, i+1-k) of x, upper letter i of
+    block k has m(i+1, k) of x^T (whose D(i, j) is D(j, i) of x), and
+    ``@i`` has D(i, i) / D(i-1, i-1).  Each comes out as one `Fraction`
+    of integer products.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+
+    def d(i: int, j: int, flip: bool = False) -> tuple[int, int]:
+        if flip:
+            i, j = j, i
+        return ratios[(i - 1) * n + j - 1] if i and j else (1, 1)
+
+    def monomial(top, bottom) -> Fraction:
+        num = den = 1
+        for p, q in top:
+            num *= p
+            den *= q
+        for p, q in bottom:
+            num *= q
+            den *= p
+        return Fraction(num, den)
+
+    def m(i: int, j: int, flip: bool) -> Fraction:
+        return monomial((d(i, j, flip), d(i - 2, j - 1, flip)),
+                        (d(i - 1, j - 1, flip), d(i - 1, j, flip)))
+
+    blocks = [(k, i) for k in range(n - 1, 0, -1) for i in range(k, n)]
+    return (tuple(m(i + 1, i + 1 - k, False) for k, i in blocks)
+            + tuple(monomial((d(i, i),), (d(i - 1, i - 1),))
+                    for i in range(1, n + 1))
+            + tuple(m(i + 1, k, True) for k, i in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +229,12 @@ def factor_staircase(x: Matrix) -> tuple[Fraction, ...]:
     Raises :class:`NotTotallyPositiveError` citing the first failing
     initial minor otherwise.
     """
-    n = x.n
-    specs, _, inverse = staircase_minor_exponents(n)
+    specs = initial_minor_specs(x.n)
     values = minor_values(x, specs)
     for spec, value in zip(specs, values):
         if value <= 0:
             raise NotTotallyPositiveError(spec, value)
-    params = []
-    for row in inverse:
-        t = Fraction(1)
-        for value, e in zip(values, row):
-            if e:
-                t *= value ** e
-        params.append(t)
-    return tuple(params)
+    return _staircase_params(values, x.n)
 
 
 def factor_scheme(x: Matrix, scheme: Word) -> tuple[Fraction, ...]:
@@ -272,11 +292,12 @@ def twist(x: Matrix) -> Matrix:
     Defined whenever the two LDU decompositions exist (always, for totally
     positive x); maps totally positive matrices onto themselves.
     """
-    w = Permutation.reversal(x.n).matrix()
     xt = x.transpose()
-    _, _, plus = ldu_decompose(xt * w)
-    minus, _, _ = ldu_decompose(w * xt)
-    return plus * (w * xt.inverse() * w) * minus
+    # left and right products with w reverse the rows and the columns
+    _, _, plus = ldu_decompose(Matrix([row[::-1] for row in xt.rows]))
+    minus, _, _ = ldu_decompose(Matrix(xt.rows[::-1]))
+    middle = Matrix([row[::-1] for row in xt.inverse().rows[::-1]])
+    return plus * middle * minus
 
 
 def verify_twist_monomial(scheme: Word, n: int | None = None,

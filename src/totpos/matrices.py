@@ -37,6 +37,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exact import as_scalar, format_scalar
@@ -144,11 +145,15 @@ class Matrix:
         return hash(self.rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Integer dot products of the cleared rows of self and cleared
+        columns of other, each over the product of their multipliers."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        return Matrix([[sum(a * b for a, b in zip(row, col))
-                        for col in cols] for row in self.rows])
+        rows, row_mults = _integer_rows(self.rows)
+        cols, col_mults = _integer_rows(zip(*other.rows))
+        return Matrix([[Fraction(sum(map(mul, row, col)), a * b)
+                        for col, b in zip(cols, col_mults)]
+                       for row, a in zip(rows, row_mults)])
 
     def __pow__(self, k: int) -> "Matrix":
         if k < 0:

@@ -16,6 +16,7 @@ summing over vertex-disjoint path families instead.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -98,18 +99,42 @@ class PlanarNetwork:
                 f"{len(left)} / {len(right)}")
 
     def _validate_planarity(self) -> None:
+        """Edges are compared in pairs whose x-ranges overlap in more than
+        a point (found by bisecting the edges sorted by left end), and each
+        vertex against the edges whose open x-range holds it, where lying
+        on the edge's line means lying inside the edge: an edge meets the
+        vertical line at either end of its x-range only in its endpoint
+        there.  The conflict reported is the one a scan of all pairs in
+        order meets first: the smallest pair of edge ids, else the smallest
+        vertex id and then edge id."""
         segs = [(self.vertices[u], self.vertices[v]) for u, v, _ in self.edges]
-        for (a, b), (c, d) in itertools.combinations(segs, 2):
-            if max(a[0], c[0]) > min(b[0], d[0]):
-                continue  # x-ranges disjoint
-            if _segments_conflict(a, b, c, d):
-                raise NetworkError(f"edges {a}-{b} and {c}-{d} cross")
-        for p in self.vertices:
-            for (a, b) in segs:
-                if p in (a, b):
-                    continue
-                if _cross(a, b, p) == 0 and _on_segment(p, a, b):
-                    raise NetworkError(f"vertex {p} lies inside edge {a}-{b}")
+        order = sorted(range(len(segs)), key=lambda e: segs[e][0][0])
+        lefts = [segs[e][0][0] for e in order]
+        crossing = None
+        for rank, e in enumerate(order):
+            right = segs[e][1][0]
+            for f in order[rank + 1:bisect_left(lefts, right)]:
+                pair = (e, f) if e < f else (f, e)
+                if ((crossing is None or pair < crossing)
+                        and _segments_conflict(*segs[pair[0]],
+                                               *segs[pair[1]])):
+                    crossing = pair
+        if crossing is not None:
+            (a, b), (c, d) = segs[crossing[0]], segs[crossing[1]]
+            raise NetworkError(f"edges {a}-{b} and {c}-{d} cross")
+        by_x = sorted(range(len(self.vertices)),
+                      key=lambda k: self.vertices[k][0])
+        xs = [self.vertices[k][0] for k in by_x]
+        inside = None
+        for e, (a, b) in enumerate(segs):
+            for k in by_x[bisect_right(xs, a[0]):bisect_left(xs, b[0])]:
+                if ((inside is None or (k, e) < inside)
+                        and _cross(a, b, self.vertices[k]) == 0):
+                    inside = (k, e)
+        if inside is not None:
+            a, b = segs[inside[1]]
+            raise NetworkError(
+                f"vertex {self.vertices[inside[0]]} lies inside edge {a}-{b}")
 
     # -- derived structure ---------------------------------------------
 

@@ -21,8 +21,9 @@ subwords represent.
 Local moves rewrite a word while transporting parameters so that the
 matrix product is unchanged; all transport formulas are subtraction-free,
 so positive parameters stay positive.  `apply_move_word` is the one
-rewrite of the letters; `local_move_transport` adds the parameter formulas.
-Three kinds exist:
+rewrite of the letters; `transport_params` adds the parameter formulas
+along a move sequence (`local_move_transport` for one move).  Three kinds
+exist:
 
 * ``swap``: two adjacent commuting letters trade places.  Slant letters of
   the same kind commute when their indices differ by >= 2, slant letters of
@@ -51,6 +52,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exact import as_scalar
@@ -249,29 +251,46 @@ def product_map(word: Word, params: Sequence, n: int | None = None) -> Matrix:
     times column i+1 to column i, and ``diag i`` scales column i by t.
     Diag letters require nonzero parameters; slant parameters may be any
     rational (zero included, for boundary factorizations).
+
+    Column j of the running product is held as integers over one
+    denominator, kept in lowest terms; the `Fraction` entries are built
+    once, at the end.
     """
     if n is None:
         n = infer_n(word)
     params = [as_scalar(t) for t in params]
     if len(params) != len(word):
         raise WordError(f"{len(word)} letters but {len(params)} parameters")
-    rows = [list(row) for row in Matrix.identity(n).rows]
+    if n < 1:
+        raise ValueError("matrix must be square and nonempty")
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    dens = [1] * n
     for letter, t in zip(word, params):
         validate_word((letter,), n)
         i = letter.index - 1
-        if letter.kind == UPPER:
-            for row in rows:
-                row[i + 1] += t * row[i]
-        elif letter.kind == LOWER:
-            for row in rows:
-                row[i] += t * row[i + 1]
-        else:
-            if t == 0:
+        p, q = t.numerator, t.denominator
+        if letter.kind == DIAG:
+            if p == 0:
                 raise WordError(
                     f"diag letter @{i + 1} is undefined at parameter 0")
-            for row in rows:
-                row[i] *= t
-    return Matrix(rows)
+            target = i
+            den = dens[i] * q
+            col = [p * v for v in cols[i]]
+        else:
+            source, target = (i, i + 1) if letter.kind == UPPER else (i + 1, i)
+            # cols[target] / dens[target] + (p / q) * cols[source] / dens[source]
+            scaled = dens[source] * q
+            den = lcm(dens[target], scaled)
+            keep, add = den // dens[target], p * (den // scaled)
+            col = [a * keep + b * add
+                   for a, b in zip(cols[target], cols[source])]
+        common = gcd(den, *col)
+        if common > 1:
+            den //= common
+            col = [v // common for v in col]
+        cols[target], dens[target] = col, den
+    return Matrix([[Fraction(col[r], den) for col, den in zip(cols, dens)]
+                   for r in range(n)])
 
 
 def staircase_scheme(n: int) -> Word:
@@ -411,10 +430,12 @@ def local_move_transport(word: Word, params: Sequence, move: Move) \
         -> tuple[Word, tuple[Fraction, ...]]:
     """Apply one local move, returning the rewritten word and transported
     parameters; the matrix product is preserved exactly."""
-    values = [as_scalar(t) for t in params]
-    if len(word) != len(values):
-        raise WordError("word/parameter length mismatch")
-    new_word = apply_move_word(word, move)
+    return transport_params(word, params, (move,))
+
+
+def _transport(word: Word, values: list[Fraction], move: Move) -> None:
+    """Transport the parameters ``values`` of ``word`` across a move that
+    `apply_move_word` has accepted, in place."""
     p = move.pos
     if move.kind == "swap":
         a, b = word[p], word[p + 1]
@@ -443,7 +464,6 @@ def local_move_transport(word: Word, params: Sequence, move: Move) \
         else:
             values[p:p + 4] = [t2 * t4 / total, t2 * t3 / total,
                                total, t1 * t2 / total]
-    return new_word, tuple(values)
 
 
 def applicable_moves(word: Word) -> list[Move]:
@@ -548,10 +568,15 @@ def move_path(source: Word, target: Word, n: int | None = None) -> list[Move]:
 
 def transport_params(word: Word, params: Sequence, moves: Iterable[Move]) \
         -> tuple[Word, tuple[Fraction, ...]]:
-    """Replay a move sequence, transporting parameters exactly."""
+    """Replay a move sequence, transporting parameters exactly: the
+    parameters are coerced once and moved in place, and every move is
+    checked by `apply_move_word`."""
     current_word = tuple(word)
-    current = tuple(as_scalar(t) for t in params)
+    values = [as_scalar(t) for t in params]
     for move in moves:
-        current_word, current = local_move_transport(current_word, current,
-                                                     move)
-    return current_word, current
+        if len(current_word) != len(values):
+            raise WordError("word/parameter length mismatch")
+        new_word = apply_move_word(current_word, move)
+        _transport(current_word, values, move)
+        current_word = new_word
+    return current_word, tuple(values)

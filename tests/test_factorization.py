@@ -4,20 +4,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from totpos import factorization
 from totpos.factorization import (NotTotallyPositiveError,
-                                  ReconstructionError, factor_scheme,
+                                  ReconstructionError, _prime_exponents,
+                                  _primes, _staircase_params, factor_scheme,
                                   factor_staircase, initial_minors,
                                   parameter_sum_formula,
                                   reconstruct_from_initial_minors,
-                                  staircase_edge_for_minor, twist,
+                                  staircase_edge_for_minor,
+                                  staircase_minor_exponents, twist,
                                   verify_twist_monomial)
-from totpos.matrices import Matrix, MinorSpec, minor
+from totpos.matrices import (Matrix, MinorSpec, SingularLeadingMinorError,
+                             initial_minor_specs, ldu_decompose, minor)
 from totpos.networks import standard_network
 from totpos.positivity import is_tp_bruteforce
-from totpos.words import parse_word, product_map, staircase_scheme
+from totpos.words import (Permutation, parse_word, product_map,
+                          staircase_scheme)
 
-from util import rand_positive, rand_tp
+from util import (oracle_matmul, oracle_reconstruct, rand_full_scheme,
+                  rand_matrix, rand_positive, rand_tp)
 
 UNIT3 = Matrix([[1, 1, 1], [1, 2, 3], [1, 3, 6]])
 MIXED_SCHEME = parse_word("2~ 1 @3 2 1~ @1 2~ 1 @2")
@@ -57,6 +65,19 @@ class TestReconstruction:
         values = initial_minors(Matrix.identity(2))
         with pytest.raises(ReconstructionError):
             reconstruct_from_initial_minors(values, 2)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 6), st.data())
+    def test_matches_corner_recursion(self, n, data):
+        # every vector of nonzero values is the initial minors of exactly
+        # one matrix, so drawing the values draws those matrices
+        nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                            st.integers(1, 6))
+        values = {spec: data.draw(nonzero)
+                  for spec in initial_minor_specs(n)}
+        x = reconstruct_from_initial_minors(values, n)
+        assert x == oracle_reconstruct(values, n)
+        assert initial_minors(x) == values
 
 
 class TestFactorStaircase:
@@ -124,6 +145,29 @@ class TestFactorStaircase:
         assert all(0 <= net.essential[k] < len(net.edges)
                    for k in mapping.values())
 
+    def test_closed_form_is_the_fitted_monomial_inverse(self):
+        # at distinct primes the closed form factors back into exactly the
+        # inverse exponent rows fitted by staircase_minor_exponents
+        for n in range(1, 9):
+            _, _, inverse = staircase_minor_exponents(n)
+            primes = _primes(n * n)
+            params = _staircase_params([Fraction(p) for p in primes], n)
+            assert [_prime_exponents(t, primes) for t in params] == inverse
+
+    def test_factoring_fits_no_exponents(self):
+        saved = dict(factorization._staircase_cache)
+        factorization._staircase_cache.clear()
+        try:
+            rng = random.Random(92)
+            for n in (2, 3, 4):
+                x = rand_tp(rng, n)
+                factor_staircase(x)
+                factor_scheme(x, rand_full_scheme(rng, n))
+                reconstruct_from_initial_minors(initial_minors(x), n)
+            assert factorization._staircase_cache == {}
+        finally:
+            factorization._staircase_cache.update(saved)
+
     def test_parameter_sum_formula(self):
         rng = random.Random(84)
         for n in (2, 3, 4):
@@ -148,7 +192,6 @@ class TestFactorScheme:
             assert product_map(MIXED_SCHEME, params, 3) == x
 
     def test_random_schemes(self):
-        from util import rand_full_scheme
         rng = random.Random(87)
         for _ in range(15):
             n = rng.choice([2, 3, 4])
@@ -196,6 +239,25 @@ class TestTwist:
         x = Matrix([[1, 1], [1, 2]])
         assert twist(x) == x
 
+    def test_matches_permutation_product_form(self):
+        # [x^T w]_+ * w (x^T)^-1 w * [w x^T]_- with w an explicit matrix
+        rng = random.Random(93)
+        for k in range(30):
+            n = 1 + k % 5
+            x = rand_tp(rng, n) if k % 2 else rand_matrix(rng, n)
+            w = Permutation.reversal(n).matrix()
+            xt = x.transpose()
+            try:
+                _, _, plus = ldu_decompose(oracle_matmul(xt, w))
+                minus, _, _ = ldu_decompose(oracle_matmul(w, xt))
+                middle = oracle_matmul(oracle_matmul(w, xt.inverse()), w)
+            except (SingularLeadingMinorError, ZeroDivisionError) as exc:
+                with pytest.raises(type(exc)):
+                    twist(x)
+                continue
+            assert twist(x) == oracle_matmul(oracle_matmul(plus, middle),
+                                             minus)
+
     def test_twist_preserves_total_positivity(self):
         rng = random.Random(90)
         for _ in range(50):
@@ -212,7 +274,6 @@ class TestTwistMonomial:
         assert verify_twist_monomial(MIXED_SCHEME, 3)
 
     def test_random_scheme(self):
-        from util import rand_full_scheme
         rng = random.Random(91)
         scheme = rand_full_scheme(rng, 3)
         assert verify_twist_monomial(scheme, 3)

@@ -2,7 +2,10 @@
 
 import random
 
-from totpos.factorization import factor_scheme, twist, verify_twist_monomial
+from totpos.factorization import (factor_scheme, factor_staircase,
+                                  initial_minors,
+                                  reconstruct_from_initial_minors, twist,
+                                  verify_twist_monomial)
 from totpos.positivity import (bruhat_type, is_oscillatory,
                                is_tnn_bruteforce, is_tp_bruteforce)
 from totpos.positivity import test_tnn_efficient as tnn_efficient_criterion
@@ -34,6 +37,14 @@ def test_factor_scheme_round_trips_at_n6_to_n8():
         scheme = rand_walk_full_scheme(rng, n)
         t = tuple(rand_positive(rng) for _ in scheme)
         assert factor_scheme(product_map(scheme, t, n), scheme) == t
+
+
+def test_staircase_factor_and_reconstruct_round_trip_at_n16():
+    rng = random.Random(210)
+    t = tuple(rand_positive(rng) for _ in range(16 * 16))
+    x = product_map(staircase_scheme(16), t, 16)
+    assert factor_staircase(x) == t
+    assert reconstruct_from_initial_minors(initial_minors(x), 16) == x
 
 
 def test_route_to_staircase_replays_at_n12():

@@ -16,7 +16,7 @@ from totpos.matrices import (Matrix, MinorSpec, SingularLeadingMinorError,
                              is_block_triangular, ldu_decompose, minor,
                              solid_minor_specs)
 
-from util import cofactor_det, rand_matrix
+from util import cofactor_det, oracle_matmul, rand_matrix
 
 UNIT_WEIGHT_3X3 = Matrix([[1, 1, 1], [1, 2, 3], [1, 3, 6]])
 
@@ -295,6 +295,15 @@ class TestKernelOracles:
                 x.inverse()
         else:
             assert x * x.inverse() == Matrix.identity(x.n)
+
+    @settings(deadline=None)
+    @given(arrays(square=True), st.data())
+    def test_product(self, rows, data):
+        n = len(rows)
+        x = Matrix(rows)
+        y = Matrix([[data.draw(ENTRIES) for _ in range(n)] for _ in range(n)])
+        assert x * y == oracle_matmul(x, y)
+        assert y * x == oracle_matmul(y, x)
 
     @settings(deadline=None)
     @given(arrays(square=True))

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totpos.exact import LaurentPoly
 from totpos.matrices import Matrix, MinorSpec, all_minor_specs, minor
@@ -16,7 +18,8 @@ from totpos.positivity import is_tnn_bruteforce, is_tp_bruteforce
 from totpos.words import (Letter, lower, parse_word, product_map,
                           staircase_scheme, upper, diag)
 
-from util import enumerate_paths, rand_network, rand_positive
+from util import (enumerate_paths, oracle_validate_planarity, rand_network,
+                  rand_positive)
 
 NAMES = tuple("abcdefghi")
 
@@ -235,3 +238,75 @@ class TestStandardNetwork:
         edges = ((0, 2, Fraction(1)),)
         with pytest.raises(NetworkError):
             PlanarNetwork(1, vertices, edges)
+
+
+def planarity_error(check, vertices, edges):
+    """The text of the `NetworkError` that check raises, or None."""
+    try:
+        check(vertices, edges)
+    except NetworkError as exc:
+        return str(exc)
+    return None
+
+
+def build(vertices, edges):
+    PlanarNetwork(max(1, sum(1 for x, _ in vertices if x == 0)),
+                  vertices, edges)
+
+
+@st.composite
+def grid_networks(draw):
+    """Full source and sink columns, a few inner vertices (some above the
+    top level), and random left-to-right edges: many cross, touch or run
+    through a vertex."""
+    n = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 4))
+    vertices = [(x, level) for x in (0, width) for level in range(1, n + 1)]
+    if width > 1:
+        inner = st.tuples(st.integers(1, width - 1), st.integers(1, n + 1))
+        vertices += draw(st.lists(inner, max_size=6, unique=True))
+    order = draw(st.permutations(range(len(vertices))))
+    vertices = tuple(vertices[k] for k in order)
+    pairs = [(u, v) for u in range(len(vertices)) for v in range(len(vertices))
+             if vertices[u][0] < vertices[v][0]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=10))
+    return vertices, tuple((u, v, Fraction(1)) for u, v in edges)
+
+
+class TestPlanarityOracle:
+    def test_random_networks_pass_both(self):
+        rng = random.Random(95)
+        for _ in range(20):
+            net = rand_network(rng, rng.randint(1, 5), rng.randint(1, 6))
+            assert planarity_error(oracle_validate_planarity, net.vertices,
+                                   net.edges) is None
+
+    def test_crossing_and_touching_examples(self):
+        cases = [
+            # slants crossing inside a column
+            (((0, 1), (0, 2), (1, 1), (1, 2)),
+             ((0, 3), (1, 2))),
+            # a long edge through a vertex
+            (((0, 1), (1, 1), (2, 1)), ((0, 2),)),
+            # the same edge and a colinear edge overlapping it
+            (((0, 1), (1, 1), (2, 1)), ((0, 2), (0, 1))),
+            # two edges touching at an inner point of one of them
+            (((0, 1), (0, 2), (0, 3), (2, 1), (2, 2), (2, 3), (1, 2)),
+             ((0, 5), (6, 4), (1, 6))),
+            # a long slant crossing a later, shorter one
+            (((0, 1), (0, 2), (3, 1), (3, 2), (1, 2), (2, 1)),
+             ((0, 3), (4, 5), (1, 4), (5, 2))),
+        ]
+        for vertices, pairs in cases:
+            edges = tuple((u, v, Fraction(1)) for u, v in pairs)
+            expected = planarity_error(oracle_validate_planarity, vertices,
+                                       edges)
+            assert expected is not None
+            assert planarity_error(build, vertices, edges) == expected
+
+    @settings(deadline=None, max_examples=300)
+    @given(grid_networks())
+    def test_matches_all_pairs_oracle(self, case):
+        vertices, edges = case
+        assert planarity_error(build, vertices, edges) \
+            == planarity_error(oracle_validate_planarity, vertices, edges)

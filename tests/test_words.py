@@ -48,7 +48,7 @@ def words_with_params(draw):
     n = draw(st.integers(1, 6))
     kinds = ["diag"] + (["upper", "lower"] if n > 1 else [])
     word, params = [], []
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, 20))):
         kind = draw(st.sampled_from(kinds))
         if kind == "diag":
             word.append(diag(draw(st.integers(1, n))))

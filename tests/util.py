@@ -9,8 +9,9 @@ from fractions import Fraction
 from totpos.diagrams import (Chamber, DiagramMove, DoubleWiringDiagram,
                              MoveGraph, minimal_diagram)
 from totpos.exact import LaurentDivisionError, LaurentPoly
-from totpos.matrices import Matrix, MinorSpec
-from totpos.networks import PlanarNetwork
+from totpos.matrices import Matrix, MinorSpec, initial_minor_specs
+from totpos.networks import (NetworkError, PlanarNetwork, _cross,
+                             _on_segment, _segments_conflict)
 from totpos.words import (LOWER, UPPER, Letter, Permutation, Word, diag,
                           lower, product_map, reduced_words, staircase_scheme,
                           upper)
@@ -138,9 +139,16 @@ def cofactor_det(rows) -> Fraction:
     return total
 
 
+def oracle_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Independent matrix-product oracle: `Fraction` sums of products."""
+    cols = list(zip(*b.rows))
+    return Matrix([[sum((x * y for x, y in zip(row, col)), Fraction(0))
+                    for col in cols] for row in a.rows])
+
+
 def matrix_product_map(word: Word, params, n: int) -> Matrix:
-    """Independent product-map oracle: the ordered `Matrix` product of
-    elementary matrices written out entry by entry."""
+    """Independent product-map oracle: the ordered product of elementary
+    matrices written out entry by entry, multiplied by `oracle_matmul`."""
     result = Matrix.identity(n)
     for letter, t in zip(word, params):
         rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -151,8 +159,55 @@ def matrix_product_map(word: Word, params, n: int) -> Matrix:
             rows[i + 1][i] = Fraction(t)
         else:
             rows[i][i] = Fraction(t)
-        result = result * Matrix(rows)
+        result = oracle_matmul(result, Matrix(rows))
     return result
+
+
+def oracle_reconstruct(values, n: int) -> Matrix:
+    """Independent reconstruction oracle, the corner recursion: entries in
+    order of increasing i + j, the initial minor with corner (i, j) being
+    linear in the entry (i, j) with the corner-(i-1, j-1) initial minor as
+    coefficient; determinants by cofactor expansion.  Needs every initial
+    minor nonzero."""
+    vals = {(s.rows, s.cols): Fraction(values[s])
+            for s in initial_minor_specs(n)}
+
+    def corner(i, j):
+        k = min(i, j)
+        return (tuple(range(i - k + 1, i + 1)), tuple(range(j - k + 1, j + 1)))
+
+    entries = [[None] * n for _ in range(n)]
+    for total in range(2, 2 * n + 1):
+        for i in range(max(1, total - n), min(n, total - 1) + 1):
+            j = total - i
+            rows, cols = corner(i, j)
+            if min(i, j) == 1:
+                entries[i - 1][j - 1] = vals[rows, cols]
+                continue
+            sub = [[(Fraction(0) if (r, c) == (i, j)
+                     else entries[r - 1][c - 1]) for c in cols] for r in rows]
+            rest = cofactor_det(sub)
+            cofactor = vals[corner(i - 1, j - 1)]
+            entries[i - 1][j - 1] = (vals[rows, cols] - rest) / cofactor
+    return Matrix(entries)
+
+
+def oracle_validate_planarity(vertices, edges) -> None:
+    """Independent planarity oracle, every pair checked: raises the
+    `NetworkError` for the first crossing edge pair, else for the first
+    vertex lying inside an edge, as ``PlanarNetwork`` must."""
+    segs = [(vertices[u], vertices[v]) for u, v, _ in edges]
+    for (a, b), (c, d) in itertools.combinations(segs, 2):
+        if max(a[0], c[0]) > min(b[0], d[0]):
+            continue  # x-ranges disjoint
+        if _segments_conflict(a, b, c, d):
+            raise NetworkError(f"edges {a}-{b} and {c}-{d} cross")
+    for p in vertices:
+        for (a, b) in segs:
+            if p in (a, b):
+                continue
+            if _cross(a, b, p) == 0 and _on_segment(p, a, b):
+                raise NetworkError(f"vertex {p} lies inside edge {a}-{b}")
 
 
 def enumerate_paths(net: PlanarNetwork, start: int, goal: int):
