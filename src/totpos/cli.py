@@ -104,12 +104,15 @@ def _cmd_test(args) -> int:
         from .matrices import solid_minor_specs
         specs = solid_minor_specs(x.n)
     else:  # chamber
-        if args.diagram:
+        if args.diagram is not None:
             d = dg.DoubleWiringDiagram(_parse_word_arg(args.diagram), x.n)
         else:
             d = dg.minimal_diagram(x.n)
         specs = dg.chamber_minors(d)
-    failures = pv.failing_minors(x, specs, strict=True)
+    if args.method == "chamber":
+        failures = pv.failing_chamber_minors(x, d)
+    else:
+        failures = pv.failing_minors(x, specs, strict=True)
     verdict = not failures
     report = {"verdict": verdict, "minors_checked": len(specs),
               "witnesses": _witnesses(failures)}
@@ -161,7 +164,7 @@ def _cmd_type(args) -> int:
 
 def _cmd_factor(args) -> int:
     x = _load_matrix(args.matrix)
-    scheme = (_parse_word_arg(args.scheme) if args.scheme
+    scheme = (_parse_word_arg(args.scheme) if args.scheme is not None
               else wd.staircase_scheme(x.n))
     try:
         params = fz.factor_scheme(x, scheme)

@@ -46,9 +46,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .matrices import MinorSpec
+from .matrices import Matrix, MinorSpec, _sweep_family
 from .words import (LOWER, UPPER, Letter, Word, format_word,
                     is_reduced_word, lower, parse_word, upper)
 
@@ -185,6 +185,20 @@ def chamber_layout(d: DoubleWiringDiagram) -> list[Chamber]:
 def chamber_minors(d: DoubleWiringDiagram) -> list[MinorSpec]:
     """The n^2 chamber minor specs, bottom level up, left to right."""
     return [c.spec for c in chamber_layout(d)]
+
+
+def chamber_family(x: Matrix, d: DoubleWiringDiagram,
+                   stop: Callable[[int], bool] | None = None) \
+        -> tuple[list[int], list[int]] | None:
+    """The chamber minors of x on d, in :func:`chamber_minors` order, as
+    :func:`~totpos.matrices.minor_family` returns them.
+
+    At each vertical slice the chambers are the leading minors of x with
+    rows in thin-line and columns in bold-line track order, and each
+    crossing swaps two adjacent tracks, so one sweep along the word
+    computes them all."""
+    swaps = [(letter.kind == UPPER, letter.index) for letter in d.word]
+    return _sweep_family(x, swaps, stop)
 
 
 def bounded_chambers(d: DoubleWiringDiagram) -> list[MinorSpec]:

@@ -25,10 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .diagrams import DoubleWiringDiagram, chamber_minors
+from .diagrams import DoubleWiringDiagram, chamber_family, chamber_minors
 from .exact import as_scalar
 from .matrices import (Matrix, MinorSpec, initial_minor_specs,
-                       ldu_decompose, minor, minor_values)
+                       ldu_decompose, minor, minor_values, unscale)
 from .words import (DIAG, Word, WordError, infer_n, is_full_scheme,
                     move_path, product_map, staircase_scheme,
                     transport_params, validate_scheme)
@@ -325,10 +325,11 @@ def verify_twist_monomial(scheme: Word, n: int | None = None,
     chamber_specs = chamber_minors(diagram)
     size = n * n
 
-    def chamber_values(params) -> list[Fraction] | None:
+    def chamber_values(params) -> list[Fraction]:
         x = product_map(scheme, params, n)
-        twisted = twist(x)
-        return minor_values(twisted, chamber_specs)
+        values, mults = chamber_family(twist(x), diagram)
+        return [unscale(spec, value, mults)
+                for spec, value in zip(chamber_specs, values)]
 
     exponent_rows: list[list[int]] | None = None
     base = _primes(size)

@@ -9,11 +9,11 @@ Conventions:
   need it (deleted minors of a 2x2 matrix, recursion bases).
 
 One fraction-free (Bareiss) elimination kernel serves determinants,
-minors, rank, inverse and LDU.  It works on integer rows after each row's
-denominators are cleared; the row multipliers are positive, so signs
-survive.  Its k-th pivot is a leading k-minor and every entry it stores is
-a minor bordering it, so every division is exact and intermediate values
-stay small.
+minors, rank and column rank profiles, inverse and LDU.  It works on
+integer rows after each row's denominators are cleared; the row
+multipliers are positive, so signs survive.  Its k-th pivot is a leading
+k-minor and every entry it stores is a minor bordering it, so every
+division is exact and intermediate values stay small.
 
 Families of minors go through one entry point, :func:`minor_family`.  It
 clears the row denominators once per matrix and returns scaled integer
@@ -27,8 +27,15 @@ algorithm follows the family:
 * all minors, and the minors on rows [1..k] or columns [1..k] (the
   efficient TNN test): Laplace expansion along the last row, row sets
   depth first, O(k) per minor from its parent's;
-* any other list (chamber minors): the kernel on each submatrix of the
-  cleared rows.
+* any other list: the kernel on each submatrix of the cleared rows.
+
+Chamber minors have their own engine, :func:`_sweep_family`, behind
+:func:`totpos.diagrams.chamber_family`, with the same contract.  At each
+slice of a double wiring diagram the chambers are the leading minors in
+track order, and a crossing swaps two adjacent tracks, so the rows of
+Bareiss tableaux kept along the sweep give each new chamber from a few
+elimination steps of O(n) each, instead of one elimination per chamber,
+O(k^3).  A chamber behind a zero divisor is evaluated by the kernel.
 """
 
 from __future__ import annotations
@@ -303,10 +310,18 @@ def det(x: Matrix) -> Fraction:
     return x.det()
 
 
+def column_rank_profile(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+    """The pivot columns (0-based) of a rectangular array of rationals:
+    each column whose rank is not that of the columns before it.  So the
+    columns left of column j have rank equal to the number of pivots
+    below j (Dumas, Pernet and Sultan 2017)."""
+    m, _ = _integer_rows(rows)
+    return _eliminate(m)[0]
+
+
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a rectangular array of rationals."""
-    m, _ = _integer_rows(rows)
-    return len(_eliminate(m)[0])
+    return len(column_rank_profile(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +442,149 @@ def _step(a0, a1, b0, b1, d):
     if not d or a0 is None or a1 is None or b0 is None or b1 is None:
         return None
     return (a0 * b1 - a1 * b0) // d
+
+
+def _sweep_family(x: Matrix, swaps: Sequence[tuple[bool, int]],
+                  stop: Callable[[int], bool] | None = None) \
+        -> tuple[list[int], list[int]] | None:
+    """The chamber minors of a double wiring diagram on x, in the order of
+    :func:`totpos.diagrams.chamber_minors`, as :func:`minor_family` returns
+    them.
+
+    Thin lines n..1 are the row tracks and bold lines 1..n the column
+    tracks, bottom track first; the level-k chamber of a slice is the minor
+    on the rows and columns of tracks 1..k.  Each crossing is a swap
+    ``(on_cols, h)`` of tracks h and h + 1, which changes the level-h
+    chamber only.  With ``stop`` the chambers are checked as they are
+    produced: the first and the last slice level by level together (a
+    totally nonnegative matrix that is not totally positive has a zero
+    among them), then one per crossing.
+    """
+    n = x.n
+    m, mults = _integer_rows(x.rows)
+    first = _Tableaux(m, list(range(n - 1, -1, -1)), list(range(n)))
+    # at[k]: position of the next level-k chamber, levels in order
+    at = [0] * (n + 1)
+    for _, h in swaps:
+        at[h] += 1
+    total = 0
+    for k in range(1, n + 1):
+        at[k], total = total, total + at[k] + 1
+    values: list = [None] * total
+    unknown: list[tuple[int, MinorSpec]] = []
+
+    def record(k: int) -> bool:
+        """The current level-k chamber; False to stop."""
+        value = first.leading(k)
+        position = at[k]
+        at[k] += 1
+        if value is None:
+            unknown.append((position, first.spec(k)))
+            return True
+        values[position] = value
+        return stop is None or not stop(value)
+
+    last = None
+    if stop is not None:
+        last = _Tableaux(m, first.rows[:], first.cols[:])
+        for swap in swaps:
+            last.swap(*swap)
+    for k in range(1, n + 1):
+        if not record(k):
+            return None
+        if last is not None:
+            value = last.leading(k)
+            if value is not None and stop(value):
+                return None
+    for swap in swaps:
+        first.swap(*swap)
+        if not record(swap[1]):
+            return None
+    specs = [spec for _, spec in unknown]
+    direct: list = [None] * len(specs)
+    if not _direct(m, specs, range(len(specs)), direct, stop):
+        return None
+    for (position, _), value in zip(unknown, direct):
+        values[position] = value
+    return values, mults
+
+
+class _Tableaux:
+    """Bareiss tableaux of an integer matrix whose rows and columns are in
+    track order (0-based indices, bottom track first), kept up to date as
+    adjacent tracks swap.
+
+    Tableau k holds, for each row i and column j not on tracks 1..k, the
+    minor on the sorted rows of tracks 1..k then i and the sorted columns
+    of tracks 1..k then j (a bordered minor); its rows are keyed by i and
+    its columns run in increasing order.  Row i of tableau k is one Bareiss
+    step on rows i and ``rows[k - 1]`` of tableau k - 1, divided exactly by
+    the level-(k - 1) minor (Sylvester's identity), and rows are computed
+    only when read.  The level-k minor is the entry of tableau k - 1 on
+    track k's row and column, times the sign of sorting track k into tracks
+    1..k - 1.
+
+    A swap at height h changes the row (or column) set of tracks 1..h only,
+    so only tableau h loses its rows; every other tableau keeps its content.
+    A row behind a zero divisor is out of reach, and so are the minors it
+    would give.
+    """
+
+    def __init__(self, m: list[list[int]], rows: list[int], cols: list[int]):
+        n = len(m)
+        self.rows, self.cols = rows, cols
+        self.tables: list[dict[int, list[int]]] = [dict(enumerate(m))]
+        self.tables += [{} for _ in range(n - 1)]
+        # lead[k]: the level-k minor last read; steps[k]: (pivot row, pivot
+        # column position, sorting sign) from tableau k - 1 to tableau k
+        self.lead: list = [1] + [None] * n
+        self.steps: list = [None] * (n + 1)
+
+    def leading(self, k: int) -> int | None:
+        """The level-k minor of the current tracks, None when out of reach;
+        the levels below must have been read since their last swap."""
+        r, q, sign = self._step(k)
+        pivot_row = self._row(k - 1, r)
+        value = None if pivot_row is None else sign * pivot_row[q]
+        self.lead[k] = value
+        return value
+
+    def spec(self, k: int) -> MinorSpec:
+        """The minor on tracks 1..k."""
+        return MinorSpec.trusted(tuple(sorted(i + 1 for i in self.rows[:k])),
+                                 tuple(sorted(j + 1 for j in self.cols[:k])))
+
+    def swap(self, on_cols: bool, h: int) -> None:
+        """Exchange tracks h and h + 1 (1-based) of the columns or rows."""
+        tracks = self.cols if on_cols else self.rows
+        tracks[h - 1], tracks[h] = tracks[h], tracks[h - 1]
+        self.tables[h] = {}
+        self.steps[h] = self.steps[h + 1] = None
+
+    def _step(self, k: int):
+        if self.steps[k] is None:
+            rows, cols = self.rows, self.cols
+            r, c = rows[k - 1], cols[k - 1]
+            moves = (sum(map(r.__lt__, rows[:k - 1]))
+                     + sum(map(c.__lt__, cols[:k - 1])))
+            self.steps[k] = (r, sum(map(c.__gt__, cols[k - 1:])),
+                             -1 if moves & 1 else 1)
+        return self.steps[k]
+
+    def _row(self, k: int, i: int) -> list[int] | None:
+        got = self.tables[k].get(i)
+        if got is None and k and self.lead[k - 1]:
+            r, q, sign = self._step(k)
+            below, pivot_row = self._row(k - 1, i), self._row(k - 1, r)
+            if below is None or pivot_row is None:
+                return None
+            pivot, head = pivot_row[q], below[q]
+            divisor = sign * self.lead[k - 1]
+            got = [(pivot * a - head * b) // divisor
+                   for a, b in zip(below, pivot_row)]
+            del got[q]
+            self.tables[k][i] = got
+        return got
 
 
 def _laplace(m, specs, indices, values, stop, chain: bool,

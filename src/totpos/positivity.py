@@ -27,10 +27,11 @@ import itertools
 from fractions import Fraction
 from typing import Iterable
 
-from .diagrams import DoubleWiringDiagram, chamber_minors
-from .matrices import (Matrix, MinorSpec, all_minor_specs, exact_rank,
-                       initial_minor_specs, is_block_triangular, minor_family,
-                       solid_minor_specs, unscale)
+from .diagrams import DoubleWiringDiagram, chamber_family, chamber_minors
+from .matrices import (Matrix, MinorSpec, all_minor_specs,
+                       column_rank_profile, initial_minor_specs,
+                       is_block_triangular, minor_family, solid_minor_specs,
+                       unscale)
 from .words import Permutation
 
 
@@ -97,9 +98,22 @@ def test_initial_minors(x: Matrix) -> bool:
 def test_chamber_minors(x: Matrix, d: DoubleWiringDiagram) -> bool:
     """Positivity of the n^2 chamber minors of the diagram; equivalent to
     total positivity for every diagram."""
+    _check_diagram(x, d)
+    return chamber_family(x, d, stop=_nonpositive) is not None
+
+
+def failing_chamber_minors(x: Matrix, d: DoubleWiringDiagram) \
+        -> list[tuple[MinorSpec, Fraction]]:
+    """The chamber minors of the diagram that are not positive, in
+    :func:`chamber_minors` order."""
+    _check_diagram(x, d)
+    values, mults = chamber_family(x, d)
+    return _failures(chamber_minors(d), values, mults, _nonpositive)
+
+
+def _check_diagram(x: Matrix, d: DoubleWiringDiagram) -> None:
     if d.n != x.n:
         raise ValueError(f"diagram size {d.n} does not match matrix {x.n}")
-    return _passes(x, chamber_minors(d), _nonpositive)
 
 
 def test_fekete_solid(x: Matrix) -> bool:
@@ -240,23 +254,24 @@ def bruhat_type(x: Matrix) -> tuple[Permutation, Permutation]:
     i..n, columns 1..j), which left/right multiplication by upper
     triangular matrices preserves; v off the northeast submatrices (rows
     1..i, columns j..n), preserved by lower triangular multiplication.
-    For a totally nonnegative x, (u, v) is its factorization type.
+    Column j raises the rank of rows i..n exactly when it is a pivot
+    column of their elimination, so u(j) is the last i for which it is,
+    and each row range costs one elimination (the column rank profile);
+    v likewise, with rows 1..i and the columns reversed.  The elimination
+    of all rows tells whether x is invertible.  For a totally nonnegative
+    x, (u, v) is its factorization type.
     """
     n = x.n
-    if x.det() == 0:
-        raise NotApplicableError("Bruhat type is computed for invertible "
-                                 "matrices only")
-
-    def rank(rows, cols) -> int:
-        return exact_rank(x.submatrix_rows(rows, cols))
-
-    # each rank once: sw[i, j] of rows i..n and columns 1..j, ne[i, j] of
-    # rows 1..i and columns j..n; empty column ranges have rank 0
-    idx = range(1, n + 1)
-    sw = {(i, j): rank(range(i, n + 1), range(1, j + 1)) if j else 0
-          for i in idx for j in range(n + 1)}
-    ne = {(i, j): rank(range(1, i + 1), range(j, n + 1)) if j <= n else 0
-          for i in idx for j in range(1, n + 2)}
-    u_images = [max(i for i in idx if sw[i, j] > sw[i, j - 1]) for j in idx]
-    v_images = [min(i for i in idx if ne[i, j] > ne[i, j + 1]) for j in idx]
+    u_images = [0] * n
+    v_images = [0] * n
+    for i in range(1, n + 1):
+        pivots = column_rank_profile(x.rows[i - 1:])
+        if i == 1 and len(pivots) < n:
+            raise NotApplicableError("Bruhat type is computed for invertible "
+                                     "matrices only")
+        for c in pivots:
+            u_images[c] = i
+    for i in range(n, 0, -1):
+        for c in column_rank_profile([row[::-1] for row in x.rows[:i]]):
+            v_images[n - 1 - c] = i
     return Permutation(tuple(u_images)), Permutation(tuple(v_images))

@@ -273,6 +273,9 @@ class TestErrors:
         (["--help"], 0),
         (["somos", "--terms", "-3", "--symbolic"], 2),
         (["test", "{boolean}"], 2),
+        (["factor", "{pascal}", "--scheme", ""], 2),
+        (["test", "{pascal}", "--method", "chamber", "--diagram", ""], 2),
+        (["test", "{zero}", "--method", "chamber", "--diagram", ""], 1),
     ])
     def test_edge_inputs_exit_codes(self, argv, code, tmp_path, capsys):
         files = {"singular": {"n": 2, "rows": [["1", "1"], ["1", "1"]]},

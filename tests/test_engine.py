@@ -1,5 +1,6 @@
-"""The minor-family engine against per-minor evaluation and cofactor
-expansion, on the degenerate inputs where condensation divides by zero."""
+"""The minor-family and chamber engines against per-minor evaluation and
+cofactor expansion, on the degenerate inputs where condensation and the
+chamber sweep divide by zero."""
 
 import random
 from fractions import Fraction
@@ -8,10 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import totpos.positivity as pv
+from totpos.diagrams import (DoubleWiringDiagram, chamber_family,
+                             chamber_minors, minimal_diagram)
 from totpos.matrices import (Matrix, MinorSpec, all_minor_specs,
                              initial_minor_specs, minor, minor_family,
                              minor_values, solid_minor_specs, unscale)
-from util import cofactor_det, rand_tnn_invertible
+from totpos.words import DIAG, product_map, staircase_scheme
+from util import (cofactor_det, rand_positive, rand_tnn_invertible, rand_tp,
+                  rand_walk_full_scheme)
 
 ENTRIES = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
                     st.builds(Fraction, st.integers(-9, 9),
@@ -118,6 +123,95 @@ class TestMinorFamily:
 
     def test_empty_spec_list(self):
         assert minor_family(Matrix.identity(3), []) == ([], [1, 1, 1])
+
+
+@st.composite
+def chamber_inputs(draw):
+    """A matrix of n = 1..7 and a random double wiring diagram of its size.
+    Besides KINDS: totally positive, and totally nonnegative staircase
+    products with some slant parameters 0, whose zero chamber minors are
+    zero divisors of the sweep."""
+    n = draw(st.integers(1, 7))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    kind = draw(st.sampled_from(["tp", "tnn zero slants", "other"]))
+    if kind == "tp":
+        x = rand_tp(rng, n)
+    elif kind == "tnn zero slants":
+        word = staircase_scheme(n)
+        x = product_map(word, [rand_positive(rng)
+                               if letter.kind == DIAG or rng.random() < 0.7
+                               else 0 for letter in word], n)
+    else:
+        x = draw(matrices(max_n=7))
+        n = x.n
+    scheme = rand_walk_full_scheme(rng, n)
+    return x, DoubleWiringDiagram(
+        tuple(letter for letter in scheme if letter.kind != DIAG), n)
+
+
+class TestChamberFamily:
+    @settings(deadline=None, max_examples=150)
+    @given(chamber_inputs())
+    def test_values_against_per_minor_and_cofactor(self, case):
+        x, d = case
+        specs = chamber_minors(d)
+        values, mults = chamber_family(x, d)
+        assert len(values) == x.n ** 2
+        assert all(m > 0 for m in mults)
+        exact = [unscale(s, v, mults) for s, v in zip(specs, values)]
+        assert exact == [minor(x, s) for s in specs]
+        assert exact == [cofactor_det(x.submatrix_rows(s.rows, s.cols))
+                         for s in specs]
+
+    @settings(deadline=None, max_examples=150)
+    @given(chamber_inputs(), st.sampled_from(["nonpositive", "negative",
+                                              "zero"]))
+    def test_stop_iff_some_value_satisfies_it(self, case, which):
+        x, d = case
+        stop = {"nonpositive": lambda v: v <= 0,
+                "negative": lambda v: v < 0,
+                "zero": lambda v: v == 0}[which]
+        stopped = chamber_family(x, d, stop=stop) is None
+        assert stopped == any(stop(minor(x, s)) for s in chamber_minors(d))
+
+    @settings(deadline=None, max_examples=100)
+    @given(chamber_inputs())
+    def test_criterion_against_brute_force(self, case):
+        x, d = case
+        if x.n <= 5:
+            assert pv.test_chamber_minors(x, d) == pv.is_tp_bruteforce(x)
+        failures = pv.failing_chamber_minors(x, d)
+        assert failures == [(s, minor(x, s)) for s in chamber_minors(d)
+                            if minor(x, s) <= 0]
+
+    def test_every_divisor_zero(self):
+        # rank one: every chamber above level 1 vanishes, so every tableau
+        # above the second is out of reach and those chambers are evaluated
+        # directly; on the zero matrix every tableau above the first is
+        x = Matrix([[(i + 1) * (j + 2) for j in range(6)] for i in range(6)])
+        d = DoubleWiringDiagram(tuple(letter for letter in staircase_scheme(6)
+                                      if letter.kind != DIAG), 6)
+        specs = chamber_minors(d)
+        values, mults = chamber_family(x, d)
+        assert [unscale(s, v, mults) for s, v in zip(specs, values)] \
+            == [minor(x, s) for s in specs]
+        assert all((v != 0) == (s.size == 1) for s, v in zip(specs, values))
+        zero = Matrix([[0] * 6 for _ in range(6)])
+        assert chamber_family(zero, d)[0] == [0] * 36
+
+    def test_minimal_diagram_chambers(self):
+        # a minimal diagram's chambers are the initial minors, all solid
+        for n in range(1, 7):
+            d = minimal_diagram(n)
+            specs = chamber_minors(d)
+            assert sorted(specs, key=str) \
+                == sorted(initial_minor_specs(n), key=str)
+            rank_two = Matrix([[i + j * j for j in range(n)]
+                               for i in range(n)])
+            for x in (rand_tp(random.Random(n), n), rank_two):
+                values, mults = chamber_family(x, d)
+                assert [unscale(s, v, mults) for s, v in zip(specs, values)] \
+                    == [minor(x, s) for s in specs]
 
 
 class TestCriteriaOnDegenerateInputs:

@@ -16,8 +16,8 @@ from totpos.positivity import test_tnn_efficient as tnn_efficient_criterion
 from totpos.positivity import test_tp_given_tnn as tp_given_tnn_criterion
 from totpos.words import Permutation, diag, lower, product_map, upper
 
-from util import (rand_matrix, rand_positive, rand_tnn_invertible, rand_tp,
-                  rand_typed_scheme)
+from util import (oracle_bruhat_type, rand_matrix, rand_positive,
+                  rand_tnn_invertible, rand_tp, rand_typed_scheme)
 
 UNIT3 = Matrix([[1, 1, 1], [1, 2, 3], [1, 3, 6]])
 PASCAL5 = Matrix([[1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [1, 2, 1, 0, 0],
@@ -232,3 +232,31 @@ class TestBruhatType:
     def test_rejects_singular(self):
         with pytest.raises(NotApplicableError):
             bruhat_type(Matrix([[1, 1], [1, 1]]))
+        for x in (Matrix([[1, 2, 3], [2, 4, 6], [0, 1, 5]]),
+                  Matrix([[0, 0], [0, 0]]), Matrix([[0]])):
+            with pytest.raises(NotApplicableError) as raised:
+                bruhat_type(x)
+            assert str(raised.value) == ("Bruhat type is computed for "
+                                         "invertible matrices only")
+
+    def test_matches_rank_per_submatrix_oracle(self):
+        rng = random.Random(71)
+        cases = []
+        for n in range(1, 8):
+            cases.append(rand_tp(rng, n))
+            for cut in (False, True):
+                k = rng.randint(1, n - 1) if cut and n > 1 else 0
+                word = ([lower(i) for i in range(1, n) if i != k]
+                        + [diag(i) for i in range(1, n + 1)]
+                        + [upper(i) for i in range(n - 1, 0, -1) if i != k])
+                cases.append(product_map(
+                    tuple(word), [rand_positive(rng) for _ in word], n))
+            for _ in range(3):
+                images = rng.sample(range(n), n)
+                cases.append(Matrix([[int(images[i] == j) for j in range(n)]
+                                     for i in range(n)]))
+                x = rand_matrix(rng, n)
+                if x.det() != 0:
+                    cases.append(x)
+        for x in cases:
+            assert bruhat_type(x) == oracle_bruhat_type(x)

@@ -9,9 +9,11 @@ from fractions import Fraction
 from totpos.diagrams import (Chamber, DiagramMove, DoubleWiringDiagram,
                              MoveGraph, minimal_diagram)
 from totpos.exact import LaurentDivisionError, LaurentPoly
-from totpos.matrices import Matrix, MinorSpec, initial_minor_specs
+from totpos.matrices import (Matrix, MinorSpec, exact_rank,
+                             initial_minor_specs)
 from totpos.networks import (NetworkError, PlanarNetwork, _cross,
                              _on_segment, _segments_conflict)
+from totpos.positivity import NotApplicableError
 from totpos.words import (LOWER, UPPER, Letter, Permutation, Word, diag,
                           lower, product_map, reduced_words, staircase_scheme,
                           upper)
@@ -137,6 +139,29 @@ def cofactor_det(rows) -> Fraction:
         term = Fraction(rows[0][j]) * cofactor_det(sub)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def oracle_bruhat_type(x: Matrix) -> tuple[Permutation, Permutation]:
+    """Independent Bruhat-type oracle: one rank per southwest and northeast
+    submatrix, each by its own elimination."""
+    n = x.n
+    if x.det() == 0:
+        raise NotApplicableError("Bruhat type is computed for invertible "
+                                 "matrices only")
+
+    def rank(rows, cols) -> int:
+        return exact_rank(x.submatrix_rows(rows, cols))
+
+    # sw[i, j] of rows i..n and columns 1..j, ne[i, j] of rows 1..i and
+    # columns j..n; empty column ranges have rank 0
+    idx = range(1, n + 1)
+    sw = {(i, j): rank(range(i, n + 1), range(1, j + 1)) if j else 0
+          for i in idx for j in range(n + 1)}
+    ne = {(i, j): rank(range(1, i + 1), range(j, n + 1)) if j <= n else 0
+          for i in idx for j in range(1, n + 2)}
+    u_images = [max(i for i in idx if sw[i, j] > sw[i, j - 1]) for j in idx]
+    v_images = [min(i for i in idx if ne[i, j] > ne[i, j + 1]) for j in idx]
+    return Permutation(tuple(u_images)), Permutation(tuple(v_images))
 
 
 def oracle_matmul(a: Matrix, b: Matrix) -> Matrix:
