@@ -9,13 +9,18 @@ sparse Laurent-polynomial type used for symbolic recurrence checks.
 A Laurent polynomial is stored as a map from integer exponent vectors
 (negative entries allowed) to nonzero rational coefficients, over a fixed
 ordered tuple of variable names.  Products and exact quotients clear each
-operand's denominators once and run their term loops on integers; the
-coefficients become `Fraction`s again only where the result is built.
+operand's denominators and split off its monomial content once, then run
+in a packed kernel: a monomial with nonnegative exponents e_1..e_k is one
+int of k + 1 fields of ``width`` bits, the total degree on top and e_1 down
+to e_k below it, so integer order is graded-lex order and multiplying
+monomials is adding ints.  The width comes from the operands' degrees and
+keeps the top (guard) bit of every field clear.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 from operator import add, sub
 from typing import Mapping, Sequence
@@ -154,13 +159,13 @@ class LaurentPoly:
         self._check_ring(other)
         left, left_mult = _integer_terms(self)
         right, right_mult = _integer_terms(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                exps = tuple(map(add, e1, e2))
-                out[exps] = out.get(exps, 0) + c1 * c2
-        return _from_integer_terms(self.variables, out,
-                                   left_mult * right_mult)
+        if not left or not right:
+            return LaurentPoly.zero(self.variables)
+        width, ((shift_l, a), (shift_r, b)) = _kernel(left, right)
+        return _from_integer_terms(
+            self.variables,
+            _unpacked(_kmul(a, b), tuple(map(add, shift_l, shift_r)), width),
+            left_mult * right_mult)
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self * other
@@ -176,11 +181,6 @@ class LaurentPoly:
             base = base * base
             k >>= 1
         return result
-
-    def scale(self, value) -> "LaurentPoly":
-        value = as_scalar(value)
-        return LaurentPoly(self.variables,
-                           {e: c * value for e, c in self.terms.items()})
 
     # -- queries --------------------------------------------------------
 
@@ -201,12 +201,6 @@ class LaurentPoly:
                     term *= base ** e
             total += term
         return total
-
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_glex_key)
-        return exps, self.terms[exps]
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -274,12 +268,108 @@ def _from_integer_terms(variables: tuple[str, ...], terms: Mapping,
     return poly
 
 
-def _monomial_shift(terms: dict[tuple[int, ...], int]) \
-        -> tuple[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """Split ``terms = x^shift * q`` where q is a polynomial whose exponents
-    are componentwise >= 0 with per-variable minimum 0."""
-    shift = tuple(map(min, zip(*terms)))
-    return shift, {tuple(map(sub, e, shift)): c for e, c in terms.items()}
+def _width(degree: int) -> int:
+    """Field width for total degrees up to ``degree``, guard bit included."""
+    return degree.bit_length() + 1
+
+
+def _kernel(*polys: Mapping[tuple[int, ...], int]) \
+        -> tuple[int, list[tuple[tuple[int, ...], dict[int, int]]]]:
+    """A width that holds the sum of the operands' degrees once their
+    monomial content (per-variable minimum exponent) is split off, and each
+    operand as (content, packed remaining part)."""
+    shifts = [tuple(map(min, zip(*terms))) for terms in polys]
+    width = _width(sum(max(map(sum, terms)) - sum(shift)
+                       for terms, shift in zip(polys, shifts)))
+    return width, [(shift, {_pack(e, shift, width): c
+                            for e, c in terms.items()})
+                   for terms, shift in zip(polys, shifts)]
+
+
+def _pack(exps: Sequence[int], shift: Sequence[int], width: int) -> int:
+    """The packed monomial x^(exps - shift)."""
+    mono = 0
+    for e, s in zip(exps, shift):
+        mono = mono << width | (e - s)
+    return (sum(exps) - sum(shift)) << (width * len(shift)) | mono
+
+
+def _unpacked(part: Mapping[int, object], shift: Sequence[int],
+              width: int) -> dict[tuple[int, ...], object]:
+    """``part`` with each packed monomial m replaced by x^shift * m."""
+    mask = (1 << width) - 1
+    fields = [(width * i, s)
+              for i, s in zip(range(len(shift) - 1, -1, -1), shift)]
+    return {tuple([(m >> at & mask) + s for at, s in fields]): c
+            for m, c in part.items()}
+
+
+def _kmul(a: Mapping[int, int], b: Mapping[int, int],
+          out: dict[int, int] | None = None) -> dict[int, int]:
+    """``out`` plus the product a * b; zero coefficients may stay."""
+    out = {} if out is None else out
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return out
+
+
+def _kcontent(part: Mapping[int, int], k: int, width: int) -> tuple[int, ...]:
+    """The monomial content of a packed polynomial's nonzero terms.  A
+    field plus 2^(width-1) - 1 sets its guard bit unless it is 0, so one
+    pass of additions tells whether any variable divides every term."""
+    lows = sum(1 << (width * j) for j in range(k))
+    ones, divides = (lows << (width - 1)) - lows, lows << (width - 1)
+    live = {m: c for m, c in part.items() if c}
+    for m in live:
+        divides &= m + ones
+        if not divides:
+            return (0,) * k
+    return tuple(map(min, zip(*_unpacked(live, (0,) * k, width))))
+
+
+def _kdivide(rem: dict[int, int], bot: Mapping[int, int], k: int,
+             width: int) -> dict[int, int | Fraction]:
+    """The quotient of ``rem`` by the nonzero ``bot`` (k variables) by
+    leading-term elimination, using up ``rem``; when ``bot`` has no
+    monomial content, it is the Laurent quotient whenever one exists.
+    Leading terms come off a max-heap; a cancelled term stays in ``rem`` as
+    0 until popped.  One subtraction with every guard bit set tells whether
+    each field of the leading term reaches the divisor's; the first that
+    does not raises :class:`LaurentDivisionError`.  A quotient coefficient
+    is a `Fraction` only where the divisor's leading coefficient does not
+    divide it."""
+    guards = sum(1 << (width * j + width - 1) for j in range(k + 1))
+    lt_d = max(bot)
+    lc_d = bot[lt_d]
+    rest = [(e, c) for e, c in bot.items() if e != lt_d]
+    heap = [-m for m in rem]
+    heapify(heap)
+    quotient: dict[int, int | Fraction] = {}
+    while heap:
+        lt = -heappop(heap)
+        lc = rem.pop(lt)
+        if not lc:
+            continue  # cancelled
+        if (lt | guards) - lt_d & guards != guards:
+            raise LaurentDivisionError(
+                f"no Laurent quotient: term "
+                f"x^{next(iter(_unpacked({lt: lc}, (0,) * k, width)))} "
+                f"is not reachable")
+        step = lt - lt_d
+        whole, part = divmod(lc, lc_d)
+        coeff = Fraction(lc, lc_d) if part else whole
+        quotient[step] = coeff
+        for e, c in rest:
+            target = e + step
+            if target in rem:
+                rem[target] -= coeff * c
+            else:
+                rem[target] = -coeff * c
+                heappush(heap, -target)
+    return quotient
 
 
 def laurent_divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -289,10 +379,7 @@ def laurent_divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     :class:`LaurentDivisionError` when no Laurent-polynomial quotient
     exists.  Monomials are units, so both operands are first reduced by
     their monomial content and the remaining polynomial parts are divided
-    by leading-term elimination under the graded-lex order.  The loop runs
-    on the integer terms of both operands; a quotient coefficient is a
-    `Fraction` only where the divisor's leading coefficient does not divide
-    the remainder's.
+    by leading-term elimination under the graded-lex order.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
@@ -302,35 +389,13 @@ def laurent_divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
     top, num_mult = _integer_terms(num)
     bot, den_mult = _integer_terms(den)
-    shift_n, rem = _monomial_shift(top)
-    shift_d, bot = _monomial_shift(bot)
-    lt_d = max(bot, key=_glex_key)
-    lc_d = bot[lt_d]
-
+    width, ((shift_n, rem), (shift_d, bot)) = _kernel(top, bot)
     # divides num * num_mult by den * den_mult
-    quotient: dict[tuple[int, ...], int | Fraction] = {}
-    while rem:
-        lt = max(rem, key=_glex_key)
-        step = tuple(map(sub, lt, lt_d))
-        if any(e < 0 for e in step):
-            raise LaurentDivisionError(
-                f"no Laurent quotient: term x^{lt} is not reachable")
-        whole, part = divmod(rem[lt], lc_d)
-        coeff = Fraction(rem[lt], lc_d) if part else whole
-        quotient[step] = coeff
-        for e, c in bot.items():
-            target = tuple(map(add, e, step))
-            acc = rem.get(target, 0) - coeff * c
-            if acc == 0:
-                rem.pop(target, None)
-            else:
-                rem[target] = acc
-
-    total_shift = tuple(map(sub, shift_n, shift_d))
+    quotient = {m: c * den_mult
+                for m, c in _kdivide(rem, bot, len(shift_n), width).items()}
     return _from_integer_terms(
         num.variables,
-        {tuple(map(add, e, total_shift)): c * den_mult
-         for e, c in quotient.items()},
+        _unpacked(quotient, tuple(map(sub, shift_n, shift_d)), width),
         num_mult)
 
 

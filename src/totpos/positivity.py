@@ -165,12 +165,12 @@ def tnn_efficient_report(x: Matrix) \
         -> tuple[bool, int, list[tuple[MinorSpec, Fraction]]]:
     """:func:`test_tnn_efficient`'s verdict and count, with its negative
     minors in spec order as witnesses."""
-    if x.det() == 0:
+    specs = tnn_efficient_specs(x.n)
+    values, mults = minor_family(x, specs)
+    if values[-1] == 0:  # the last spec is [1..n|1..n], the determinant
         raise NotApplicableError(
             "matrix is singular; the efficient criterion requires an "
             "invertible input -- use the brute-force test")
-    specs = tnn_efficient_specs(x.n)
-    values, mults = minor_family(x, specs)
     verdict = all(
         value > 0 if spec.rows == spec.cols and spec.rows[-1] == spec.size
         else value >= 0

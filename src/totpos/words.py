@@ -151,15 +151,37 @@ def is_reduced_word_for(gens: Sequence[int], w: Permutation) -> bool:
 
 
 def reduced_words(w: Permutation):
-    """Enumerate all reduced words for w by backtracking over right descents."""
-    if w.length() == 0:
+    """Enumerate all reduced words for w, lazily, by backtracking over right
+    descents i in increasing order (a reduced word of w s_i, then i).  The
+    walk swaps entries of one image list and fills one letter buffer from
+    its end."""
+    images = list(w.images)
+    n, length = w.n, w.length()
+    if not length:
         yield ()
         return
-    for i in range(1, w.n):
-        if w(i) > w(i + 1):
-            shorter = w * Permutation.transposition(w.n, i)
-            for prefix in reduced_words(shorter):
-                yield prefix + (i,)
+    letters = [0] * length
+    depth = 0  # letters[length - depth:] are chosen
+    i = 1  # the next descent to try at this depth
+    while True:
+        while i < n and images[i - 1] < images[i]:
+            i += 1
+        if i < n:
+            depth += 1
+            letters[length - depth] = i
+            if depth < length:
+                images[i - 1], images[i] = images[i], images[i - 1]
+                i = 1
+                continue
+            # the first letter: what is left is s_i, with no other descent
+            yield tuple(letters)
+            depth -= 1
+        if not depth:
+            return
+        i = letters[length - depth]
+        images[i - 1], images[i] = images[i], images[i - 1]
+        depth -= 1
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +323,6 @@ def staircase_scheme(n: int) -> Word:
     return (tuple(lower(i) for i in slants)
             + tuple(diag(i) for i in range(1, n + 1))
             + tuple(upper(i) for i in slants))
-
-
-def subword_indices(word: Word, kind: str) -> list[int]:
-    return [p for p, letter in enumerate(word) if letter.kind == kind]
 
 
 def validate_scheme(word: Word, n: int | None = None) \

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totpos.exact import (LaurentDivisionError, LaurentPoly, as_scalar,
-                          format_scalar, laurent_divide_exact,
-                          laurent_has_nonnegative_coeffs, sign)
+from totpos.exact import (LaurentDivisionError, LaurentPoly, _kcontent,
+                          _pack, _width, as_scalar, format_scalar,
+                          laurent_divide_exact, laurent_has_nonnegative_coeffs,
+                          sign)
 
 from util import oracle_laurent_divide, oracle_laurent_mul
 
@@ -195,6 +196,66 @@ class TestIntegerKernelAgainstOracle:
         with pytest.raises(LaurentDivisionError,
                            match=r"term x\^\(1, 0\) is not reachable"):
             laurent_divide_exact(var("p") + 1, var("q") + 1)
+
+
+WIDE_VARS = ("p", "q", "r")
+wide_exps = st.tuples(*[st.integers(-300, 300)] * 3)
+wide_coeffs = st.one_of(st.integers(-6, 6).map(Fraction), rational_coeffs)
+wide_polys = st.dictionaries(wide_exps, wide_coeffs, max_size=5).map(
+    lambda terms: LaurentPoly(WIDE_VARS, terms))
+
+
+class TestPackedKernel:
+    """The packed-monomial kernel against the `Fraction` oracles at
+    exponents up to +-300, so fields grow far wider than any Somos run
+    needs; zero polynomials come from empty and all-zero term maps."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(wide_polys, wide_polys)
+    def test_product(self, a, b):
+        got = a * b
+        assert got == oracle_laurent_mul(a, b)
+        assert all_fractions(got)
+
+    @settings(deadline=None, max_examples=150)
+    @given(wide_polys, wide_polys)
+    def test_exact_quotient(self, a, b):
+        if b.is_zero():
+            return
+        num = oracle_laurent_mul(a, b)
+        got = laurent_divide_exact(num, b)
+        assert got == a == oracle_laurent_divide(num, b)
+        assert all_fractions(got)
+
+    @settings(deadline=None, max_examples=150)
+    @given(wide_polys, wide_polys, wide_polys)
+    def test_any_quotient_or_the_same_error(self, a, b, c):
+        num = oracle_laurent_mul(a, b) + c  # mostly inexact
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                laurent_divide_exact(num, b)
+            return
+        try:
+            want = oracle_laurent_divide(num, b)
+        except LaurentDivisionError as exc:
+            with pytest.raises(LaurentDivisionError) as info:
+                laurent_divide_exact(num, b)
+            assert str(info.value) == str(exc)
+        else:
+            got = laurent_divide_exact(num, b)
+            assert got == want
+            assert all_fractions(got)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 300)] * 3),
+                           st.integers(-2, 2), min_size=1, max_size=6))
+    def test_content(self, terms):
+        nonzero = [e for e, c in terms.items() if c]
+        if not nonzero:
+            return
+        width = _width(max(map(sum, terms)))
+        part = {_pack(e, (0, 0, 0), width): c for e, c in terms.items()}
+        assert _kcontent(part, 3, width) == tuple(map(min, zip(*nonzero)))
 
 
 class TestNonnegativity:

@@ -118,6 +118,18 @@ class TestEfficientTnn:
         with pytest.raises(NotApplicableError):
             tnn_efficient_criterion(Matrix([[1, 1], [1, 1]]))
 
+    def test_singular_message_without_a_separate_determinant(self, monkeypatch):
+        # invertibility is read off the family's last minor, [1..n|1..n]
+        monkeypatch.setattr(Matrix, "det", None)
+        for x in (Matrix([[0]]), Matrix([[1, 2, 3], [2, 4, 6], [0, 1, 5]]),
+                  Matrix([[2, 1, 0], [1, 1, 0], [3, 5, 0]])):
+            with pytest.raises(NotApplicableError) as raised:
+                tnn_efficient_criterion(x)
+            assert str(raised.value) == (
+                "matrix is singular; the efficient criterion requires an "
+                "invertible input -- use the brute-force test")
+        assert tnn_efficient_criterion(UNIT3) == (True, 11)
+
     def test_leading_principal_zero_fails(self):
         # TNN but with a vanishing leading principal minor is impossible for
         # invertible TNN; a non-TNN invertible witness with zero corner:

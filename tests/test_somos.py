@@ -5,8 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from totpos.exact import laurent_has_nonnegative_coeffs
-from totpos.somos import (SomosPivotError, somos5_numeric, somos5_symbolic)
+from totpos.exact import (LaurentPoly, _pack, _width,
+                          laurent_has_nonnegative_coeffs)
+from totpos.somos import (SEED_VARIABLES, SomosLaurentFalsification,
+                          SomosPivotError, _divide, somos5_numeric,
+                          somos5_symbolic)
+
+from util import oracle_laurent_divide, oracle_laurent_mul
 
 
 class TestNumeric:
@@ -82,3 +87,64 @@ class TestSymbolic:
         with pytest.raises(ValueError, match="count must be nonnegative"):
             somos5_numeric([1] * 5, -3)
         assert somos5_symbolic(0) == []
+
+    def test_fourteen_terms_match_a_run_through_the_oracles(self):
+        want = [LaurentPoly.variable(SEED_VARIABLES, v)
+                for v in SEED_VARIABLES]
+        while len(want) < 14:
+            k = len(want) - 5
+            num = (oracle_laurent_mul(want[k + 1], want[k + 4])
+                   + oracle_laurent_mul(want[k + 2], want[k + 3]))
+            want.append(oracle_laurent_divide(num, want[k]))
+        got = somos5_symbolic(14, limit=14)
+        assert got == want
+        assert [len(t.terms) for t in got] \
+            == [1, 1, 1, 1, 1, 2, 3, 4, 7, 13, 18, 27, 41, 59]
+        assert [str(t) for t in got] == [str(t) for t in want]
+
+
+class TestFalsification:
+    """The kernel division of a Somos step on crafted (shift, part) terms:
+    no recurrence reaches these inputs, so they are made by hand."""
+
+    width = _width(3)
+    zero = (0,) * 5
+
+    def mono(self, *exps):
+        return _pack(exps + (0,) * (5 - len(exps)), self.zero, self.width)
+
+    def test_fractional_coefficient_raises(self):
+        # (a1 + a2) / (2 a1 + 2 a2) = 1/2: exact, but not an integer
+        num = (self.zero, {self.mono(1): 1, self.mono(0, 1): 1})
+        den = (self.zero, {self.mono(1): 2, self.mono(0, 1): 2})
+        with pytest.raises(SomosLaurentFalsification,
+                           match=r"term 9: \(a1 \+ a2\) / \(2\*a1 \+ 2\*a2\):"
+                                 r" quotient coefficient 1/2 is not an "
+                                 r"integer") as info:
+            _divide(9, num, den, self.width)
+        assert info.value.index == 9
+
+    def test_remainder_raises_with_the_shifts_in_the_message(self):
+        # a1^-1 (a1 + 1) / (a2 + 1): a1 is not reachable from a2
+        num = ((-1, 0, 0, 0, 0), {self.mono(1): 1, self.mono(): 1})
+        den = (self.zero, {self.mono(0, 1): 1, self.mono(): 1})
+        with pytest.raises(SomosLaurentFalsification) as info:
+            _divide(6, num, den, self.width)
+        assert str(info.value) == (
+            "Laurent division failed computing term 6: (1 + a1^-1) / "
+            "(a2 + 1): no Laurent quotient: term x^(1, 0, 0, 0, 0) is not "
+            "reachable")
+
+    def test_integer_quotient_passes(self):
+        # (2 a1 + 2 a2) a3 / ((a1 + a2) a5^-1) = 2 a3 a5
+        num = ((0, 0, 1, 0, 0), {self.mono(1): 2, self.mono(0, 1): 2})
+        den = ((0, 0, 0, 0, -1), {self.mono(1): 1, self.mono(0, 1): 1})
+        assert _divide(7, num, den, self.width) \
+            == ((0, 0, 1, 0, 1), {self.mono(): 2})
+
+    def test_numerator_content_moves_into_the_shift(self):
+        # (a1^2 a3 + a1 a2 a3) / (a1 + a2) = a1 a3: the part is 1
+        num = (self.zero, {self.mono(2, 0, 1): 1, self.mono(1, 1, 1): 1})
+        den = (self.zero, {self.mono(1): 1, self.mono(0, 1): 1})
+        assert _divide(8, num, den, self.width) \
+            == ((1, 0, 1, 0, 0), {self.mono(): 1})

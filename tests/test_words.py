@@ -1,5 +1,6 @@
 """Words, schemes, the product map, and parameter transport."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from totpos.words import (Move, Permutation, WordError, apply_move_word,
                           staircase_scheme, transport_params, upper,
                           validate_scheme)
 
-from util import matrix_product_map, rand_full_scheme, rand_positive
+from util import (matrix_product_map, oracle_reduced_words, rand_full_scheme,
+                  rand_positive)
 
 SLANT_PARAMS = st.one_of(st.just(Fraction(0)),
                          st.integers(-3, 3).map(Fraction),
@@ -97,6 +99,23 @@ class TestReducedWords:
 
     def test_counts(self):
         assert len(list(reduced_words(Permutation.reversal(4)))) == 16
+
+    def test_matches_recursive_oracle_on_s1_to_s5(self):
+        for n in range(1, 6):
+            for images in itertools.permutations(range(1, n + 1)):
+                w = Permutation(images)
+                assert list(reduced_words(w)) == list(oracle_reduced_words(w))
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 2), (4, 16),
+                                          (5, 768), (6, 292864)])
+    def test_stanley_counts_for_the_reversal(self, n, count):
+        # Stanley (1984): C(n, 2)! / (1^(n-1) 3^(n-2) ... (2n-3)^1)
+        assert sum(1 for _ in reduced_words(Permutation.reversal(n))) == count
+
+    def test_lazy(self):
+        words = reduced_words(Permutation.reversal(12))
+        assert next(words) == tuple(i for top in range(11, 0, -1)
+                                    for i in range(1, top + 1))
 
 
 class TestLetters:

@@ -60,6 +60,20 @@ def rand_full_scheme(rng: random.Random, n: int) -> Word:
                             [diag(i) for i in range(1, n + 1)]])
 
 
+def oracle_reduced_words(w: Permutation):
+    """Independent reduced-word oracle, the recursive enumerator: the
+    reduced words of w s_i followed by i, over the right descents i of w in
+    increasing order, with a validated `Permutation` at every node."""
+    if w.length() == 0:
+        yield ()
+        return
+    for i in range(1, w.n):
+        if w(i) > w(i + 1):
+            shorter = w * Permutation.transposition(w.n, i)
+            for prefix in oracle_reduced_words(shorter):
+                yield prefix + (i,)
+
+
 def rand_reduced_word(rng: random.Random, w: Permutation) -> tuple[int, ...]:
     """Random reduced word for w, read off a walk down random right
     descents; unlike `reduced_words` it needs no enumeration, so it reaches
