@@ -133,7 +133,8 @@ def _cmd_tnn(args) -> int:
         verdict = not failures
         checked = len(specs)
     else:
-        verdict, checked, failures = pv.tnn_efficient_report(x)
+        verdict, checked, failures = pv.tnn_efficient_report(
+            x, guard=_guard(args, 16))
     report = {"verdict": verdict, "minors_checked": checked,
               "witnesses": _witnesses(failures)}
     lines = [f"totally nonnegative: {str(verdict).lower()} "
@@ -377,8 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit a machine-readable JSON report")
         p.add_argument("--guard-n", type=int, default=None, dest="guard_n",
                        help="override the size guards (all-minors "
-                            "tests default to 6, diagram enumeration to "
-                            "4, symbolic Somos to 12 terms)")
+                            "tests default to 6, the efficient TNN test "
+                            "to 16, diagram enumeration to 4, symbolic "
+                            "Somos to 12 terms)")
 
     p = sub.add_parser("test", help="total positivity test")
     p.add_argument("matrix")

@@ -13,7 +13,8 @@
 * `factor_scheme` factors along any full-type scheme by routing the
   staircase parameters through local moves.
 * `twist` is the birational map assembled from the LDU factors of the
-  transposed matrix against the order-reversing permutation; it sends the
+  transposed matrix against the order-reversing permutation, computed on
+  integer rows from one elimination per factor; it sends the
   totally positive matrices onto themselves, and the factorization
   parameters of any scheme become Laurent monomials in the chamber minors
   of the twisted matrix.  `verify_twist_monomial` certifies that monomial
@@ -23,12 +24,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from .diagrams import DoubleWiringDiagram, chamber_family, chamber_minors
 from .exact import as_scalar
-from .matrices import (Matrix, MinorSpec, initial_minor_specs,
-                       ldu_decompose, minor, minor_values, unscale)
+from .matrices import (Matrix, MinorSpec, _integer_rows, _inverse_rows,
+                       _ldu_rows, initial_minor_specs, minor, minor_values,
+                       unscale)
 from .words import (DIAG, Word, WordError, infer_n, is_full_scheme,
                     move_path, product_map, staircase_scheme,
                     transport_params, validate_scheme)
@@ -291,13 +294,26 @@ def twist(x: Matrix) -> Matrix:
 
     Defined whenever the two LDU decompositions exist (always, for totally
     positive x); maps totally positive matrices onto themselves.
+
+    On integers: a row scaling keeps the U of an LDU and a column scaling
+    its L, so [x^T w]_+ is the U of the cleared rows of x^T w and [w x^T]_-
+    the transposed U of x w; with R = d (x^T)^(-1) from Gauss-Jordan, each
+    entry is one `Fraction` over a pivot of each U times d.  A singular x
+    already fails the first LDU (its order-n leading minor is +-det x).
     """
-    xt = x.transpose()
-    # left and right products with w reverse the rows and the columns
-    _, _, plus = ldu_decompose(Matrix([row[::-1] for row in xt.rows]))
-    minus, _, _ = ldu_decompose(Matrix(xt.rows[::-1]))
-    middle = Matrix([row[::-1] for row in xt.inverse().rows[::-1]])
-    return plus * middle * minus
+    n = x.n
+    cols, col_mults = _integer_rows(zip(*x.rows))  # the rows of x^T
+    upper = [row[::-1] for row in cols]  # x^T w
+    _ldu_rows(upper)
+    lower = [row[::-1] for row in _integer_rows(x.rows)[0]]  # x w
+    _ldu_rows(lower)
+    inverse, d = _inverse_rows(cols, col_mults)
+    middle = [col[::-1] for col in zip(*inverse)][::-1]  # columns of w R w
+    left = [[sum(map(mul, upper[i][i:], middle[l][i:])) for l in range(n)]
+            for i in range(n)]
+    return Matrix([[Fraction(sum(map(mul, left[i][j:], lower[j][j:])),
+                             upper[i][i] * d * lower[j][j])
+                    for j in range(n)] for i in range(n)])
 
 
 def verify_twist_monomial(scheme: Word, n: int | None = None,

@@ -178,17 +178,9 @@ class Matrix:
         return Matrix(list(zip(*self.rows)))
 
     def inverse(self) -> "Matrix":
-        """Exact inverse.  Fraction-free Gauss-Jordan elimination of
-        [x | I] leaves the last pivot d on the left and d * x^(-1) on the
-        right."""
-        n = self.n
-        m, _ = _integer_rows([row + tuple(int(i == j) for j in range(n))
-                              for i, row in enumerate(self.rows)])
-        pivots, _ = _eliminate(m, jordan=True)
-        if pivots != list(range(n)):
-            raise ZeroDivisionError("matrix is singular")
-        d = m[-1][n - 1]
-        return Matrix([[Fraction(v, d) for v in row[n:]] for row in m])
+        """Exact inverse, from :func:`_inverse_rows`."""
+        rows, d = _inverse_rows(*_integer_rows(self.rows))
+        return Matrix([[Fraction(v, d) for v in row] for row in rows])
 
     def submatrix_rows(self, rows: Sequence[int], cols: Sequence[int]):
         """0-based-free helper: 1-based index lists -> list-of-lists."""
@@ -284,6 +276,30 @@ def _eliminate(m: list[list[int]], swaps: bool = True,
         prev = pivot
         r += 1
     return pivots, sign
+
+
+def _inverse_rows(m: list[list[int]], mults: Sequence[int]) \
+        -> tuple[list[list[int]], int]:
+    """(d * y^(-1), d) on integers, y having cleared rows ``m`` with
+    ``mults``: fraction-free Gauss-Jordan elimination of [m | diag(mults)]
+    leaves the last pivot d on the left and d * y^(-1) on the right."""
+    n = len(m)
+    m = [row + [mult if j == i else 0 for j in range(n)]
+         for i, (row, mult) in enumerate(zip(m, mults))]
+    pivots, _ = _eliminate(m, jordan=True)
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in m], m[-1][n - 1]
+
+
+def _ldu_rows(m: list[list[int]]) -> None:
+    """Eliminate the cleared rows ``m`` of y without swaps, in place.  Then
+    ``m[k][k]`` is the leading (k + 1)-minor of the row-scaled y, with the
+    minors bordering it by a lower row below and by a later column right
+    of it; so row k of U is ``m[k][j] / m[k][k]``, j >= k."""
+    pivots, _ = _eliminate(m, swaps=False)
+    if len(pivots) < len(m):
+        raise SingularLeadingMinorError(len(pivots) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -727,12 +743,7 @@ def ldu_decompose(y: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """
     n = y.n
     m, mults = _integer_rows(y.rows)
-    pivots, _ = _eliminate(m, swaps=False)
-    if len(pivots) < n:
-        raise SingularLeadingMinorError(len(pivots) + 1)
-    # m[k][k] is the leading minor of order k + 1 of the row-scaled matrix;
-    # below it sit the minors bordering it by a lower row, right of it
-    # those bordering it by a later column
+    _ldu_rows(m)
     lead = [1] + [m[k][k] for k in range(n)]
     lower = [[Fraction(m[i][k] * mults[k], mults[i] * lead[k + 1]) if k < i
               else Fraction(int(i == k)) for k in range(n)] for i in range(n)]

@@ -7,6 +7,10 @@ only at shared endpoints, and may not pass through other vertices).  The
 n sources are the vertices of the leftmost column and the n sinks those of
 the rightmost column, numbered bottom-to-top.
 
+A `PlanarNetwork` checks all this when built, but a chip (n horizontals,
+at most one slant between adjacent levels) is planar by construction, so
+a network glued from chips is checked once, by `concatenate`.
+
 The weight matrix entry (i, j) is the sum over directed paths from source
 i to sink j of the product of edge weights, computed by dynamic
 programming; `disjoint_path_minor` is the independent brute-force oracle
@@ -23,7 +27,7 @@ from typing import Sequence
 
 from .exact import as_scalar
 from .matrices import Matrix, MinorSpec
-from .words import DIAG, LOWER, UPPER, Letter, Word, staircase_scheme
+from .words import DIAG, UPPER, Letter, Word, staircase_scheme
 
 Coord = tuple[int, int]
 
@@ -88,6 +92,15 @@ class PlanarNetwork:
         self._validate_boundary()
         self._validate_planarity()
 
+    @classmethod
+    def _trusted(cls, n, vertices, edges, essential) -> "PlanarNetwork":
+        """A network from int coordinates and exact weights known to make a
+        leveled planar network, as `chip` makes them, left unchecked."""
+        net = object.__new__(cls)
+        net.__dict__.update(n=n, vertices=vertices, edges=edges,
+                            essential=essential)
+        return net
+
     def _validate_boundary(self) -> None:
         xs = [x for x, _ in self.vertices]
         lo, hi = min(xs), max(xs)
@@ -100,14 +113,15 @@ class PlanarNetwork:
 
     def _validate_planarity(self) -> None:
         """Edges are compared in pairs whose x-ranges overlap in more than
-        a point (found by bisecting the edges sorted by left end), and each
-        vertex against the edges whose open x-range holds it, where lying
-        on the edge's line means lying inside the edge: an edge meets the
-        vertical line at either end of its x-range only in its endpoint
-        there.  The conflict reported is the one a scan of all pairs in
-        order meets first: the smallest pair of edge ids, else the smallest
-        vertex id and then edge id."""
+        a point (found by bisecting the edges sorted by left end) and whose
+        y-ranges meet, and each vertex against the edges whose open x-range
+        holds it, where lying on the edge's line means lying inside the
+        edge: an edge meets the vertical line at either end of its x-range
+        only in its endpoint there.  The conflict reported is the one a
+        scan of all pairs in order meets first: the smallest pair of edge
+        ids, else the smallest vertex id and then edge id."""
         segs = [(self.vertices[u], self.vertices[v]) for u, v, _ in self.edges]
+        ys = [(a[1], b[1]) if a[1] <= b[1] else (b[1], a[1]) for a, b in segs]
         order = sorted(range(len(segs)), key=lambda e: segs[e][0][0])
         lefts = [segs[e][0][0] for e in order]
         crossing = None
@@ -116,6 +130,7 @@ class PlanarNetwork:
             for f in order[rank + 1:bisect_left(lefts, right)]:
                 pair = (e, f) if e < f else (f, e)
                 if ((crossing is None or pair < crossing)
+                        and ys[f][0] <= ys[e][1] and ys[e][0] <= ys[f][1]
                         and _segments_conflict(*segs[pair[0]],
                                                *segs[pair[1]])):
                     crossing = pair
@@ -181,17 +196,19 @@ def weight_matrix_raw(net: PlanarNetwork) -> list[list]:
     Ring-generic: weights only need + and *, so symbolic weights work."""
     order = sorted(range(len(net.vertices)),
                    key=lambda i: net.vertices[i])
-    out = net.out_edges()
+    # a unit weight (None here) passes the path sum on unmultiplied
+    out = [[(v, None if w == 1 else w) for v, w in edges]
+           for edges in net.out_edges()]
     sinks = net.sinks
     rows = []
     for source in net.sources:
-        sums: dict[int, object] = {source: 1}
+        sums: dict[int, object] = {source: Fraction(1)}
         for u in order:
             if u not in sums:
                 continue
             here = sums[u]
             for v, w in out[u]:
-                acc = w * here
+                acc = here if w is None else w * here
                 sums[v] = sums[v] + acc if v in sums else acc
         rows.append([sums.get(t, 0) for t in sinks])
     return rows
@@ -298,55 +315,44 @@ def chip(letter: Letter, t, n: int) -> PlanarNetwork:
         raise NetworkError(f"letter {letter} out of range for n={n}")
     if letter.kind == DIAG and t == 0:
         raise NetworkError("diag chip requires a nonzero weight")
-    vertices = [(x, level) for x in (0, 1) for level in range(1, n + 1)]
-    index = {coord: k for k, coord in enumerate(vertices)}
-    edges = []
-    special = None
-    for level in range(1, n + 1):
-        weight = t if (letter.kind == DIAG and level == i) else Fraction(1)
-        if letter.kind == DIAG and level == i:
-            special = len(edges)
-        edges.append((index[(0, level)], index[(1, level)], weight))
-    if letter.kind == UPPER:
-        special = len(edges)
-        edges.append((index[(0, i)], index[(1, i + 1)], t))
-    elif letter.kind == LOWER:
-        special = len(edges)
-        edges.append((index[(0, i + 1)], index[(1, i)], t))
-    return PlanarNetwork(n, tuple(vertices), tuple(edges),
-                         essential=(special,))
+    vertices = tuple((x, level) for x in (0, 1) for level in range(1, n + 1))
+    # vertex (x, level) has id x * n + level - 1; n horizontals and at most
+    # one slant between adjacent levels make a planar network
+    edges = [(k, n + k, Fraction(1)) for k in range(n)]
+    if letter.kind == DIAG:
+        special = i - 1
+        edges[special] = (i - 1, n + i - 1, t)
+    else:
+        special = n
+        edges.append((i - 1, n + i, t) if letter.kind == UPPER
+                     else (i, n + i - 1, t))
+    return PlanarNetwork._trusted(n, vertices, tuple(edges), (special,))
 
 
 def concatenate(a: PlanarNetwork, *rest: PlanarNetwork) -> PlanarNetwork:
     """Glue each network's sources onto the sinks of the one before it;
-    weight matrices multiply.  Planarity is checked once, on the result."""
+    weight matrices multiply.  Boundary levels must match at each seam;
+    planarity (chips skip it) is checked once, on the result."""
     for left, right in zip((a,) + rest, rest):
         if right.n != a.n:
             raise NetworkError("cannot concatenate networks of different size")
         if ([left.vertices[i][1] for i in left.sinks]
                 != [right.vertices[i][1] for i in right.sources]):
             raise NetworkError("boundary levels do not match")
-    coords: dict[Coord, int] = {}
-    vertices: list[Coord] = []
-
-    def vertex_id(coord: Coord) -> int:
-        if coord not in coords:
-            coords[coord] = len(vertices)
-            vertices.append(coord)
-        return coords[coord]
-
+    ids: dict[Coord, int] = {}  # vertex ids in order of first appearance
     edges: list[tuple[int, int, Fraction]] = []
     essential: list[int] = []
     end = min(x for x, _ in a.vertices)  # where the next network starts
     for net in (a,) + rest:
         dx = end - min(x for x, _ in net.vertices)
-        local = [vertex_id((x + dx, level)) for x, level in net.vertices]
+        local = [ids.setdefault((x + dx, level), len(ids))
+                 for x, level in net.vertices]
         offset = len(edges)
         for u, v, w in net.edges:
             edges.append((local[u], local[v], w))
         essential.extend(offset + e for e in net.essential)
         end = max(x for x, _ in net.vertices) + dx
-    return PlanarNetwork(a.n, tuple(vertices), tuple(edges),
+    return PlanarNetwork(a.n, tuple(ids), tuple(edges),
                          essential=tuple(essential))
 
 

@@ -36,17 +36,18 @@ from .words import Permutation
 
 
 class GuardExceeded(ValueError):
-    """A brute-force enumeration guard was exceeded."""
+    """A size guard on an exponential minor family was exceeded."""
 
 
 class NotApplicableError(ValueError):
     """The test's hypothesis fails for this input (e.g. singular matrix)."""
 
 
-def check_guard(n: int, guard: int) -> None:
+def check_guard(n: int, guard: int,
+                what: str = "brute force over all minors") -> None:
     if n > guard:
         raise GuardExceeded(
-            f"brute force over all minors is guarded at n <= {guard}; "
+            f"{what} is guarded at n <= {guard}; "
             f"pass a larger guard to override")
 
 
@@ -148,23 +149,25 @@ def tnn_efficient_specs(n: int) -> list[MinorSpec]:
     return specs
 
 
-def test_tnn_efficient(x: Matrix) -> tuple[bool, int]:
+def test_tnn_efficient(x: Matrix, guard: int = 16) -> tuple[bool, int]:
     """Total nonnegativity test for invertible matrices.
 
     Checks nonnegativity of every minor occupying several initial rows or
     several initial columns, and positivity of the leading principal
     minors.  Returns (verdict, number of minors checked); raises
     :class:`NotApplicableError` on singular input (use the brute-force
-    test instead).
+    test instead).  The family has 2^(n+1) - n - 2 minors, so n above
+    ``guard`` raises :class:`GuardExceeded` before any is built.
     """
-    verdict, checked, _ = tnn_efficient_report(x)
+    verdict, checked, _ = tnn_efficient_report(x, guard)
     return verdict, checked
 
 
-def tnn_efficient_report(x: Matrix) \
+def tnn_efficient_report(x: Matrix, guard: int = 16) \
         -> tuple[bool, int, list[tuple[MinorSpec, Fraction]]]:
     """:func:`test_tnn_efficient`'s verdict and count, with its negative
     minors in spec order as witnesses."""
+    check_guard(x.n, guard, "the efficient TNN test")
     specs = tnn_efficient_specs(x.n)
     values, mults = minor_family(x, specs)
     if values[-1] == 0:  # the last spec is [1..n|1..n], the determinant

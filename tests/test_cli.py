@@ -111,6 +111,16 @@ class TestTnnAndFriends:
         assert main(["tnn", pascal3, "--method", "brute"]) == 0
         capsys.readouterr()
 
+    def test_efficient_guard(self, unit3, capsys):
+        assert main(["tnn", unit3, "--guard-n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "totpos: the efficient TNN test is guarded at n <= 2; pass a "
+            "larger guard to override\n")
+        assert main(["tnn", unit3, "--guard-n", "3"]) == 0
+        capsys.readouterr()
+
     def test_efficient_witnesses(self, tmp_path, capsys):
         path = tmp_path / "neg.json"
         path.write_text(json.dumps({"n": 2, "rows": [["1", "2"], ["3", "1"]]}))

@@ -24,8 +24,42 @@ from totpos.positivity import is_tp_bruteforce
 from totpos.words import (Permutation, parse_word, product_map,
                           staircase_scheme)
 
-from util import (oracle_matmul, oracle_reconstruct, rand_full_scheme,
-                  rand_matrix, rand_positive, rand_tp)
+from util import (oracle_matmul, oracle_reconstruct, oracle_twist,
+                  rand_full_scheme, rand_matrix, rand_positive, rand_tp)
+
+NONZERO = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                    st.integers(1, 6))
+ENTRIES = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                    NONZERO)
+
+
+@st.composite
+def twist_inputs(draw):
+    """n = 1..6: totally positive, mixed signs, singular, or with a
+    vanishing leading minor of x^T w or of w x^T."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["tp", "mixed", "singular", "no ldu"]))
+    if kind == "tp":
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        return rand_tp(rng, n)
+    entries = NONZERO if kind == "mixed" else ENTRIES
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if kind == "singular" and n > 1:
+        i, k = draw(st.permutations(range(n)))[:2]
+        rows[i] = [draw(ENTRIES) * v for v in rows[k]]
+    elif kind == "no ldu":
+        # the leading k-minor of x^T w (of w x^T) is the minor of x on
+        # rows n-k+1..n and columns 1..k (on rows 1..k and columns
+        # n-k+1..n); make two of its rows (columns) proportional
+        k = draw(st.integers(1, n))
+        flip = draw(st.booleans())
+        if flip:
+            rows = [list(r) for r in zip(*rows)]
+        below = rows[n - k + 1][:k] if k > 1 else [Fraction(0)]
+        rows[n - k][:k] = [draw(ENTRIES) * v for v in below]
+        if flip:
+            rows = [list(r) for r in zip(*rows)]
+    return Matrix(rows)
 
 UNIT3 = Matrix([[1, 1, 1], [1, 2, 3], [1, 3, 6]])
 MIXED_SCHEME = parse_word("2~ 1 @3 2 1~ @1 2~ 1 @2")
@@ -257,6 +291,20 @@ class TestTwist:
                 continue
             assert twist(x) == oracle_matmul(oracle_matmul(plus, middle),
                                              minus)
+
+    @settings(max_examples=300, deadline=None)
+    @given(twist_inputs())
+    def test_matches_matrix_level_oracle(self, x):
+        try:
+            expected = oracle_twist(x)
+        except (SingularLeadingMinorError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                twist(x)
+            assert str(raised.value) == str(exc)
+            if isinstance(exc, SingularLeadingMinorError):
+                assert raised.value.k == exc.k
+            return
+        assert twist(x) == expected
 
     def test_twist_preserves_total_positivity(self):
         rng = random.Random(90)

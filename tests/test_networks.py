@@ -42,6 +42,26 @@ class TestWeightMatrix:
         ]
         assert weight_matrix_raw(net) == expected
 
+    def test_unit_laurent_weights_still_multiply(self):
+        # a unit LaurentPoly weight is not the int 1, so it is multiplied
+        # in, and every path sum stays in the polynomial ring, also along
+        # the unit horizontals at level 1 of the two-chip network
+        standard, v = symbolic_standard_3()
+        one = LaurentPoly.constant(NAMES, 1)
+        for net in (standard,
+                    chips_of_word((upper(1), lower(2)), [v["a"], v["b"]], 3)):
+            edges = tuple((a, b, one if w == 1 else w)
+                          for a, b, w in net.edges)
+            poly = PlanarNetwork(3, net.vertices, edges)
+            raw = weight_matrix_raw(poly)
+            for i, source in enumerate(poly.sources):
+                for j, sink in enumerate(poly.sinks):
+                    paths = enumerate_paths(poly, source, sink)
+                    if paths:
+                        assert isinstance(raw[i][j], LaurentPoly)
+                        assert raw[i][j] == sum((w for _, w in paths[1:]),
+                                                paths[0][1])
+
     def test_pascal_staircase(self):
         n = 5
         vertices = [(x, level) for x in range(n) for level in range(1, n + 1)]
@@ -185,6 +205,26 @@ class TestChips:
         with pytest.raises(NetworkError):
             concatenate(chip(upper(1), 1, 2), chip(upper(1), 1, 3))
 
+    def test_chips_equal_validated_networks(self):
+        for n in (1, 2, 3, 4):
+            letters = [diag(i) for i in range(1, n + 1)]
+            letters += [f(i) for i in range(1, n) for f in (upper, lower)]
+            for letter in letters:
+                for t in (Fraction(-3, 2), 7, "5/3"):
+                    net = chip(letter, t, n)
+                    assert net == PlanarNetwork(net.n, net.vertices,
+                                                net.edges, net.essential)
+
+    def test_mismatched_boundary_levels_cannot_concatenate(self):
+        # sinks on levels 1 and 3 against chip sources on levels 1 and 2
+        gapped = PlanarNetwork(2, ((0, 1), (0, 2), (1, 1), (1, 3)),
+                               ((0, 2, 1), (1, 3, 1)))
+        for nets in ((gapped, chip(upper(1), 1, 2)),
+                     (chip(lower(1), 1, 2), gapped, chip(diag(1), 2, 2))):
+            with pytest.raises(NetworkError,
+                               match="boundary levels do not match"):
+                concatenate(*nets)
+
     def test_concatenate_many_equals_pairwise_fold(self):
         rng = random.Random(9)
         for n in (1, 2, 3):
@@ -221,6 +261,23 @@ class TestStandardNetwork:
     def test_essential_edge_count(self):
         for n in (1, 2, 3, 4):
             assert len(standard_network(n).essential) == n * n
+
+    def test_equals_revalidated_network(self, monkeypatch):
+        rng = random.Random(10)
+        validated = []
+        check = PlanarNetwork._validate_planarity
+        monkeypatch.setattr(PlanarNetwork, "_validate_planarity",
+                            lambda net: validated.append(net) or check(net))
+        for n in range(1, 7):
+            t = [rand_positive(rng) for _ in range(n * n)]
+            net = standard_network(n, t)
+            assert validated == [net]  # planarity is checked once
+            again = PlanarNetwork(net.n, net.vertices, net.edges,
+                                  net.essential)
+            assert again == net and again.essential == net.essential
+            assert weight_matrix(again) == product_map(
+                staircase_scheme(n), t, n)
+            validated.clear()
 
     def test_single_edge_for_n1(self):
         net = standard_network(1, [Fraction(5)])

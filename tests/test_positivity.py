@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import totpos.positivity as pv
 from totpos.diagrams import DoubleWiringDiagram, enumerate_move_graph
 from totpos.matrices import Matrix, MinorSpec, minor
 from totpos.positivity import (GuardExceeded, NotApplicableError, bruhat_type,
@@ -117,6 +118,18 @@ class TestEfficientTnn:
     def test_rejects_singular(self):
         with pytest.raises(NotApplicableError):
             tnn_efficient_criterion(Matrix([[1, 1], [1, 1]]))
+
+    def test_guard(self, monkeypatch):
+        assert tnn_efficient_criterion(UNIT3, guard=3) == (True, 11)
+        # above the guard nothing of the family is built
+        monkeypatch.setattr(pv, "tnn_efficient_specs", None)
+        monkeypatch.setattr(pv, "minor_family", None)
+        for call in (lambda: tnn_efficient_criterion(UNIT3, guard=2),
+                     lambda: pv.tnn_efficient_report(UNIT3, guard=2),
+                     lambda: tnn_efficient_criterion(Matrix.identity(17))):
+            with pytest.raises(GuardExceeded) as raised:
+                call()
+            assert "efficient TNN test is guarded" in str(raised.value)
 
     def test_singular_message_without_a_separate_determinant(self, monkeypatch):
         # invertibility is read off the family's last minor, [1..n|1..n]

@@ -10,7 +10,7 @@ from totpos.diagrams import (Chamber, DiagramMove, DoubleWiringDiagram,
                              MoveGraph, minimal_diagram)
 from totpos.exact import LaurentDivisionError, LaurentPoly
 from totpos.matrices import (Matrix, MinorSpec, exact_rank,
-                             initial_minor_specs)
+                             initial_minor_specs, ldu_decompose)
 from totpos.networks import (NetworkError, PlanarNetwork, _cross,
                              _on_segment, _segments_conflict)
 from totpos.positivity import NotApplicableError
@@ -183,6 +183,18 @@ def oracle_matmul(a: Matrix, b: Matrix) -> Matrix:
     cols = list(zip(*b.rows))
     return Matrix([[sum((x * y for x, y in zip(row, col)), Fraction(0))
                     for col in cols] for row in a.rows])
+
+
+def oracle_twist(x: Matrix) -> Matrix:
+    """Independent twist oracle, the Matrix-level formula
+    [x^T w]_+ * w (x^T)^(-1) w * [w x^T]_-: the transpose, two
+    `ldu_decompose` calls, `Matrix.inverse` and two `Matrix` products, with
+    w applied by reversing rows and columns."""
+    xt = x.transpose()
+    _, _, plus = ldu_decompose(Matrix([row[::-1] for row in xt.rows]))
+    minus, _, _ = ldu_decompose(Matrix(xt.rows[::-1]))
+    middle = Matrix([row[::-1] for row in xt.inverse().rows[::-1]])
+    return plus * middle * minus
 
 
 def matrix_product_map(word: Word, params, n: int) -> Matrix:
