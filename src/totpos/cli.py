@@ -200,7 +200,7 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_diagrams(args) -> int:
-    if args.word:
+    if args.word is not None:
         d = dg.DoubleWiringDiagram(_parse_word_arg(args.word), args.n)
         layout = dg.chamber_layout(d)
         report = {

@@ -35,11 +35,13 @@ bottom region read as the empty minor 1).
 One move finder serves :func:`moves_from_word`, :func:`local_moves` and
 :func:`enumerate_move_graph`.  It runs on plain integers: a word is a
 tuple of letter codes (lower h -> h, upper h -> n + h, which sort as the
-letters do) and a chamber label is a (rows, cols) pair of int tuples read
-straight off the line states, valid by construction.  Letter and
-:class:`MinorSpec` objects are made only for a move that is returned or
-kept as an edge witness, one letter per code and one spec per label within
-a call.
+letters do) and a chamber label is one int, ``rows_mask << n | cols_mask``.
+The walk along a word keeps the label of each level and flips it with one
+XOR per crossing, as a crossing at height h changes only level h.  Labels
+are decoded to increasing (rows, cols) tuples, valid by construction, and
+Letter and :class:`MinorSpec` objects are made only for a move that is
+returned or kept as an edge witness, one letter per code and one spec per
+label within a call.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ def minimal_diagram(n: int) -> DoubleWiringDiagram:
 # ---------------------------------------------------------------------------
 # chambers
 
-# A chamber label: the rows and the columns of its minor, increasing.
+# A chamber label is one int, bit n + i - 1 for row i and bit j - 1 for
+# column j; decoded, it is the rows and the columns of its minor, increasing.
 Label = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -126,34 +129,45 @@ def _letters(n: int) -> dict[int, Letter]:
             for code in [*range(1, n), *range(n + 1, 2 * n)]}
 
 
-def _line_states(codes: tuple[int, ...], n: int) \
-        -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """States (thin lines by track, bold lines by track) after each prefix;
-    track index 0 is the bottom line position."""
-    thin = list(range(n, 0, -1))   # thin line at track h is numbered n+1-h
-    bold = list(range(1, n + 1))
-    states = [(tuple(thin), tuple(bold))]
-    for code in codes:
-        lines, h = (thin, code) if code < n else (bold, code - n)
-        lines[h - 1], lines[h] = lines[h], lines[h - 1]
-        states.append((tuple(thin), tuple(bold)))
-    return states
+def _start(n: int) -> tuple[list[int], list[int]]:
+    """The line states left of every crossing: the label bit of the line on
+    each track (thin tracks 0..n-1 bottom up, then bold tracks n..2n-1, so
+    the crossing ``code`` at height ``code % n`` swaps tracks code - 1 and
+    code), and the label of each level 0..n."""
+    tracks = [1 << (2 * n - 1 - t) for t in range(n)] \
+        + [1 << t for t in range(n)]
+    level = [0]
+    for t in range(n):
+        level.append(level[-1] | tracks[t] | tracks[n + t])
+    return tracks, level
 
 
-def _label(thin, bold, level: int) -> Label:
-    """The chamber at ``level``: the thin and the bold lines below it."""
-    return tuple(sorted(thin[:level])), tuple(sorted(bold[:level]))
+def _indices(mask: int) -> tuple[int, ...]:
+    """The 1-based positions of the set bits of ``mask``, increasing."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length())
+        mask &= mask - 1
+    return tuple(out)
 
 
-def _crossing_label(thin, bold, code: int, n: int) -> Label:
-    """The chamber at the crossing's own level once the crossing ``code``
-    is applied to the tracks: its two lines trade places there."""
-    if code < n:
-        return (tuple(sorted((*thin[:code - 1], thin[code]))),
-                tuple(sorted(bold[:code])))
-    h = code - n
-    return (tuple(sorted(thin[:h])),
-            tuple(sorted((*bold[:h - 1], bold[h]))))
+def _unpack(label: int, n: int) -> Label:
+    return _indices(label >> n), _indices(label & ((1 << n) - 1))
+
+
+def _chamber_runs(codes: tuple[int, ...], n: int) \
+        -> list[list[tuple[int, int]]]:
+    """For each level 1..n, its chambers left to right as (first slice,
+    label).  A crossing changes only the label of its own level, by the
+    bits of the two lines it swaps."""
+    tracks, level = _start(n)
+    runs = [[(0, level[h])] for h in range(1, n + 1)]
+    for p, code in enumerate(codes):
+        h = code % n
+        level[h] ^= tracks[code - 1] | tracks[code]
+        tracks[code - 1], tracks[code] = tracks[code], tracks[code - 1]
+        runs[h - 1].append((p + 1, level[h]))
+    return runs
 
 
 @dataclass(frozen=True)
@@ -167,18 +181,13 @@ class Chamber:
 
 def chamber_layout(d: DoubleWiringDiagram) -> list[Chamber]:
     """All n^2 chambers with their slice extents, level by level."""
-    states = _line_states(_codes(d.word, d.n), d.n)
-    length = len(d.word)
     chambers: list[Chamber] = []
-    for level in range(1, d.n + 1):
-        cuts = [p + 1 for p, letter in enumerate(d.word)
-                if letter.index == level]
-        starts = [0] + cuts
-        stops = [c - 1 for c in cuts] + [length]
-        for k, (a, b) in enumerate(zip(starts, stops)):
-            bounded = 0 < k < len(starts) - 1
-            spec = MinorSpec.trusted(*_label(*states[a], level))
-            chambers.append(Chamber(spec, level, a, b, bounded))
+    for level, run in enumerate(_chamber_runs(_codes(d.word, d.n), d.n), 1):
+        stops = [start - 1 for start, _ in run[1:]] + [len(d.word)]
+        for k, ((start, label), stop) in enumerate(zip(run, stops)):
+            spec = MinorSpec.trusted(*_unpack(label, d.n))
+            chambers.append(Chamber(spec, level, start, stop,
+                                    0 < k < len(run) - 1))
     return chambers
 
 
@@ -214,8 +223,9 @@ def unbounded_chambers(d: DoubleWiringDiagram) -> list[MinorSpec]:
 
 def chamber_key(d: DoubleWiringDiagram) -> tuple:
     """Canonical form of the isotopy class: the sorted chamber multiset."""
-    return tuple(sorted((c.spec.rows, c.spec.cols)
-                        for c in chamber_layout(d)))
+    runs = _chamber_runs(_codes(d.word, d.n), d.n)
+    return tuple(sorted(_unpack(label, d.n)
+                        for run in runs for _, label in run))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +251,10 @@ class DiagramMove:
     d: MinorSpec | None
 
 
-# A move found in an int-coded word: (word, pos, kind, y, z).
-Candidate = tuple[tuple[int, ...], int, str, Label, Label]
+# A move found in an int-coded word: (word, pos, kind, y, z, a, b, c, d),
+# the chambers as int labels.
+Candidate = tuple[tuple[int, ...], int, str, int, int, int, int, int,
+                  int | None]
 
 
 def _commutation_class(word: tuple[int, ...], n: int) \
@@ -267,30 +279,36 @@ def _commutation_class(word: tuple[int, ...], n: int) \
     return sorted(seen)
 
 
-def _word_moves(word: tuple[int, ...], n: int) -> list[Candidate]:
+def _word_moves(word: tuple[int, ...], n: int,
+                start: tuple[list[int], list[int]]) -> list[Candidate]:
     """The moves on literally adjacent crossings of one int-coded word:
     braid moves (h, g, h) -> (g, h, g) of one color, then mixed moves on a
-    thin and a bold crossing at one height, each by position.  ``y`` is
-    the chamber the first crossing makes at its level, ``z`` the one the
-    second would make in its place."""
-    thin = list(range(n, 0, -1))
-    bold = list(range(1, n + 1))
+    thin and a bold crossing at one height, each by position, walked from
+    the line states ``start``.  ``x`` and ``w`` are the bits the first and
+    the second crossing flip at their levels, both read before the first:
+    ``y`` is the chamber the first crossing makes, ``z`` the one the second
+    would make in its place, and the chambers after the move (``c`` and,
+    for a braid, ``d``) differ from those before by ``x ^ w``."""
+    tracks, level = start[0][:], start[1][:]
     braids: list[Candidate] = []
     mixed: list[Candidate] = []
     for p in range(len(word) - 1):
         first, second = word[p], word[p + 1]
+        h = first % n
+        x = tracks[first - 1] | tracks[first]
         gap = abs(first - second)
         if gap == n:
-            mixed.append((word, p, "mixed",
-                          _crossing_label(thin, bold, first, n),
-                          _crossing_label(thin, bold, second, n)))
+            a, w = level[h], tracks[second - 1] | tracks[second]
+            mixed.append((word, p, "mixed", a ^ x, a ^ w, a, level[h + 1],
+                          a ^ x ^ w, level[h - 1] if h > 1 else None))
         elif gap == 1 and p + 2 < len(word) and word[p + 2] == first:
+            a, b = level[h], level[second % n]
+            w = tracks[second - 1] | tracks[second]
             kind = f"braid-{LOWER if first < n else UPPER}"
-            braids.append((word, p, kind,
-                           _crossing_label(thin, bold, first, n),
-                           _crossing_label(thin, bold, second, n)))
-        lines, h = (thin, first) if first < n else (bold, first - n)
-        lines[h - 1], lines[h] = lines[h], lines[h - 1]
+            braids.append((word, p, kind, a ^ x, b ^ w, a, b, b ^ x ^ w,
+                           a ^ x ^ w))
+        level[h] ^= x
+        tracks[first - 1], tracks[first] = tracks[first], tracks[first - 1]
     return braids + mixed
 
 
@@ -298,59 +316,50 @@ def _class_moves(word: tuple[int, ...], n: int) -> Iterator[Candidate]:
     """The move finder: the moves of every word in the commutation class of
     ``word``, word by word in sorted order, so that crossings that bound a
     common chamber become literally adjacent."""
+    start = _start(n)
     for w in _commutation_class(word, n):
-        yield from _word_moves(w, n)
+        yield from _word_moves(w, n, start)
 
 
-def _move(found: Candidate, n: int, letters: dict[int, Letter],
-          specs: dict[Label, MinorSpec]) -> DiagramMove:
-    """The full move of a candidate.  Its letters come from ``letters`` and
-    its specs from ``specs``, which holds one spec per label and is filled
-    as labels appear, so the moves of one call share them."""
-    word, p, kind, y, z = found
-    states = _line_states(word[:p + 3], n)
-    first, second = word[p], word[p + 1]
-    h = first if first < n else first - n
-    if kind == "mixed":
-        result = word[:p] + (second, first) + word[p + 2:]
-        a = _label(*states[p], h)
-        b = _label(*states[p], h + 1)
-        c = _label(*states[p + 2], h)
-        d = _label(*states[p], h - 1) if h > 1 else None
-    else:
-        g = second if second < n else second - n
-        result = word[:p] + (second, first, second) + word[p + 3:]
-        a = _label(*states[p], h)
-        b = _label(*states[p + 1], g)
-        c = _label(*states[p + 2], g)
-        d = _label(*states[p + 3], h)
+def _result(found: Candidate) -> tuple[int, ...]:
+    """The int-coded word a candidate move leads to."""
+    word, p = found[0], found[1]
+    if found[2] == "mixed":
+        return word[:p] + (word[p + 1], word[p]) + word[p + 2:]
+    return word[:p] + (word[p + 1], word[p], word[p + 1]) + word[p + 3:]
 
-    def spec(label: Label | None) -> MinorSpec | None:
-        if label is None:
-            return None
-        found_spec = specs.get(label)
-        if found_spec is None:
-            found_spec = specs[label] = MinorSpec.trusted(*label)
-        return found_spec
 
+def _specs(found: list[Candidate], n: int) -> dict[int, MinorSpec]:
+    """One trusted spec per chamber the candidates name."""
+    return {label: MinorSpec.trusted(*_unpack(label, n))
+            for label in {label for f in found for label in f[3:]} - {None}}
+
+
+def _move(found: Candidate, letters: dict[int, Letter],
+          specs: dict[int, MinorSpec]) -> DiagramMove:
+    """The full move of a candidate, its letters from ``letters`` and its
+    specs from ``specs``, so the moves of one call share them."""
+    word, p, kind, *labels = found
+    y, z, a, b, c, d = (None if label is None else specs[label]
+                        for label in labels)
     return DiagramMove(kind, tuple(letters[x] for x in word), p,
-                       tuple(letters[x] for x in result), spec(y), spec(z),
-                       spec(a), spec(b), spec(c), spec(d))
+                       tuple(letters[x] for x in _result(found)),
+                       y, z, a, b, c, d)
 
 
 def moves_from_word(word: Word, n: int) -> list[DiagramMove]:
     """The moves on literally adjacent crossings of ``word``."""
-    letters, specs = _letters(n), {}
-    return [_move(found, n, letters, specs)
-            for found in _word_moves(_codes(word, n), n)]
+    found = _word_moves(_codes(word, n), n, _start(n))
+    letters, specs = _letters(n), _specs(found, n)
+    return [_move(f, letters, specs) for f in found]
 
 
 def local_moves(d: DoubleWiringDiagram) -> list[DiagramMove]:
     """All local moves available anywhere in the isotopy class of d, word
     by word through its commutation class in sorted order."""
-    letters, specs = _letters(d.n), {}
-    return [_move(found, d.n, letters, specs)
-            for found in _class_moves(_codes(d.word, d.n), d.n)]
+    found = list(_class_moves(_codes(d.word, d.n), d.n))
+    letters, specs = _letters(d.n), _specs(found, d.n)
+    return [_move(f, letters, specs) for f in found]
 
 
 # ---------------------------------------------------------------------------
@@ -376,31 +385,34 @@ class MoveGraph:
 def enumerate_move_graph(n: int, guard: int = 4) -> MoveGraph:
     """Breadth-first closure of the local moves starting from the minimal
     diagram.  Vertices are isotopy classes keyed by chamber multisets; the
-    witness of each edge is the first move found that joins its ends."""
+    witness of each edge is the first move found that joins its ends.
+
+    The closure runs on int labels: a class is the sorted tuple of its
+    labels and its representative an int-coded word.  Each label is decoded
+    once at the end, and the witnesses are built only for the edges."""
     if n > guard:
         raise DiagramError(
             f"enumeration guard: n={n} exceeds {guard}; raise the guard "
             f"explicitly to proceed")
-    start = minimal_diagram(n)
-    start_key = chamber_key(start)
-    letters: dict[int, Letter] = _letters(n)
-    specs: dict[Label, MinorSpec] = {}
+    start = _codes(minimal_diagram(n).word, n)
+    start_key = tuple(sorted(label for run in _chamber_runs(start, n)
+                             for _, label in run))
     keys = [start_key]
     index = {start_key: 0}
-    reps: dict[tuple, Word] = {start_key: start.word}
+    reps = [start]
     edge_seen: set[tuple[int, int]] = set()
-    edges: list[tuple[tuple, tuple, DiagramMove]] = []
-    frontier = [start_key]
+    found_edges: list[tuple[int, int, Candidate]] = []
+    frontier = [0]
     while frontier:
         nxt = []
-        for key in frontier:
-            k = index[key]
-            tried: set[tuple[Label, Label]] = set()
-            for found in _class_moves(_codes(reps[key], n), n):
+        for k in frontier:
+            key = keys[k]
+            tried: set[tuple[int, int]] = set()
+            for found in _class_moves(reps[k], n):
+                # a move exchanges exactly the chamber y for another chamber
+                # z, so a repeat of (y, z) reaches the same class again
                 y, z = found[3], found[4]
-                # a move exchanges exactly the chamber y for z, so a repeat
-                # of (y, z) reaches the same class again
-                if y == z or (y, z) in tried:
+                if (y, z) in tried:
                     continue
                 tried.add((y, z))
                 i = bisect_left(key, y)
@@ -416,10 +428,19 @@ def enumerate_move_graph(n: int, guard: int = 4) -> MoveGraph:
                 if pair in edge_seen:
                     continue
                 edge_seen.add(pair)
-                move = _move(found, n, letters, specs)
-                edges.append((key, target, move))
+                found_edges.append((k, t, found))
                 if fresh:
-                    reps[target] = move.result
-                    nxt.append(target)
+                    reps.append(_result(found))
+                    nxt.append(t)
         frontier = nxt
-    return MoveGraph(n, keys, reps, edges)
+    # every witness chamber is a chamber of a class reached
+    pairs = {label: _unpack(label, n) for label in set().union(*keys)}
+    letters = _letters(n)
+    specs = {label: MinorSpec.trusted(*pair) for label, pair in pairs.items()}
+    names = [tuple(sorted(map(pairs.__getitem__, key))) for key in keys]
+    return MoveGraph(
+        n, names,
+        {name: tuple(letters[x] for x in rep)
+         for name, rep in zip(names, reps)},
+        [(names[k], names[t], _move(found, letters, specs))
+         for k, t, found in found_edges])

@@ -1,5 +1,6 @@
 """The totpos command line."""
 
+import hashlib
 import json
 
 import pytest
@@ -201,6 +202,28 @@ class TestDiagrams:
         out = capsys.readouterr().out
         assert out.startswith("graph") and "--" in out
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "a2ddfe0f3178157e0c7a8cc72bfd23b6"
+                 "5706d85a3ec971210448569f1a116710"),
+        ("dot", "6bf90ad97d17d9d37051f1084ec06c7b"
+                "2bc400653ab57537833ef5897902b0ee"),
+    ])
+    def test_enumerate_n3_output_pinned(self, fmt, digest, capsys):
+        # the whole n = 3 report: 34 classes in BFS order, their chamber
+        # lists and representative words, and the 60 edges
+        assert main(["diagrams", "--n", "3", "--enumerate",
+                     "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_empty_word(self, capsys):
+        # the empty word is the one diagram of size 1, and no other
+        assert main(["diagrams", "--n", "1", "--word", ""]) == 0
+        assert "level 1  [1|1]  (unbounded)" in capsys.readouterr().out
+        assert main(["diagrams", "--n", "3", "--word", ""]) == 2
+        err = capsys.readouterr().err
+        assert "reduced word" in err and "--enumerate" not in err
+
     def test_chamber_table(self, capsys):
         assert main(["diagrams", "--n", "3", "--word",
                      "2~ 1 2 1~ 2~ 1"]) == 0
@@ -286,6 +309,8 @@ class TestErrors:
         (["factor", "{pascal}", "--scheme", ""], 2),
         (["test", "{pascal}", "--method", "chamber", "--diagram", ""], 2),
         (["test", "{zero}", "--method", "chamber", "--diagram", ""], 1),
+        (["diagrams", "--n", "1", "--word", ""], 0),
+        (["diagrams", "--n", "3", "--word", ""], 2),
     ])
     def test_edge_inputs_exit_codes(self, argv, code, tmp_path, capsys):
         files = {"singular": {"n": 2, "rows": [["1", "1"], ["1", "1"]]},

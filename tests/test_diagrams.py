@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totpos.diagrams import (DiagramError, DoubleWiringDiagram,
                              bounded_chambers, chamber_key, chamber_layout,
@@ -217,15 +219,28 @@ class TestAgainstOracle:
             == list(want.representatives.items())
         assert got.edges == want.edges
 
-    def test_random_diagrams(self):
-        rng = random.Random(57)
-        for n in (3, 3, 3, 4, 4, 4):
-            d = random_diagram(rng, n)
-            assert local_moves(d) == oracle_local_moves(d)
-            assert moves_from_word(d.word, n) \
-                == oracle_moves_from_word(d.word, n)
-            assert chamber_layout(d) == oracle_chamber_layout(d)
-            assert chamber_key(d) == oracle_chamber_key(d)
+    @settings(deadline=None, max_examples=120)
+    @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_random_diagrams(self, n, seed):
+        d = random_diagram(random.Random(seed), n)
+        key = chamber_key(d)
+        assert key == oracle_chamber_key(d)
+        assert chamber_layout(d) == oracle_chamber_layout(d)
+        moves = moves_from_word(d.word, n)
+        assert moves == oracle_moves_from_word(d.word, n)
+        # a class at n = 5 holds up to millions of words (1190 to 3.0M in
+        # 40 random diagrams), so the whole-class finder is compared up to
+        # n = 4 only
+        if n <= 4:
+            class_moves = local_moves(d)
+            assert class_moves == oracle_local_moves(d)
+            moves = moves + class_moves
+        for move in moves:
+            bag = list(key)
+            bag.remove((move.y.rows, move.y.cols))
+            bag.append((move.z.rows, move.z.cols))
+            result = DoubleWiringDiagram(move.result, n)
+            assert oracle_chamber_key(result) == tuple(sorted(bag)) != key
 
     def test_walk_from_minimal_diagram(self):
         rng = random.Random(58)
