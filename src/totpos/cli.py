@@ -51,7 +51,7 @@ def _load_matrix(path: str) -> Matrix:
     data = _read_json(path)
     try:
         return Matrix.from_json(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"{path}: bad matrix data: {exc}") from exc
 
 
@@ -59,7 +59,7 @@ def _load_network(path: str) -> nw.PlanarNetwork:
     data = _read_json(path)
     try:
         return nw.PlanarNetwork.from_json(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"{path}: bad network data: {exc}") from exc
 
 

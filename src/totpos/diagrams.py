@@ -47,10 +47,10 @@ label within a call.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .matrices import Matrix, MinorSpec, _sweep_family
+from .records import Record
 from .words import (LOWER, UPPER, Letter, Word, format_word,
                     is_reduced_word, lower, parse_word, upper)
 
@@ -59,14 +59,12 @@ class DiagramError(ValueError):
     """Malformed double wiring diagram or enumeration guard exceeded."""
 
 
-@dataclass(frozen=True)
-class DoubleWiringDiagram:
-    word: Word
-    n: int
+class DoubleWiringDiagram(Record):
+    __slots__ = ("word", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
-        n = self.n
+    def __init__(self, word: Word, n: int):
+        object.__setattr__(self, "word", tuple(word))
+        object.__setattr__(self, "n", n)
         if n < 1:
             raise DiagramError(f"diagram size n={n} must be at least 1")
         for letter in self.word:
@@ -170,13 +168,19 @@ def _chamber_runs(codes: tuple[int, ...], n: int) \
     return runs
 
 
-@dataclass(frozen=True)
-class Chamber:
-    spec: MinorSpec
-    level: int
-    start: int  # first slice (0 = left edge)
-    stop: int   # last slice
-    bounded: bool
+class Chamber(Record):
+    __slots__ = ("spec", "level",
+                 "start",  # first slice (0 = left edge)
+                 "stop",   # last slice
+                 "bounded")
+
+    def __init__(self, spec: MinorSpec, level: int, start: int, stop: int,
+                 bounded: bool):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "bounded", bounded)
 
 
 def chamber_layout(d: DoubleWiringDiagram) -> list[Chamber]:
@@ -232,23 +236,29 @@ def chamber_key(d: DoubleWiringDiagram) -> tuple:
 # local moves
 
 
-@dataclass(frozen=True)
-class DiagramMove:
+class DiagramMove(Record):
     """One local move, with the chamber specs of the exchange identity
     ``a*c + b*d = y*z``.  ``y`` is the chamber the move deletes and ``z``
     the one it creates; ``d`` is None when it is the bottom region, whose
     minor is the empty determinant 1."""
 
-    kind: str                 # "braid-upper" | "braid-lower" | "mixed"
-    word: Word                # a representative word the move applies to
-    pos: int
-    result: Word
-    y: MinorSpec
-    z: MinorSpec
-    a: MinorSpec
-    b: MinorSpec
-    c: MinorSpec
-    d: MinorSpec | None
+    __slots__ = ("kind",    # "braid-upper" | "braid-lower" | "mixed"
+                 "word",    # a representative word the move applies to
+                 "pos", "result", "y", "z", "a", "b", "c", "d")
+
+    def __init__(self, kind: str, word: Word, pos: int, result: Word,
+                 y: MinorSpec, z: MinorSpec, a: MinorSpec, b: MinorSpec,
+                 c: MinorSpec, d: MinorSpec | None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
 
 # A move found in an int-coded word: (word, pos, kind, y, z, a, b, c, d),
@@ -354,9 +364,19 @@ def moves_from_word(word: Word, n: int) -> list[DiagramMove]:
     return [_move(f, letters, specs) for f in found]
 
 
-def local_moves(d: DoubleWiringDiagram) -> list[DiagramMove]:
+def _check_guard(n: int, guard: int) -> None:
+    if n > guard:
+        raise DiagramError(
+            f"enumeration guard: n={n} exceeds {guard}; raise the guard "
+            f"explicitly to proceed")
+
+
+def local_moves(d: DoubleWiringDiagram, guard: int = 4) -> list[DiagramMove]:
     """All local moves available anywhere in the isotopy class of d, word
-    by word through its commutation class in sorted order."""
+    by word through its commutation class in sorted order.  A class at
+    n = 5 can hold millions of words, so above ``guard`` this raises
+    before the walk."""
+    _check_guard(d.n, guard)
     found = list(_class_moves(_codes(d.word, d.n), d.n))
     letters, specs = _letters(d.n), _specs(found, d.n)
     return [_move(f, letters, specs) for f in found]
@@ -366,12 +386,24 @@ def local_moves(d: DoubleWiringDiagram) -> list[DiagramMove]:
 # the move graph
 
 
-@dataclass
-class MoveGraph:
-    n: int
-    keys: list[tuple]                     # canonical forms, in BFS order
-    representatives: dict[tuple, Word]
-    edges: list[tuple[tuple, tuple, DiagramMove]]  # one witness move per edge
+class MoveGraph(Record):
+    """The move graph; unlike the other records its fields can be set."""
+
+    __slots__ = ("n",
+                 "keys",             # canonical forms, in BFS order
+                 "representatives",
+                 "edges")            # one witness move per edge
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, n: int, keys: list[tuple],
+                 representatives: dict[tuple, Word],
+                 edges: list[tuple[tuple, tuple, DiagramMove]]):
+        self.n = n
+        self.keys = keys
+        self.representatives = representatives
+        self.edges = edges
 
     @property
     def vertex_count(self) -> int:
@@ -390,10 +422,7 @@ def enumerate_move_graph(n: int, guard: int = 4) -> MoveGraph:
     The closure runs on int labels: a class is the sorted tuple of its
     labels and its representative an int-coded word.  Each label is decoded
     once at the end, and the witnesses are built only for the edges."""
-    if n > guard:
-        raise DiagramError(
-            f"enumeration guard: n={n} exceeds {guard}; raise the guard "
-            f"explicitly to proceed")
+    _check_guard(n, guard)
     start = _codes(minimal_diagram(n).word, n)
     start_key = tuple(sorted(label for run in _chamber_runs(start, n)
                              for _, label in run))

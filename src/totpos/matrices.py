@@ -41,13 +41,13 @@ O(k^3).  A chamber behind a zero divisor is evaluated by the kernel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exact import as_scalar, format_scalar
+from .records import Record
 
 
 class SingularLeadingMinorError(ArithmeticError):
@@ -58,21 +58,29 @@ class SingularLeadingMinorError(ArithmeticError):
         self.k = k
 
 
-@dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(Record):
     """Row set and column set of a minor, as strictly increasing 1-based tuples."""
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(int(i) for i in self.rows))
-        object.__setattr__(self, "cols", tuple(int(j) for j in self.cols))
-        if len(self.rows) != len(self.cols) or not self.rows:
+    def __init__(self, rows: tuple[int, ...], cols: tuple[int, ...]):
+        rows = tuple(int(i) for i in rows)
+        cols = tuple(int(j) for j in cols)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        if len(rows) != len(cols) or not rows:
             raise ValueError("row and column sets must have equal size >= 1")
-        for seq in (self.rows, self.cols):
+        for seq in (rows, cols):
             if any(a >= b for a, b in zip(seq, seq[1:])) or seq[0] < 1:
                 raise ValueError("indices must be strictly increasing and >= 1")
+
+    def __eq__(self, other):
+        if other.__class__ is not MinorSpec:
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols
+
+    def __hash__(self):
+        return hash((self.rows, self.cols))
 
     @classmethod
     def of(cls, rows: Iterable[int], cols: Iterable[int]) -> "MinorSpec":
@@ -83,8 +91,8 @@ class MinorSpec:
                 cols: tuple[int, ...]) -> "MinorSpec":
         """A spec from int tuples already known to be valid, as the family
         generators make them, without checking them again.  The fields are
-        set as ``__init__`` sets them (not through ``__dict__``), so reading
-        them stays as fast as on a checked spec."""
+        the same slots ``__init__`` fills, so reading them costs the same
+        as on a checked spec."""
         spec = object.__new__(cls)
         object.__setattr__(spec, "rows", rows)
         object.__setattr__(spec, "cols", cols)

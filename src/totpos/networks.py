@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exact import as_scalar
 from .matrices import Matrix, MinorSpec
+from .records import Record
 from .words import DIAG, UPPER, Letter, Word, staircase_scheme
 
 Coord = tuple[int, int]
@@ -67,21 +67,20 @@ def _segments_conflict(a: Coord, b: Coord, c: Coord, d: Coord) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class PlanarNetwork:
+class PlanarNetwork(Record):
     """Immutable leveled planar network with n sources and n sinks."""
 
-    n: int
-    vertices: tuple[Coord, ...]
-    edges: tuple[tuple[int, int, Fraction], ...]  # (tail, head, weight)
-    essential: tuple[int, ...] = ()  # edge ids in staircase parameter order
+    __slots__ = ("n", "vertices",
+                 "edges",       # (tail, head, weight)
+                 "essential")   # edge ids in staircase parameter order
 
-    def __post_init__(self):
-        verts = tuple((int(x), int(level)) for x, level in self.vertices)
-        object.__setattr__(self, "vertices", verts)
+    def __init__(self, n: int, vertices: tuple[Coord, ...],
+                 edges: tuple[tuple[int, int, Fraction], ...],
+                 essential: tuple[int, ...] = ()):
+        verts = tuple((int(x), int(level)) for x, level in vertices)
         edges = tuple((int(u), int(v), w if not isinstance(w, (int, str))
-                       else as_scalar(w)) for u, v, w in self.edges)
-        object.__setattr__(self, "edges", edges)
+                       else as_scalar(w)) for u, v, w in edges)
+        self._set(n, verts, edges, essential)
         if len(set(verts)) != len(verts):
             raise NetworkError("duplicate vertex coordinates")
         for u, v, _ in edges:
@@ -92,13 +91,19 @@ class PlanarNetwork:
         self._validate_boundary()
         self._validate_planarity()
 
+    def _set(self, n, vertices, edges, essential) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "essential", essential)
+
     @classmethod
     def _trusted(cls, n, vertices, edges, essential) -> "PlanarNetwork":
         """A network from int coordinates and exact weights known to make a
-        leveled planar network, as `chip` makes them, left unchecked."""
+        leveled planar network, as `chip` makes them, left unchecked: the
+        slots are set as ``__init__`` sets them, without its checks."""
         net = object.__new__(cls)
-        net.__dict__.update(n=n, vertices=vertices, edges=edges,
-                            essential=essential)
+        net._set(n, vertices, edges, essential)
         return net
 
     def _validate_boundary(self) -> None:

@@ -50,13 +50,13 @@ upper and a lower letter of one index meet.  `move_path` joins two routes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exact import as_scalar
 from .matrices import Matrix
+from .records import Record
 
 UPPER = "upper"
 LOWER = "lower"
@@ -71,14 +71,13 @@ class WordError(ValueError):
 # permutations
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """Permutation of [1, n] stored as the tuple of images of 1..n."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        images = tuple(int(v) for v in self.images)
+    def __init__(self, images: tuple[int, ...]):
+        images = tuple(int(v) for v in images)
         object.__setattr__(self, "images", images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"{images} is not a permutation of 1..n")
@@ -188,16 +187,24 @@ def reduced_words(w: Permutation):
 # letters and words
 
 
-@dataclass(frozen=True)
-class Letter:
-    kind: str
-    index: int
+class Letter(Record):
+    __slots__ = ("kind", "index")
 
-    def __post_init__(self):
-        if self.kind not in (UPPER, LOWER, DIAG):
-            raise ValueError(f"unknown letter kind {self.kind!r}")
-        if self.index < 1:
+    def __init__(self, kind: str, index: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        if kind not in (UPPER, LOWER, DIAG):
+            raise ValueError(f"unknown letter kind {kind!r}")
+        if index < 1:
             raise ValueError("letter index must be >= 1")
+
+    def __eq__(self, other):
+        if other.__class__ is not Letter:
+            return NotImplemented
+        return self.kind == other.kind and self.index == other.index
+
+    def __hash__(self):
+        return hash((self.kind, self.index))
 
     @property
     def is_slant(self) -> bool:
@@ -365,10 +372,21 @@ def is_full_scheme(word: Word, n: int | None = None) -> bool:
 # local moves and parameter transport
 
 
-@dataclass(frozen=True)
-class Move:
-    kind: str  # "swap" | "braid" | "mixed"
-    pos: int   # leftmost 0-based position of the rewritten block
+class Move(Record):
+    __slots__ = ("kind",  # "swap" | "braid" | "mixed"
+                 "pos")   # leftmost 0-based position of the rewritten block
+
+    def __init__(self, kind: str, pos: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "pos", pos)
+
+    def __eq__(self, other):
+        if other.__class__ is not Move:
+            return NotImplemented
+        return self.kind == other.kind and self.pos == other.pos
+
+    def __hash__(self):
+        return hash((self.kind, self.pos))
 
 
 def _swap_ok(a: Letter, b: Letter) -> bool:

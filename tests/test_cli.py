@@ -4,10 +4,13 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from totpos.cli import main
 from totpos.matrices import Matrix
-from totpos.words import format_word, staircase_scheme
+from totpos.networks import standard_network
+from totpos.words import format_word, product_map, staircase_scheme
 
 UNIT3 = {"n": 3, "rows": [["1", "1", "1"], ["1", "2", "3"], ["1", "3", "6"]]}
 PASCAL3 = {"n": 3, "rows": [["1", "0", "0"], ["1", "1", "0"], ["1", "2", "1"]]}
@@ -265,6 +268,111 @@ class TestNetworkSomos:
         assert "a13 = " in capsys.readouterr().out
 
 
+# Fuzzed command lines: malformed JSON, bad words, sizes 0-7 and the flags.
+# A matrix is mostly well formed (small entries, or a product of letters
+# with parameters >= 0: totally nonnegative, and totally positive when no
+# parameter is 0), sometimes with bad entries, a bad shape or broken JSON.
+NUMBER = st.integers(-3, 5) | st.sampled_from(["2", "-3/4", " 5 ", "1e3"])
+ENTRY = st.one_of(
+    NUMBER, st.sampled_from(["1/0", "x", "", "nan"]), st.booleans(),
+    st.none(), st.floats(), st.lists(st.integers(), max_size=2))
+SIZE = st.integers(0, 7)
+
+
+def _squares(entry):
+    return SIZE.flatmap(lambda n: st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _nonnegative(n):
+    scheme = staircase_scheme(n)
+    return st.tuples(*(st.integers(0 if letter.is_slant else 1, 4)
+                       for letter in scheme)).map(
+        lambda t: product_map(scheme, t, n).to_json()["rows"])
+
+
+NONNEGATIVE = st.integers(1, 7).flatmap(_nonnegative)
+GOOD_ROWS = _squares(NUMBER) | NONNEGATIVE
+BAD_ROWS = _squares(ENTRY) | st.lists(st.lists(ENTRY, max_size=7), max_size=7)
+MATRIX_TEXT = st.one_of(
+    GOOD_ROWS.map(lambda rows: json.dumps({"n": len(rows), "rows": rows})),
+    GOOD_ROWS.map(lambda rows: json.dumps({"rows": rows})),
+    st.builds(lambda rows, n: json.dumps({"n": n, "rows": rows}),
+              BAD_ROWS, SIZE | ENTRY),
+    (GOOD_ROWS | BAD_ROWS | ENTRY).map(json.dumps),
+    st.text(max_size=24),
+    st.sampled_from(['{"n": 1e999, "rows": [[1]]}', '{"rows": [[1e999]]}']))
+VERTEX = st.fixed_dictionaries({"x": st.integers(-1, 3) | ENTRY,
+                                "level": st.integers(0, 3) | ENTRY})
+EDGE = st.fixed_dictionaries({"from": st.integers(-1, 6),
+                              "to": st.integers(-1, 6), "weight": ENTRY})
+NETWORK_TEXT = st.one_of(
+    st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.integers(1, 4), min_size=n * n, max_size=n * n).map(
+            lambda t: json.dumps(standard_network(n, t).to_json()))),
+    st.builds(lambda n, vertices, edges: json.dumps(
+        {"n": n, "vertices": vertices, "edges": edges}),
+        st.integers(0, 3) | ENTRY, st.lists(VERTEX, max_size=6),
+        st.lists(EDGE, max_size=6)),
+    st.text(max_size=24),
+    st.just('{"n": 1, "vertices": [{"x": 1e999, "level": 1}], "edges": []}'))
+WORD = st.lists(st.sampled_from(
+    ["1", "2", "3", "1~", "2~", "3~", "@1", "@3", "0", "-1", "~", "@", "x",
+     "1~~", "99999999999999999999"]), max_size=14).map(" ".join)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(
+        ["test", "tnn", "oscillatory", "type", "factor", "twist", "diagrams",
+         "network", "somos", "bogus"]))
+    argv = [command]
+    maybe = st.booleans()
+    if command in ("test", "tnn", "oscillatory", "type", "factor", "twist"):
+        argv.append(draw(st.sampled_from(
+            ["{matrix}"] * 4 + ["{network}", "/nonexistent.json"])))
+    if command in ("test", "tnn") and draw(maybe):
+        argv += ["--method", draw(st.sampled_from(
+            ["initial", "chamber", "fekete", "brute", "efficient", "bad"]))]
+    if command == "test" and draw(maybe):
+        argv += ["--diagram", draw(WORD)]
+    if command == "factor" and draw(maybe):
+        argv += ["--scheme", draw(WORD)]
+    if command == "network":
+        argv += [draw(st.sampled_from(["eval", "bad"])), "{network}"]
+    guard = draw(st.none() | st.integers(-1, 6))
+    if guard is not None:
+        argv += ["--guard-n", str(guard)]
+    if command == "diagrams":
+        n = draw(st.integers(-2, 7))
+        argv += ["--n", str(n)]
+        enumerate_ = draw(maybe)
+        # the n = 4 move graph takes seconds and n >= 5 does not finish
+        assume(not (enumerate_ and 4 <= n <= (4 if guard is None
+                                              else guard)))
+        if enumerate_:
+            argv.append("--enumerate")
+        if draw(maybe):
+            argv += ["--format", draw(st.sampled_from(["dot", "json"]))]
+        if draw(maybe):
+            argv += ["--word", draw(WORD)]
+    if command == "somos":
+        argv += ["--terms", str(draw(st.integers(-3, 20)))]
+        if draw(maybe):
+            argv.append("--symbolic")
+        if draw(maybe):
+            seed = draw(st.lists(ENTRY.map(str), max_size=6))
+            argv += ["--seed", ",".join(seed)]
+    if draw(maybe):
+        argv += ["--report", "json"]
+    if draw(st.integers(0, 19)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--n"])))
+    return argv
+
+
+ARGVS = _argvs()
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["test", "/nonexistent/matrix.json"]) == 2
@@ -324,6 +432,21 @@ class TestErrors:
             paths[name].write_text(json.dumps(data))
         assert main([arg.format(**paths) for arg in argv]) == code
         capsys.readouterr()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=ARGVS, matrix=MATRIX_TEXT, network=NETWORK_TEXT)
+    def test_fuzzed_inputs_exit_codes(self, argv, matrix, network, tmp_path,
+                                      capsys):
+        # every input gets 0, 1 or 2 back from main, never an exception
+        # or a traceback
+        paths = {"matrix": tmp_path / "m.json", "network": tmp_path / "n.json"}
+        paths["matrix"].write_text(matrix)
+        paths["network"].write_text(network)
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err
 
 
 class TestSelfcheck:

@@ -164,6 +164,21 @@ class TestLocalMoves:
                 assert value == minor(x, move.z)
                 assert value > 0
 
+    def test_guard_raises_before_the_class_walk(self):
+        # the minimal diagram's class at n = 5 is far too large to walk in
+        # a test; the guard has to stop it before the walk starts
+        with pytest.raises(DiagramError, match="n=5 exceeds 4"):
+            local_moves(minimal_diagram(5))
+
+    def test_raised_guard_walks_a_small_class(self):
+        # a commutation class of 4 words; random n = 5 diagrams have 1190
+        # and up
+        d = DoubleWiringDiagram.from_text(
+            "2~ 3~ 2~ 1~ 2~ 3~ 4~ 3~ 2~ 1~ 2 1 2 3 4 3 2 3 1 2")
+        moves = local_moves(d, guard=5)
+        assert len(moves) == 24
+        assert moves == oracle_local_moves(d)
+
 
 class TestMoveGraph:
     def test_sizes(self):
