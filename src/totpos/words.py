@@ -380,14 +380,6 @@ class Move(Record):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "pos", pos)
 
-    def __eq__(self, other):
-        if other.__class__ is not Move:
-            return NotImplemented
-        return self.kind == other.kind and self.pos == other.pos
-
-    def __hash__(self):
-        return hash((self.kind, self.pos))
-
 
 def _swap_ok(a: Letter, b: Letter) -> bool:
     if a.kind == DIAG or b.kind == DIAG:
