@@ -7,9 +7,11 @@
   determine.  Both read the parameters off a closed form: each is a
   Laurent monomial in at most four initial minors, a Neville elimination
   multiplier or pivot (Gasca and Peña 1992; Koev 2007), see
-  `_staircase_params`.  `staircase_minor_exponents` fits the same
-  monomials at primes; it is the certificate behind
-  `staircase_edge_for_minor`, not a step of factoring.
+  `_staircase_params`.  `staircase_minor_exponents` writes the same
+  closed form as exponent vectors: the matrix E with the initial minors
+  equal to the parameter monomials t^E, and its inverse.
+  `staircase_edge_for_minor` reads the minor-to-edge bijection off E;
+  neither is a step of factoring.
 * `factor_scheme` factors along any full-type scheme by routing the
   staircase parameters through local moves.
 * `twist` is the birational map assembled from the LDU factors of the
@@ -121,55 +123,6 @@ def _staircase_params(values: Sequence[Fraction], n: int) \
             + tuple(m(i + 1, k, True) for k, i in blocks))
 
 
-# ---------------------------------------------------------------------------
-# monomial machinery
-
-
-def _primes(count: int) -> list[int]:
-    found: list[int] = []
-    candidate = 2
-    while len(found) < count:
-        if all(candidate % p for p in found):
-            found.append(candidate)
-        candidate += 1
-    return found
-
-
-def _prime_exponents(value: Fraction, primes: Sequence[int]) \
-        -> list[int] | None:
-    """Exponent vector of value over the given primes, or None if anything
-    else divides it (including sign or a leftover factor)."""
-    if value <= 0:
-        return None
-    num, den = value.numerator, value.denominator
-    exps = []
-    for p in primes:
-        e = 0
-        while num % p == 0:
-            num //= p
-            e += 1
-        while den % p == 0:
-            den //= p
-            e -= 1
-        exps.append(e)
-    if num != 1 or den != 1:
-        return None
-    return exps
-
-
-def _integer_inverse(rows: Sequence[Sequence[int]]) \
-        -> list[list[int]] | None:
-    """The inverse of a square integer matrix, or None when the matrix is
-    singular or its inverse is not integral."""
-    try:
-        inverse = Matrix(rows).inverse()
-    except ZeroDivisionError:
-        return None
-    if any(v.denominator != 1 for row in inverse.rows for v in row):
-        return None
-    return [[int(v) for v in row] for row in inverse.rows]
-
-
 _staircase_cache: dict[int, tuple[list[MinorSpec], list[list[int]],
                                   list[list[int]]]] = {}
 
@@ -177,26 +130,64 @@ _staircase_cache: dict[int, tuple[list[MinorSpec], list[list[int]],
 def staircase_minor_exponents(n: int) \
         -> tuple[list[MinorSpec], list[list[int]], list[list[int]]]:
     """(specs, E, E_inverse): the initial minors of the staircase product
-    equal the parameter monomials t^E[row]; E is unimodular and both E and
-    its inverse are integer matrices."""
+    are the parameter monomials t^E[row], and parameter k is the Laurent
+    monomial D^E_inverse[k] in the initial minors D.
+
+    Both come from the closed form of `_staircase_params`, on exponent
+    vectors: the parameter of corner (r, c) is t = D(r, c) D(r-1-a, c-1-b)
+    / (D(r-1, c-1) D(r-a, c-b)), with (a, b) = (1, 0) below the diagonal
+    (a lower letter, read on x) and (0, 1) above it (an upper letter, read
+    on x^T), and D(r, r) / D(r-1, r-1) on it; corners with a zero index
+    drop out.  Each formula is a row of E_inverse, and solved for D(r, c)
+    in row-major order it gives the row of E from rows already built.
+    Checked on the way: every entry of E is 0 or 1, and E_inverse E = I.
+    `_staircase_params` evaluates the same formulas on values without
+    these index lists, which would make each factoring call about half as
+    slow again at n = 8.
+    """
+    if n < 1:
+        raise ValueError("matrix must be square and nonempty")
     if n in _staircase_cache:
         return _staircase_cache[n]
-    word = staircase_scheme(n)
-    primes = _primes(n * n)
-    x = product_map(word, primes, n)
-    specs = initial_minor_specs(n)
-    exponents = []
-    for spec, value in zip(specs, minor_values(x, specs)):
-        exps = _prime_exponents(value, primes)
-        if exps is None or any(e not in (0, 1) for e in exps):
-            raise AssertionError(
-                f"initial minor {spec} of the staircase product is not a "
-                f"0/1 parameter monomial")
-        exponents.append(exps)
-    int_inverse = _integer_inverse(exponents)
-    if int_inverse is None:
-        raise AssertionError("staircase exponent matrix is not unimodular")
-    _staircase_cache[n] = (specs, exponents, int_inverse)
+    size = n * n
+    slants = [(k, i) for k in range(n - 1, 0, -1) for i in range(k, n)]
+    param = {(i, i): len(slants) + i - 1 for i in range(1, n + 1)}
+    for p, (k, i) in enumerate(slants):
+        param[i + 1, i + 1 - k] = p
+        param[k, i + 1] = len(slants) + n + p
+    exponents: list[list[int]] = []
+    formulas: list = [None] * size  # E_inverse rows as (column, sign) pairs
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            corners = [(r, c, 1), (r - 1, c - 1, -1)]
+            if r != c:
+                a, b = (1, 0) if r > c else (0, 1)
+                corners += [(r - 1 - a, c - 1 - b, 1), (r - a, c - b, -1)]
+            terms = [((i - 1) * n + j - 1, s) for i, j, s in corners
+                     if i and j]
+            row = [0] * size
+            row[param[r, c]] = 1
+            for j, s in terms[1:]:
+                row = [v - s * w for v, w in zip(row, exponents[j])]
+            if min(row) < 0 or max(row) > 1:
+                raise AssertionError(
+                    f"initial minor with corner ({r}, {c}) of the staircase "
+                    f"product is not a 0/1 parameter monomial")
+            exponents.append(row)
+            formulas[param[r, c]] = terms
+    inverse = []
+    for k, terms in enumerate(formulas):
+        row = [0] * size
+        check = [0] * size
+        for j, s in terms:
+            row[j] = s
+            check = [v + s * w for v, w in zip(check, exponents[j])]
+        check[k] -= 1
+        if any(check):
+            raise AssertionError("staircase exponent matrices are not "
+                                 "inverse to each other")
+        inverse.append(row)
+    _staircase_cache[n] = (initial_minor_specs(n), exponents, inverse)
     return _staircase_cache[n]
 
 
@@ -314,6 +305,55 @@ def twist(x: Matrix) -> Matrix:
     return Matrix([[Fraction(sum(map(mul, left[i][j:], lower[j][j:])),
                              upper[i][i] * d * lower[j][j])
                     for j in range(n)] for i in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# exponent fitting at primes, the certificate of `verify_twist_monomial`
+
+
+def _primes(count: int) -> list[int]:
+    found: list[int] = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % p for p in found):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def _prime_exponents(value: Fraction, primes: Sequence[int]) \
+        -> list[int] | None:
+    """Exponent vector of value over the given primes, or None if anything
+    else divides it (including sign or a leftover factor)."""
+    if value <= 0:
+        return None
+    num, den = value.numerator, value.denominator
+    exps = []
+    for p in primes:
+        e = 0
+        while num % p == 0:
+            num //= p
+            e += 1
+        while den % p == 0:
+            den //= p
+            e -= 1
+        exps.append(e)
+    if num != 1 or den != 1:
+        return None
+    return exps
+
+
+def _integer_inverse(rows: Sequence[Sequence[int]]) \
+        -> list[list[int]] | None:
+    """The inverse of a square integer matrix, or None when the matrix is
+    singular or its inverse is not integral."""
+    try:
+        inverse = Matrix(rows).inverse()
+    except ZeroDivisionError:
+        return None
+    if any(v.denominator != 1 for row in inverse.rows for v in row):
+        return None
+    return [[int(v) for v in row] for row in inverse.rows]
 
 
 def verify_twist_monomial(scheme: Word, n: int | None = None,

@@ -24,7 +24,8 @@ from totpos.positivity import is_tp_bruteforce
 from totpos.words import (Permutation, parse_word, product_map,
                           staircase_scheme)
 
-from util import (oracle_matmul, oracle_reconstruct, oracle_twist,
+from util import (fitted_edge_for_minor, fitted_staircase_exponents,
+                  oracle_matmul, oracle_reconstruct, oracle_twist,
                   rand_full_scheme, rand_matrix, rand_positive, rand_tp)
 
 NONZERO = st.builds(Fraction, st.integers(-9, 9).filter(bool),
@@ -181,12 +182,25 @@ class TestFactorStaircase:
 
     def test_closed_form_is_the_fitted_monomial_inverse(self):
         # at distinct primes the closed form factors back into exactly the
-        # inverse exponent rows fitted by staircase_minor_exponents
+        # inverse exponent rows of the prime fit
         for n in range(1, 9):
-            _, _, inverse = staircase_minor_exponents(n)
+            _, _, inverse = fitted_staircase_exponents(n)
             primes = _primes(n * n)
             params = _staircase_params([Fraction(p) for p in primes], n)
             assert [_prime_exponents(t, primes) for t in params] == inverse
+
+    def test_closed_form_exponents_equal_the_prime_fit(self):
+        for n in range(1, 9):
+            assert staircase_minor_exponents(n) \
+                == fitted_staircase_exponents(n)
+            assert staircase_edge_for_minor(n) == fitted_edge_for_minor(n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_exponents_reject_sizes_below_one(self, n):
+        for call in (staircase_minor_exponents, staircase_edge_for_minor):
+            with pytest.raises(ValueError,
+                               match="matrix must be square and nonempty"):
+                call(n)
 
     def test_factoring_fits_no_exponents(self):
         saved = dict(factorization._staircase_cache)

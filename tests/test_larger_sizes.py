@@ -1,10 +1,15 @@
 """Spot checks at sizes beyond the defaults exercised elsewhere."""
 
 import random
+import time
+from fractions import Fraction
 
-from totpos.factorization import (factor_scheme, factor_staircase,
-                                  initial_minors,
-                                  reconstruct_from_initial_minors, twist,
+from totpos import factorization
+from totpos.factorization import (_prime_exponents, _primes,
+                                  _staircase_params, factor_scheme,
+                                  factor_staircase, initial_minors,
+                                  reconstruct_from_initial_minors,
+                                  staircase_minor_exponents, twist,
                                   verify_twist_monomial)
 from totpos.positivity import (bruhat_type, is_oscillatory,
                                is_tnn_bruteforce, is_tp_bruteforce)
@@ -45,6 +50,36 @@ def test_staircase_factor_and_reconstruct_round_trip_at_n16():
     x = product_map(staircase_scheme(16), t, 16)
     assert factor_staircase(x) == t
     assert reconstruct_from_initial_minors(initial_minors(x), 16) == x
+
+
+def cold_staircase_exponents(n):
+    """`staircase_minor_exponents(n)` computed afresh, with its time."""
+    factorization._staircase_cache.pop(n, None)
+    started = time.monotonic()
+    result = staircase_minor_exponents(n)
+    return result, time.monotonic() - started
+
+
+def test_staircase_exponents_at_n16_and_n24():
+    for n, bound in ((16, 10.0), (24, 30.0)):
+        (_, exponents, inverse), elapsed = cold_staircase_exponents(n)
+        assert elapsed < bound
+        assert all(set(row) <= {0, 1} for row in exponents)
+        size = n * n
+        for k, row in enumerate(inverse):
+            terms = [(j, s) for j, s in enumerate(row) if s]
+            assert len(terms) <= 4
+            assert [sum(s * exponents[j][m] for j, s in terms)
+                    for m in range(size)] == [int(m == k) for m in range(size)]
+
+
+def test_closed_form_factors_into_the_inverse_exponents_at_n12():
+    (_, _, inverse), elapsed = cold_staircase_exponents(12)
+    primes = _primes(12 * 12)
+    started = time.monotonic()
+    params = _staircase_params([Fraction(p) for p in primes], 12)
+    assert [_prime_exponents(t, primes) for t in params] == inverse
+    assert elapsed + time.monotonic() - started < 10.0
 
 
 def test_route_to_staircase_replays_at_n12():

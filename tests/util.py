@@ -9,14 +9,15 @@ from fractions import Fraction
 from totpos.diagrams import (Chamber, DiagramMove, DoubleWiringDiagram,
                              MoveGraph, minimal_diagram)
 from totpos.exact import LaurentDivisionError, LaurentPoly
+from totpos.factorization import _integer_inverse, _prime_exponents, _primes
 from totpos.matrices import (Matrix, MinorSpec, exact_rank,
-                             initial_minor_specs, ldu_decompose)
+                             initial_minor_specs, ldu_decompose, minor_values)
 from totpos.networks import (NetworkError, PlanarNetwork, _cross,
                              _on_segment, _segments_conflict)
 from totpos.positivity import NotApplicableError
-from totpos.words import (LOWER, UPPER, Letter, Permutation, Word, diag,
-                          lower, product_map, reduced_words, staircase_scheme,
-                          upper)
+from totpos.words import (DIAG, LOWER, UPPER, Letter, Permutation, Word,
+                          diag, lower, product_map, reduced_words,
+                          staircase_scheme, upper)
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9,
@@ -241,6 +242,39 @@ def oracle_reconstruct(values, n: int) -> Matrix:
             cofactor = vals[corner(i - 1, j - 1)]
             entries[i - 1][j - 1] = (vals[rows, cols] - rest) / cofactor
     return Matrix(entries)
+
+
+def fitted_staircase_exponents(n: int):
+    """Independent staircase-exponent oracle, the prime fit: the staircase
+    product at the first n^2 primes, each initial minor factored back into
+    those primes (it must be a 0/1 monomial), and the exponent matrix
+    inverted over the integers.  Returns (specs, E, E_inverse) as
+    `staircase_minor_exponents` does."""
+    primes = _primes(n * n)
+    x = product_map(staircase_scheme(n), primes, n)
+    specs = initial_minor_specs(n)
+    exponents = [_prime_exponents(value, primes)
+                 for value in minor_values(x, specs)]
+    assert all(row is not None and set(row) <= {0, 1} for row in exponents)
+    inverse = _integer_inverse(exponents)
+    assert inverse is not None
+    return specs, exponents, inverse
+
+
+def fitted_edge_for_minor(n: int) -> dict:
+    """The uppermost essential edge of each initial minor, read off the
+    fitted exponents: among the letters of the minor's monomial, the one on
+    the highest level (diag i on level i, a slant letter i on level
+    i + 1)."""
+    specs, exponents, _ = fitted_staircase_exponents(n)
+    levels = [letter.index + (letter.kind != DIAG)
+              for letter in staircase_scheme(n)]
+    mapping = {}
+    for spec, row in zip(specs, exponents):
+        covered = [k for k, e in enumerate(row) if e]
+        top = max(levels[k] for k in covered)
+        (mapping[spec],) = [k for k in covered if levels[k] == top]
+    return mapping
 
 
 def oracle_validate_planarity(vertices, edges) -> None:
