@@ -97,7 +97,7 @@ def _cmd_test(args) -> int:
         from .matrices import all_minor_specs
         pv.check_guard(x.n, _guard(args, 6))
         specs = all_minor_specs(x.n)
-    elif args.method == "initial":
+    elif args.method in ("initial", "neville"):
         from .matrices import initial_minor_specs
         specs = initial_minor_specs(x.n)
     elif args.method == "fekete":
@@ -111,6 +111,10 @@ def _cmd_test(args) -> int:
         specs = dg.chamber_minors(d)
     if args.method == "chamber":
         failures = pv.failing_chamber_minors(x, d)
+    elif args.method == "neville":
+        # a failing pivot means some initial minor is not positive
+        failures = ([] if pv.test_tp_neville(x)
+                    else pv.failing_minors(x, specs, strict=True))
     else:
         failures = pv.failing_minors(x, specs, strict=True)
     verdict = not failures
@@ -133,8 +137,9 @@ def _cmd_tnn(args) -> int:
         verdict = not failures
         checked = len(specs)
     else:
-        verdict, checked, failures = pv.tnn_efficient_report(
-            x, guard=_guard(args, 16))
+        report = (pv.tnn_neville_report if args.method == "neville"
+                  else pv.tnn_efficient_report)
+        verdict, checked, failures = report(x, guard=_guard(args, 16))
     report = {"verdict": verdict, "minors_checked": checked,
               "witnesses": _witnesses(failures)}
     lines = [f"totally nonnegative: {str(verdict).lower()} "
@@ -314,6 +319,7 @@ def _cmd_selfcheck(args) -> int:
         ref = pv.is_tp_bruteforce(x)
         ok &= pv.test_initial_minors(x) == ref
         ok &= pv.test_fekete_solid(x) == ref
+        ok &= pv.test_tp_neville(x) == ref
     results.append(("criterion-equivalence", ok))
 
     # disjoint-path oracle against the weight-matrix determinant route
@@ -378,14 +384,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit a machine-readable JSON report")
         p.add_argument("--guard-n", type=int, default=None, dest="guard_n",
                        help="override the size guards (all-minors "
-                            "tests default to 6, the efficient TNN test "
-                            "to 16, diagram enumeration to 4, symbolic "
-                            "Somos to 12 terms)")
+                            "tests and oscillation default to 6, the "
+                            "efficient TNN family, also the neville "
+                            "witness search, to 16, diagram enumeration "
+                            "to 4, symbolic Somos to 12 terms)")
 
     p = sub.add_parser("test", help="total positivity test")
     p.add_argument("matrix")
     p.add_argument("--method", choices=["initial", "chamber", "fekete",
-                                        "brute"], default="initial")
+                                        "brute", "neville"],
+                   default="initial")
     p.add_argument("--diagram", default=None,
                    help="double wiring diagram word for --method chamber")
     add_common(p)
@@ -393,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tnn", help="total nonnegativity test")
     p.add_argument("matrix")
-    p.add_argument("--method", choices=["efficient", "brute"],
+    p.add_argument("--method", choices=["efficient", "brute", "neville"],
                    default="efficient")
     add_common(p)
     p.set_defaults(func=_cmd_tnn)

@@ -13,7 +13,10 @@ minors, rank and column rank profiles, inverse and LDU.  It works on
 integer rows after each row's denominators are cleared; the row
 multipliers are positive, so signs survive.  Its k-th pivot is a leading
 k-minor and every entry it stores is a minor bordering it, so every
-division is exact and intermediate values stay small.
+division is exact and intermediate values stay small.  Beside it,
+:func:`_neville` eliminates each row by its upper neighbour instead of
+the pivot row (Neville elimination), on the same cleared rows; the
+polynomial TP and TNN verdicts read the signs of its pivots.
 
 Families of minors go through one entry point, :func:`minor_family`.  It
 clears the row denominators once per matrix and returns scaled integer
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -284,6 +287,59 @@ def _eliminate(m: list[list[int]], swaps: bool = True,
         prev = pivot
         r += 1
     return pivots, sign
+
+
+def _neville(m: list[list[int]], strict: bool) -> tuple[int, int, bool] | None:
+    """Fraction-free Neville elimination of the integer rows ``m``, in
+    place, checking each column's pivots before it is eliminated; returns
+    None when every check passes, else ``(i, k, exact)`` of the first
+    failing pivot ``m[i][k]`` (0-based).
+
+    Column k is cleared from the bottom up, each row i > k by its upper
+    neighbour: with P = m[i - 1][k] > 0 and h = m[i][k], row i becomes
+    P * row i - h * row (i - 1) over a positive divisor.  Every stored row
+    is then a positive multiple of the true Neville row, so each pivot and
+    each multiplier (a ratio of adjacent pivots) has the sign of its
+    stored value.  A row whose upper neighbour's pivot is 0 is kept (its
+    multiplier is 0).
+
+    While row i is ``exact``, it holds the minors on rows i - k..i,
+    columns 0..k - 1 and one more column, so ``m[i][k]`` is the initial
+    minor with corner (i, k), and the divisor is m[i - 1][k - 1], the
+    previous pivot of the row above (Desnanot's identity makes the
+    division exact).  A kept row, or one eliminated by a row that is not
+    exact, is divided by its content instead and stops being exact.
+
+    The checks, for the invertible totally nonnegative test (Gasca and
+    Peña 1992): the diagonal pivot is > 0, no pivot is negative, and a
+    pivot below a zero pivot is 0 (no row exchange is needed).  With
+    ``strict`` (total positivity) every pivot is > 0.
+    """
+    n = len(m)
+    exact = [True] * n
+    for k in range(n):
+        for i in range(k, n):
+            v = m[i][k]
+            if (v <= 0 if strict or i == k
+                    else v < 0 or (v and not m[i - 1][k])):
+                return i, k, exact[i]
+        for i in range(n - 1, k, -1):
+            row, up = m[i], m[i - 1]
+            pivot, head = up[k], row[k]
+            if not pivot:
+                exact[i] = False
+                continue
+            new = [a * pivot - head * b
+                   for a, b in zip(row[k + 1:], up[k + 1:])]
+            if exact[i] and exact[i - 1]:
+                divisor = up[k - 1] if k else 1
+            else:
+                divisor = gcd(*new)
+                exact[i] = False
+            if divisor > 1:
+                new = [v // divisor for v in new]
+            row[k + 1:] = new
+    return None
 
 
 def _inverse_rows(m: list[list[int]], mults: Sequence[int]) \

@@ -15,8 +15,15 @@ criteria:
   total;
 * `test_tp_given_tnn`: for a matrix already known totally nonnegative,
   nonvanishing of the 2n - 1 antiprincipal minors;
+* `test_tp_neville`, `test_tnn_neville`: one fraction-free Neville
+  elimination of x and one of x^T, O(n^3) (Gasca and Peña 1992).  x is
+  totally positive iff every pivot is positive; an invertible x is
+  totally nonnegative iff no row exchange is needed, no multiplier is
+  negative and every diagonal pivot is positive.  A pivot is a ratio of
+  initial minors, so a failing one points at a witness;
 * `is_oscillatory`: equivalent characterizations of invertible totally
-  nonnegative matrices some power of which is totally positive;
+  nonnegative matrices some power of which is totally positive, on the
+  Neville TNN check of the input and the initial minors of x^(n-1);
 * `bruhat_type`: the pair of permutations naming the double coset of the
   upper and lower triangular Bruhat decompositions that contains x.
 """
@@ -28,10 +35,10 @@ from fractions import Fraction
 from typing import Iterable
 
 from .diagrams import DoubleWiringDiagram, chamber_family, chamber_minors
-from .matrices import (Matrix, MinorSpec, all_minor_specs,
-                       column_rank_profile, initial_minor_specs,
-                       is_block_triangular, minor_family, solid_minor_specs,
-                       unscale)
+from .matrices import (Matrix, MinorSpec, _integer_rows, _neville,
+                       all_minor_specs, column_rank_profile,
+                       initial_minor_specs, is_block_triangular, minor,
+                       minor_family, solid_minor_specs, unscale)
 from .words import Permutation
 
 
@@ -126,6 +133,10 @@ def test_fekete_solid(x: Matrix) -> bool:
 # efficient total nonnegativity for invertible matrices
 
 
+_SINGULAR = ("matrix is singular; the efficient criterion requires an "
+             "invertible input -- use the brute-force test")
+
+
 def tnn_efficient_specs(n: int) -> list[MinorSpec]:
     """Minors with row set [1, k] (any columns) or column set [1, k] (any
     rows), deduplicated; exactly 2^(n+1) - n - 2 of them."""
@@ -171,14 +182,82 @@ def tnn_efficient_report(x: Matrix, guard: int = 16) \
     specs = tnn_efficient_specs(x.n)
     values, mults = minor_family(x, specs)
     if values[-1] == 0:  # the last spec is [1..n|1..n], the determinant
-        raise NotApplicableError(
-            "matrix is singular; the efficient criterion requires an "
-            "invertible input -- use the brute-force test")
+        raise NotApplicableError(_SINGULAR)
     verdict = all(
         value > 0 if spec.rows == spec.cols and spec.rows[-1] == spec.size
         else value >= 0
         for spec, value in zip(specs, values))
     return verdict, len(specs), _failures(specs, values, mults, _negative)
+
+
+# ---------------------------------------------------------------------------
+# Neville elimination
+
+
+def _neville_failure(x: Matrix, strict: bool) \
+        -> tuple[MinorSpec, bool] | None:
+    """None when the Neville passes of x and of x^T both pass; else the
+    initial minor of the first failing pivot, and whether that pivot was
+    read as the minor itself and is negative (so the minor is negative).
+
+    The passes run on the row-cleared integer matrix and its transpose,
+    and a positive scaling of rows or columns keeps every sign they read.
+    """
+    rows, _ = _integer_rows(x.rows)
+    columns = [list(column) for column in zip(*rows)]
+    for m, transpose in ((rows, False), (columns, True)):
+        failed = _neville(m, strict)
+        if failed is not None:
+            i, k, exact = failed
+            lines = tuple(range(i - k + 1, i + 2)), tuple(range(1, k + 2))
+            spec = MinorSpec.trusted(*(lines[::-1] if transpose else lines))
+            return spec, exact and m[i][k] < 0
+    return None
+
+
+def test_tp_neville(x: Matrix) -> bool:
+    """Total positivity from one Neville elimination of x and one of x^T:
+    every pivot, a ratio of two initial minors, is positive.  O(n^3), with
+    no invertibility precondition."""
+    return _neville_failure(x, strict=True) is None
+
+
+def test_tnn_neville(x: Matrix) -> bool:
+    """Total nonnegativity of an invertible x from one Neville elimination
+    of x and one of x^T (Gasca and Peña 1992): no row exchange, no
+    negative multiplier, positive diagonal pivots.  O(n^3); raises
+    :class:`NotApplicableError` on singular input."""
+    failed = _neville_failure(x, strict=False) is not None
+    if failed and x.det() == 0:
+        raise NotApplicableError(_SINGULAR)
+    return not failed
+
+
+def tnn_neville_report(x: Matrix, guard: int = 16) \
+        -> tuple[bool, int, list[tuple[MinorSpec, Fraction]]]:
+    """:func:`test_tnn_neville`'s verdict, with the n^2 initial minors
+    whose ratios are the pivots as the count, and witnesses.
+
+    The witness is the failing pivot's initial minor when the pivot was
+    read as that minor and is negative, its sign confirmed by
+    :func:`minor`.  Otherwise (a zero pivot, or a pivot past a kept row)
+    the witnesses are the negative minors of the efficient family, so n
+    above ``guard`` raises :class:`GuardExceeded` there.
+    """
+    n = x.n
+    failure = _neville_failure(x, strict=False)
+    if failure is None:
+        return True, n * n, []
+    if x.det() == 0:
+        raise NotApplicableError(_SINGULAR)
+    spec, negative = failure
+    if negative:
+        value = minor(x, spec)
+        if value < 0:
+            return False, n * n, [(spec, value)]
+    check_guard(n, guard, "the efficient TNN test")
+    return False, n * n, failing_minors(x, tnn_efficient_specs(n),
+                                        strict=False)
 
 
 def test_tp_given_tnn(x: Matrix) -> bool:
@@ -210,38 +289,43 @@ def is_oscillatory(x: Matrix, criterion: str = "b", guard: int = 6) -> bool:
     (some power is totally positive) by one of three equivalent criteria:
 
     * ``"b"``: all entries just above and just below the diagonal positive;
-    * ``"c"``: x^(n-1) totally positive (checked brute force);
+    * ``"c"``: x^(n-1) totally positive (checked by its initial minors);
     * ``"d"``: x is not block-triangular.
+
+    The input is checked by Neville elimination (:func:`test_tnn_neville`);
+    n above ``guard`` raises :class:`GuardExceeded`.
     """
+    if criterion not in ("b", "c", "d"):
+        raise ValueError(f"unknown criterion {criterion!r}; pick b, c, or d")
     _check_oscillation_input(x, guard)
-    return _oscillation_criterion(x, criterion, guard)
+    return _oscillation_criterion(x, criterion)
 
 
 def oscillation_criteria(x: Matrix, guard: int = 6) -> dict[str, bool]:
     """:func:`is_oscillatory` by each criterion b, c and d, with the input
     checked once."""
     _check_oscillation_input(x, guard)
-    return {c: _oscillation_criterion(x, c, guard) for c in "bcd"}
+    return {c: _oscillation_criterion(x, c) for c in "bcd"}
 
 
 def _check_oscillation_input(x: Matrix, guard: int) -> None:
-    if x.det() == 0:
+    tnn = _neville_failure(x, strict=False) is None
+    if not tnn and x.det() == 0:
         raise NotApplicableError("oscillation is defined for invertible "
                                  "totally nonnegative matrices")
-    if not is_tnn_bruteforce(x, guard=guard):
+    check_guard(x.n, guard)
+    if not tnn:
         raise NotApplicableError("input is not totally nonnegative")
 
 
-def _oscillation_criterion(x: Matrix, criterion: str, guard: int) -> bool:
+def _oscillation_criterion(x: Matrix, criterion: str) -> bool:
     n = x.n
     if criterion == "b":
         return all(x.entry(i, i + 1) > 0 and x.entry(i + 1, i) > 0
                    for i in range(1, n))
     if criterion == "c":
-        return is_tp_bruteforce(x ** (n - 1), guard=guard)
-    if criterion == "d":
-        return not is_block_triangular(x)
-    raise ValueError(f"unknown criterion {criterion!r}; pick b, c, or d")
+        return test_initial_minors(x ** (n - 1))
+    return not is_block_triangular(x)
 
 
 # ---------------------------------------------------------------------------

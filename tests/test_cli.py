@@ -101,6 +101,18 @@ def _witness(rows, cols, value):
      {"verdict": True, "minors_checked": 11, "witnesses": []}),
     (TRI3, ["tnn", "--method", "brute"], 0,
      {"verdict": True, "minors_checked": 19, "witnesses": []}),
+    (MIXED3, ["test", "--method", "neville"], 1,
+     {"verdict": False, "minors_checked": 9, "witnesses": [
+         _witness([1], [2], "-1"), _witness([1, 2], [2, 3], "-3/2"),
+         _witness([3], [1], "-2")]}),
+    (MIXED3, ["tnn", "--method", "neville"], 1,
+     {"verdict": False, "minors_checked": 9, "witnesses": [
+         _witness([3], [1], "-2")]}),
+    (TRI3, ["test", "--method", "neville"], 1,
+     {"verdict": False, "minors_checked": 9, "witnesses": [
+         _witness([1], [3], "0"), _witness([3], [1], "0")]}),
+    (TRI3, ["tnn", "--method", "neville"], 0,
+     {"verdict": True, "minors_checked": 9, "witnesses": []}),
 ])
 def test_pinned_reports(matrix, argv, code, report, tmp_path, capsys):
     path = tmp_path / "x.json"
@@ -124,6 +136,42 @@ class TestTnnAndFriends:
             "larger guard to override\n")
         assert main(["tnn", unit3, "--guard-n", "3"]) == 0
         capsys.readouterr()
+
+    def test_neville_at_n32(self, tmp_path, capsys):
+        # polynomial where the efficient family (2^33 - 34 minors) is
+        # guarded
+        t = [1 + k % 3 for k in range(32 * 32)]
+        x = product_map(staircase_scheme(32), t, 32)
+        path = tmp_path / "tp32.json"
+        path.write_text(json.dumps(x.to_json()))
+        assert main(["test", str(path), "--method", "neville"]) == 0
+        assert main(["tnn", str(path), "--method", "neville"]) == 0
+        assert capsys.readouterr().out == (
+            "totally positive: true (1024 minors checked, method neville)\n"
+            "totally nonnegative: true (1024 minors checked, "
+            "method neville)\n")
+        assert main(["tnn", str(path), "--method", "efficient"]) == 2
+        capsys.readouterr()
+
+    def test_neville_fallback_guard(self, tmp_path, capsys):
+        # a zero leading entry names no single witness; the efficient
+        # family is searched for them under its guard
+        path = tmp_path / "zero_lead.json"
+        path.write_text(json.dumps(
+            {"n": 3, "rows": [["0", "1", "1"], ["1", "1", "1"],
+                              ["1", "1", "2"]]}))
+        assert main(["tnn", str(path), "--method", "neville",
+                     "--guard-n", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "totpos: the efficient TNN test is guarded at n <= 2; pass a "
+            "larger guard to override\n")
+        assert main(["tnn", str(path), "--method", "neville",
+                     "--report", "json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": False, "minors_checked": 9, "witnesses": [
+                _witness([1, 2], [1, 2], "-1"), _witness([1, 2], [1, 3], "-1"),
+                _witness([1, 3], [1, 2], "-1"),
+                _witness([1, 2, 3], [1, 2, 3], "-1")]}
 
     def test_efficient_witnesses(self, tmp_path, capsys):
         path = tmp_path / "neg.json"
@@ -333,7 +381,8 @@ def _argvs(draw):
             ["{matrix}"] * 4 + ["{network}", "/nonexistent.json"])))
     if command in ("test", "tnn") and draw(maybe):
         argv += ["--method", draw(st.sampled_from(
-            ["initial", "chamber", "fekete", "brute", "efficient", "bad"]))]
+            ["initial", "chamber", "fekete", "brute", "efficient",
+             "neville", "bad"]))]
     if command == "test" and draw(maybe):
         argv += ["--diagram", draw(WORD)]
     if command == "factor" and draw(maybe):

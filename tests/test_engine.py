@@ -5,6 +5,7 @@ chamber sweep divide by zero."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,6 +259,81 @@ class TestCriteriaOnDegenerateInputs:
             assert pv.failing_minors(x, specs, strict=strict) == expected
 
 
+@st.composite
+def neville_inputs(draw):
+    """Square matrices for the Neville tests, n = 1..6: staircase products
+    with zero slant parameters (totally nonnegative, not totally
+    positive), their perturbations, random-type products, sparse small
+    integers (many zero minors), mixed signs, zero rows and singular
+    ones."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["zero slant", "perturbed", "tnn", "sparse",
+                                 "mixed", "zero row", "singular"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    if kind in ("zero slant", "perturbed"):
+        word = staircase_scheme(n)
+        params = [Fraction(0) if letter.kind != DIAG and rng.random() < 0.4
+                  else rand_positive(rng) for letter in word]
+        rows = [list(row) for row in product_map(word, params, n).rows]
+        if kind == "perturbed":
+            rows[rng.randrange(n)][rng.randrange(n)] += draw(ENTRIES)
+    elif kind == "tnn":
+        rows = [list(row) for row in rand_tnn_invertible(rng, n).rows]
+    elif kind == "sparse":
+        rows = [[Fraction(draw(st.sampled_from([0, 0, 0, 1, 2, -1])))
+                 for _ in range(n)] for _ in range(n)]
+    else:
+        rows = [[draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+    if kind == "zero row":
+        rows[draw(st.integers(0, n - 1))] = [Fraction(0)] * n
+    if kind == "singular" and n > 1:
+        i, k = draw(st.permutations(range(n)))[:2]
+        rows[i] = [draw(ENTRIES) * v for v in rows[k]]
+    return Matrix(rows)
+
+
+class TestNeville:
+    """Neville elimination of x and x^T (Gasca and Peña 1992) against
+    brute force over all minors."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(neville_inputs())
+    def test_verdicts_and_witnesses(self, x):
+        assert pv.test_tp_neville(x) == pv.is_tp_bruteforce(x)
+        if x.det() == 0:
+            for test in (pv.test_tnn_neville, pv.tnn_neville_report):
+                with pytest.raises(pv.NotApplicableError):
+                    test(x)
+            return
+        tnn = pv.is_tnn_bruteforce(x)
+        verdict, checked, witnesses = pv.tnn_neville_report(x)
+        assert verdict == pv.test_tnn_neville(x) == tnn
+        assert checked == x.n ** 2
+        for spec, value in witnesses:
+            assert value == minor(x, spec) < 0
+        if tnn:
+            assert witnesses == []
+        elif len(witnesses) != 1:
+            # no single named witness: the efficient family's negatives
+            assert witnesses == pv.tnn_efficient_report(x)[2]
+
+    def test_named_witness_and_fallback(self):
+        # the transposed pass finds [1|2] = -1 after the pass of x finds
+        # nothing; a zero leading minor with a nonzero entry below it
+        # names no single witness, so the family is searched
+        x = Matrix([[1, -1], [1, 1]])
+        assert pv.tnn_neville_report(x) == (
+            False, 4, [(MinorSpec((1,), (2,)), -1)])
+        y = Matrix([[0, 1, 1], [1, 1, 1], [1, 1, 2]])
+        verdict, _, witnesses = pv.tnn_neville_report(y)
+        assert not verdict
+        assert witnesses == pv.tnn_efficient_report(y)[2] != []
+        with pytest.raises(pv.GuardExceeded, match="efficient TNN test"):
+            pv.tnn_neville_report(y, guard=2)
+        assert pv.tnn_neville_report(Matrix([[-1]])) == (
+            False, 1, [(MinorSpec((1,), (1,)), -1)])
+
+
 def test_oscillation_criteria_match_is_oscillatory():
     rng = random.Random(5)
     for n in range(1, 5):
@@ -269,16 +345,40 @@ def test_oscillation_criteria_match_is_oscillatory():
 
 def test_oscillation_criteria_check_input_once(monkeypatch):
     calls = []
-    brute = pv.is_tnn_bruteforce
+    check = pv._neville_failure
 
-    def counting(x, guard=6):
-        calls.append(x)
-        return brute(x, guard=guard)
+    def counting(x, strict):
+        calls.append(strict)
+        return check(x, strict)
 
-    monkeypatch.setattr(pv, "is_tnn_bruteforce", counting)
+    monkeypatch.setattr(pv, "_neville_failure", counting)
     x = Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     assert pv.oscillation_criteria(x) == {"b": True, "c": True, "d": True}
-    assert len(calls) == 1
+    assert calls == [False]
+
+
+def test_oscillation_criteria_use_no_brute_force(monkeypatch):
+    def refuse(x, guard=6):
+        raise AssertionError("brute force called")
+
+    monkeypatch.setattr(pv, "is_tnn_bruteforce", refuse)
+    monkeypatch.setattr(pv, "is_tp_bruteforce", refuse)
+    rng = random.Random(9)
+    for n in range(1, 7):
+        x = rand_tnn_invertible(rng, n)
+        assert len(set(pv.oscillation_criteria(x).values())) == 1
+
+
+def test_is_oscillatory_checks_the_criterion_first(monkeypatch):
+    def refuse(x, strict):
+        raise AssertionError("input checked before the criterion")
+
+    monkeypatch.setattr(pv, "_neville_failure", refuse)
+    for x in (Matrix([[1, 1], [1, 1]]), Matrix([[-1, 0], [0, 1]]),
+              Matrix([[2, 1], [1, 2]])):
+        with pytest.raises(ValueError, match="unknown criterion 'z'; "
+                                             "pick b, c, or d"):
+            pv.is_oscillatory(x, "z")
 
 
 def test_spec_families_are_valid_specs():

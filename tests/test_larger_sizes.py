@@ -13,9 +13,12 @@ from totpos.factorization import (_prime_exponents, _primes,
                                   verify_twist_monomial)
 from totpos.positivity import (bruhat_type, is_oscillatory,
                                is_tnn_bruteforce, is_tp_bruteforce)
+from totpos.positivity import test_initial_minors as initial_criterion
 from totpos.positivity import test_tnn_efficient as tnn_efficient_criterion
-from totpos.words import (apply_move_word, moves_to_staircase, product_map,
-                          staircase_scheme)
+from totpos.positivity import test_tnn_neville as tnn_neville_criterion
+from totpos.positivity import test_tp_neville as tp_neville_criterion
+from totpos.words import (DIAG, apply_move_word, moves_to_staircase,
+                          product_map, staircase_scheme)
 
 from util import (rand_full_scheme, rand_matrix, rand_positive,
                   rand_tnn_invertible, rand_tp, rand_typed_scheme,
@@ -101,6 +104,22 @@ def test_efficient_tnn_agrees_with_brute_force_at_n5_and_n6():
         assert checked == 2 ** (n + 1) - n - 2
         assert verdict == is_tnn_bruteforce(x, guard=6)
         done += 1
+
+
+def test_neville_agrees_with_initial_minors_at_n32():
+    # staircase products: every parameter positive gives a totally
+    # positive matrix; zero slant parameters a totally nonnegative one
+    # that is not
+    rng = random.Random(211)
+    word = staircase_scheme(32)
+    for zeros in (0.0, 0.3):
+        t = [Fraction(0) if letter.kind != DIAG and rng.random() < zeros
+             else rand_positive(rng) for letter in word]
+        x = product_map(word, t, 32)
+        tp = initial_criterion(x)
+        assert tp == (zeros == 0.0)
+        assert tp_neville_criterion(x) == tp
+        assert tnn_neville_criterion(x)
 
 
 def test_oscillation_criteria_agree_at_n5():
