@@ -98,6 +98,9 @@ def _cmd_test(args) -> int:
         pv.check_guard(x.n, _guard(args, 6))
         specs = all_minor_specs(x.n)
     elif args.method in ("initial", "neville"):
+        # strict Neville elimination stops at the first pivot that is not
+        # positive, when every pivot it has read is an initial minor: on
+        # total positivity it is the initial-minor test
         from .matrices import initial_minor_specs
         specs = initial_minor_specs(x.n)
     elif args.method == "fekete":
@@ -111,10 +114,6 @@ def _cmd_test(args) -> int:
         specs = dg.chamber_minors(d)
     if args.method == "chamber":
         failures = pv.failing_chamber_minors(x, d)
-    elif args.method == "neville":
-        # a failing pivot means some initial minor is not positive
-        failures = ([] if pv.test_tp_neville(x)
-                    else pv.failing_minors(x, specs, strict=True))
     else:
         failures = pv.failing_minors(x, specs, strict=True)
     verdict = not failures
@@ -137,6 +136,8 @@ def _cmd_tnn(args) -> int:
         verdict = not failures
         checked = len(specs)
     else:
+        # the user picks neville above the efficient guard; efficient
+        # stays the default, so its reports and guard exit are unchanged
         report = (pv.tnn_neville_report if args.method == "neville"
                   else pv.tnn_efficient_report)
         verdict, checked, failures = report(x, guard=_guard(args, 16))
@@ -319,7 +320,8 @@ def _cmd_selfcheck(args) -> int:
         ref = pv.is_tp_bruteforce(x)
         ok &= pv.test_initial_minors(x) == ref
         ok &= pv.test_fekete_solid(x) == ref
-        ok &= pv.test_tp_neville(x) == ref
+        if x.det():
+            ok &= pv.test_tnn_neville(x) == pv.is_tnn_bruteforce(x)
     results.append(("criterion-equivalence", ok))
 
     # disjoint-path oracle against the weight-matrix determinant route

@@ -289,11 +289,11 @@ def _eliminate(m: list[list[int]], swaps: bool = True,
     return pivots, sign
 
 
-def _neville(m: list[list[int]], strict: bool) -> tuple[int, int, bool] | None:
+def _neville(m: list[list[int]]) -> tuple[int, int] | None:
     """Fraction-free Neville elimination of the integer rows ``m``, in
     place, checking each column's pivots before it is eliminated; returns
-    None when every check passes, else ``(i, k, exact)`` of the first
-    failing pivot ``m[i][k]`` (0-based).
+    None when every check passes, else ``(i, k)`` of the first failing
+    pivot ``m[i][k]`` (0-based).
 
     Column k is cleared from the bottom up, each row i > k by its upper
     neighbour: with P = m[i - 1][k] > 0 and h = m[i][k], row i becomes
@@ -312,17 +312,16 @@ def _neville(m: list[list[int]], strict: bool) -> tuple[int, int, bool] | None:
 
     The checks, for the invertible totally nonnegative test (Gasca and
     Peña 1992): the diagonal pivot is > 0, no pivot is negative, and a
-    pivot below a zero pivot is 0 (no row exchange is needed).  With
-    ``strict`` (total positivity) every pivot is > 0.
+    pivot below a zero pivot is 0 (no row exchange is needed).
     """
     n = len(m)
     exact = [True] * n
     for k in range(n):
         for i in range(k, n):
             v = m[i][k]
-            if (v <= 0 if strict or i == k
+            if (v <= 0 if i == k
                     else v < 0 or (v and not m[i - 1][k])):
-                return i, k, exact[i]
+                return i, k
         for i in range(n - 1, k, -1):
             row, up = m[i], m[i - 1]
             pivot, head = up[k], row[k]

@@ -15,12 +15,14 @@ criteria:
   total;
 * `test_tp_given_tnn`: for a matrix already known totally nonnegative,
   nonvanishing of the 2n - 1 antiprincipal minors;
-* `test_tp_neville`, `test_tnn_neville`: one fraction-free Neville
-  elimination of x and one of x^T, O(n^3) (Gasca and Peña 1992).  x is
-  totally positive iff every pivot is positive; an invertible x is
-  totally nonnegative iff no row exchange is needed, no multiplier is
-  negative and every diagonal pivot is positive.  A pivot is a ratio of
-  initial minors, so a failing one points at a witness;
+* `test_tnn_neville`: one fraction-free Neville elimination of x and one
+  of x^T, O(n^3) (Gasca and Peña 1992): an invertible x is totally
+  nonnegative iff no row exchange is needed, no multiplier is negative
+  and every diagonal pivot is positive.  A pivot is a ratio of initial
+  minors, so a failing one points at a witness.  For total positivity
+  the pass would stop at the first pivot that is not positive, having
+  read exactly the initial minors, so the CLI's `test --method neville`
+  runs `test_initial_minors`;
 * `is_oscillatory`: equivalent characterizations of invertible totally
   nonnegative matrices some power of which is totally positive, on the
   Neville TNN check of the input and the initial minors of x^(n-1);
@@ -194,11 +196,9 @@ def tnn_efficient_report(x: Matrix, guard: int = 16) \
 # Neville elimination
 
 
-def _neville_failure(x: Matrix, strict: bool) \
-        -> tuple[MinorSpec, bool] | None:
+def _neville_failure(x: Matrix) -> MinorSpec | None:
     """None when the Neville passes of x and of x^T both pass; else the
-    initial minor of the first failing pivot, and whether that pivot was
-    read as the minor itself and is negative (so the minor is negative).
+    initial minor of the first failing pivot.
 
     The passes run on the row-cleared integer matrix and its transpose,
     and a positive scaling of rows or columns keeps every sign they read.
@@ -206,20 +206,12 @@ def _neville_failure(x: Matrix, strict: bool) \
     rows, _ = _integer_rows(x.rows)
     columns = [list(column) for column in zip(*rows)]
     for m, transpose in ((rows, False), (columns, True)):
-        failed = _neville(m, strict)
+        failed = _neville(m)
         if failed is not None:
-            i, k, exact = failed
+            i, k = failed
             lines = tuple(range(i - k + 1, i + 2)), tuple(range(1, k + 2))
-            spec = MinorSpec.trusted(*(lines[::-1] if transpose else lines))
-            return spec, exact and m[i][k] < 0
+            return MinorSpec.trusted(*(lines[::-1] if transpose else lines))
     return None
-
-
-def test_tp_neville(x: Matrix) -> bool:
-    """Total positivity from one Neville elimination of x and one of x^T:
-    every pivot, a ratio of two initial minors, is positive.  O(n^3), with
-    no invertibility precondition."""
-    return _neville_failure(x, strict=True) is None
 
 
 def test_tnn_neville(x: Matrix) -> bool:
@@ -227,7 +219,7 @@ def test_tnn_neville(x: Matrix) -> bool:
     of x and one of x^T (Gasca and Peña 1992): no row exchange, no
     negative multiplier, positive diagonal pivots.  O(n^3); raises
     :class:`NotApplicableError` on singular input."""
-    failed = _neville_failure(x, strict=False) is not None
+    failed = _neville_failure(x) is not None
     if failed and x.det() == 0:
         raise NotApplicableError(_SINGULAR)
     return not failed
@@ -238,23 +230,20 @@ def tnn_neville_report(x: Matrix, guard: int = 16) \
     """:func:`test_tnn_neville`'s verdict, with the n^2 initial minors
     whose ratios are the pivots as the count, and witnesses.
 
-    The witness is the failing pivot's initial minor when the pivot was
-    read as that minor and is negative, its sign confirmed by
-    :func:`minor`.  Otherwise (a zero pivot, or a pivot past a kept row)
-    the witnesses are the negative minors of the efficient family, so n
-    above ``guard`` raises :class:`GuardExceeded` there.
+    The witness is the failing pivot's initial minor when :func:`minor`
+    finds it negative.  Otherwise (a zero pivot, or a pivot past a kept
+    row) the witnesses are the negative minors of the efficient family,
+    so n above ``guard`` raises :class:`GuardExceeded` there.
     """
     n = x.n
-    failure = _neville_failure(x, strict=False)
-    if failure is None:
+    spec = _neville_failure(x)
+    if spec is None:
         return True, n * n, []
     if x.det() == 0:
         raise NotApplicableError(_SINGULAR)
-    spec, negative = failure
-    if negative:
-        value = minor(x, spec)
-        if value < 0:
-            return False, n * n, [(spec, value)]
+    value = minor(x, spec)
+    if value < 0:
+        return False, n * n, [(spec, value)]
     check_guard(n, guard, "the efficient TNN test")
     return False, n * n, failing_minors(x, tnn_efficient_specs(n),
                                         strict=False)
@@ -309,7 +298,7 @@ def oscillation_criteria(x: Matrix, guard: int = 6) -> dict[str, bool]:
 
 
 def _check_oscillation_input(x: Matrix, guard: int) -> None:
-    tnn = _neville_failure(x, strict=False) is None
+    tnn = _neville_failure(x) is None
     if not tnn and x.det() == 0:
         raise NotApplicableError("oscillation is defined for invertible "
                                  "totally nonnegative matrices")

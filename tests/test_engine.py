@@ -299,7 +299,9 @@ class TestNeville:
     @settings(deadline=None, max_examples=200)
     @given(neville_inputs())
     def test_verdicts_and_witnesses(self, x):
-        assert pv.test_tp_neville(x) == pv.is_tp_bruteforce(x)
+        # test --method neville: the pivots of a strict pass are the
+        # initial minors
+        assert pv.test_initial_minors(x) == pv.is_tp_bruteforce(x)
         if x.det() == 0:
             for test in (pv.test_tnn_neville, pv.tnn_neville_report):
                 with pytest.raises(pv.NotApplicableError):
@@ -347,14 +349,14 @@ def test_oscillation_criteria_check_input_once(monkeypatch):
     calls = []
     check = pv._neville_failure
 
-    def counting(x, strict):
-        calls.append(strict)
-        return check(x, strict)
+    def counting(x):
+        calls.append(x)
+        return check(x)
 
     monkeypatch.setattr(pv, "_neville_failure", counting)
     x = Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     assert pv.oscillation_criteria(x) == {"b": True, "c": True, "d": True}
-    assert calls == [False]
+    assert len(calls) == 1
 
 
 def test_oscillation_criteria_use_no_brute_force(monkeypatch):
@@ -370,7 +372,7 @@ def test_oscillation_criteria_use_no_brute_force(monkeypatch):
 
 
 def test_is_oscillatory_checks_the_criterion_first(monkeypatch):
-    def refuse(x, strict):
+    def refuse(x):
         raise AssertionError("input checked before the criterion")
 
     monkeypatch.setattr(pv, "_neville_failure", refuse)

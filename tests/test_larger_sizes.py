@@ -11,12 +11,12 @@ from totpos.factorization import (_prime_exponents, _primes,
                                   reconstruct_from_initial_minors,
                                   staircase_minor_exponents, twist,
                                   verify_twist_monomial)
+from totpos.matrices import Matrix
 from totpos.positivity import (bruhat_type, is_oscillatory,
                                is_tnn_bruteforce, is_tp_bruteforce)
 from totpos.positivity import test_initial_minors as initial_criterion
 from totpos.positivity import test_tnn_efficient as tnn_efficient_criterion
 from totpos.positivity import test_tnn_neville as tnn_neville_criterion
-from totpos.positivity import test_tp_neville as tp_neville_criterion
 from totpos.words import (DIAG, apply_move_word, moves_to_staircase,
                           product_map, staircase_scheme)
 
@@ -109,7 +109,8 @@ def test_efficient_tnn_agrees_with_brute_force_at_n5_and_n6():
 def test_neville_agrees_with_initial_minors_at_n32():
     # staircase products: every parameter positive gives a totally
     # positive matrix; zero slant parameters a totally nonnegative one
-    # that is not
+    # that is not; reversing the rows of either leaves it invertible but
+    # not totally nonnegative (its [1, 2|1, 2] minor is negative)
     rng = random.Random(211)
     word = staircase_scheme(32)
     for zeros in (0.0, 0.3):
@@ -118,8 +119,10 @@ def test_neville_agrees_with_initial_minors_at_n32():
         x = product_map(word, t, 32)
         tp = initial_criterion(x)
         assert tp == (zeros == 0.0)
-        assert tp_neville_criterion(x) == tp
         assert tnn_neville_criterion(x)
+        reversed_rows = Matrix(x.rows[::-1])
+        assert not initial_criterion(reversed_rows)
+        assert not tnn_neville_criterion(reversed_rows)
 
 
 def test_oscillation_criteria_agree_at_n5():
