@@ -34,9 +34,9 @@ from .exact import as_scalar
 from .matrices import (Matrix, MinorSpec, _integer_rows, _inverse_rows,
                        _ldu_rows, initial_minor_specs, minor, minor_values,
                        unscale)
-from .words import (DIAG, Word, WordError, infer_n, is_full_scheme,
-                    move_path, product_map, staircase_scheme,
-                    transport_params, validate_scheme)
+from .words import (DIAG, Permutation, Word, WordError, _encode, _replay,
+                    _reversed_moves, _route, infer_n, is_full_scheme,
+                    product_map, staircase_scheme, validate_scheme)
 
 
 class NotTotallyPositiveError(ValueError):
@@ -233,21 +233,21 @@ def factor_staircase(x: Matrix) -> tuple[Fraction, ...]:
 
 def factor_scheme(x: Matrix, scheme: Word) -> tuple[Fraction, ...]:
     """Factorization parameters of x along an arbitrary full-type scheme,
-    via the staircase factorization and exact parameter transport."""
+    via the staircase factorization and exact parameter transport: the
+    route from the scheme to the staircase, replayed backwards."""
     n = x.n
-    validate_scheme(scheme, n)
-    if not is_full_scheme(scheme, n):
+    rev = Permutation.reversal(n)
+    if validate_scheme(scheme, n) != (rev, rev):
         raise WordError("factor_scheme needs a scheme of full type "
                         "(both slant subwords reduced for the reversal)")
-    start = staircase_scheme(n)
-    params = factor_staircase(x)
-    word, params = transport_params(start, params,
-                                    move_path(start, scheme, n))
-    if word != tuple(scheme):
+    word = _encode(staircase_scheme(n))
+    params = list(factor_staircase(x))
+    _replay(word, params, _reversed_moves(_route(scheme, n)))
+    if word != _encode(scheme):
         raise AssertionError("transport did not reach the requested scheme")
     if any(t <= 0 for t in params):
         raise AssertionError("transported parameters lost positivity")
-    return params
+    return tuple(params)
 
 
 def parameter_sum_formula(x: Matrix) -> Fraction:

@@ -7,9 +7,10 @@ only at shared endpoints, and may not pass through other vertices).  The
 n sources are the vertices of the leftmost column and the n sinks those of
 the rightmost column, numbered bottom-to-top.
 
-A `PlanarNetwork` checks all this when built, but a chip (n horizontals,
-at most one slant between adjacent levels) is planar by construction, so
-a network glued from chips is checked once, by `concatenate`.
+A `PlanarNetwork` checks all this when built.  A chip (n horizontals, at
+most one slant between adjacent levels) is planar by construction, and so
+is a network glued from valid networks by `concatenate`, which checks only
+its seams; neither is checked again.
 
 The weight matrix entry (i, j) is the sum over directed paths from source
 i to sink j of the product of edge weights, computed by dynamic
@@ -100,8 +101,9 @@ class PlanarNetwork(Record):
     @classmethod
     def _trusted(cls, n, vertices, edges, essential) -> "PlanarNetwork":
         """A network from int coordinates and exact weights known to make a
-        leveled planar network, as `chip` makes them, left unchecked: the
-        slots are set as ``__init__`` sets them, without its checks."""
+        leveled planar network, as `chip` and `concatenate` make them, left
+        unchecked: the slots are set as ``__init__`` sets them, without its
+        checks."""
         net = object.__new__(cls)
         net._set(n, vertices, edges, essential)
         return net
@@ -336,8 +338,12 @@ def chip(letter: Letter, t, n: int) -> PlanarNetwork:
 
 def concatenate(a: PlanarNetwork, *rest: PlanarNetwork) -> PlanarNetwork:
     """Glue each network's sources onto the sinks of the one before it;
-    weight matrices multiply.  Boundary levels must match at each seam;
-    planarity (chips skip it) is checked once, on the result."""
+    weight matrices multiply.  Sizes and boundary levels must match at each
+    seam, and nothing else is checked: each network lies in its own x-strip,
+    the strips meet only on the seam lines, and an edge reaches a seam line
+    only at its end on the boundary, which is identified with the vertex of
+    the same level across.  So the result is planar, with the first
+    network's sources and the last one's sinks."""
     for left, right in zip((a,) + rest, rest):
         if right.n != a.n:
             raise NetworkError("cannot concatenate networks of different size")
@@ -357,8 +363,8 @@ def concatenate(a: PlanarNetwork, *rest: PlanarNetwork) -> PlanarNetwork:
             edges.append((local[u], local[v], w))
         essential.extend(offset + e for e in net.essential)
         end = max(x for x, _ in net.vertices) + dx
-    return PlanarNetwork(a.n, tuple(ids), tuple(edges),
-                         essential=tuple(essential))
+    return PlanarNetwork._trusted(a.n, tuple(ids), tuple(edges),
+                                  tuple(essential))
 
 
 def chips_of_word(word: Word, params: Sequence, n: int) -> PlanarNetwork:

@@ -20,10 +20,11 @@ subwords represent.
 
 Local moves rewrite a word while transporting parameters so that the
 matrix product is unchanged; all transport formulas are subtraction-free,
-so positive parameters stay positive.  `apply_move_word` is the one
-rewrite of the letters; `transport_params` adds the parameter formulas
-along a move sequence (`local_move_transport` for one move).  Three kinds
-exist:
+so positive parameters stay positive.  One replay, `_replay`, applies
+move sequences in place to int-coded letters and their parameters:
+`transport_params` runs it on a sequence of `Move` values,
+`local_move_transport` on one move, and `apply_move_word` on one move at
+unit parameters, keeping the letters.  Three kinds exist:
 
 * ``swap``: two adjacent commuting letters trade places.  Slant letters of
   the same kind commute when their indices differ by >= 2, slant letters of
@@ -45,6 +46,8 @@ tests.
 fetching each staircase letter, from the left, to its place: the
 constructive proof of Tits' word property, with a mixed move where an
 upper and a lower letter of one index meet.  `move_path` joins two routes.
+The router, `_Rewriter`, rewrites one mutable list and logs move codes;
+`Move` values are built from the log only for these public lists.
 """
 
 from __future__ import annotations
@@ -130,13 +133,14 @@ class Permutation(Record):
 
 
 def permutation_of_word(gens: Sequence[int], n: int) -> Permutation:
-    """Product of adjacent transpositions, composed in word order."""
-    w = Permutation.identity(n)
+    """Product of adjacent transpositions, composed in word order: each
+    generator i exchanges the images of i and i + 1."""
+    images = list(range(1, n + 1))
     for g in gens:
         if not 1 <= g <= n - 1:
             raise ValueError(f"generator {g} out of range for n={n}")
-        w = w * Permutation.transposition(n, g)
-    return w
+        images[g - 1], images[g] = images[g], images[g - 1]
+    return Permutation(tuple(images))
 
 
 def is_reduced_word(gens: Sequence[int], n: int) -> bool:
@@ -370,6 +374,20 @@ def is_full_scheme(word: Word, n: int | None = None) -> bool:
 
 # ---------------------------------------------------------------------------
 # local moves and parameter transport
+#
+# The router and the replay run on int codes: a letter is 4 * index + kind
+# (0 lower, 1 upper, 2 diag) and a move is 4 * pos + kind (0 swap, 1 braid,
+# 2 mixed).  The router also logs a diag's passage from one position to
+# another as one run, 4 * (src * _SPAN + dst) + 3, which stands for the
+# swaps on the way.  `Letter` and `Move` values are built only at the public
+# edges.
+
+_LETTER_KINDS = (LOWER, UPPER, DIAG)
+_LETTER_CODES = {LOWER: 0, UPPER: 1, DIAG: 2}
+_MOVE_KINDS = ("swap", "braid", "mixed")
+_MOVE_CODES = {"swap": 0, "braid": 1, "mixed": 2}
+_SPAN = 1 << 20  # positions in a run code stay below it (n < 1024)
+_ONE = Fraction(1)
 
 
 class Move(Record):
@@ -381,77 +399,300 @@ class Move(Record):
         object.__setattr__(self, "pos", pos)
 
 
-def _swap_ok(a: Letter, b: Letter) -> bool:
-    if a.kind == DIAG or b.kind == DIAG:
+def _encode(word: Iterable[Letter]) -> list[int]:
+    return [letter.index << 2 | _LETTER_CODES[letter.kind] for letter in word]
+
+
+def _letter(code: int) -> Letter:
+    return Letter(_LETTER_KINDS[code & 3], code >> 2)
+
+
+def _run(src: int, dst: int) -> int:
+    return (src * _SPAN + dst) << 2 | 3
+
+
+def _run_swaps(code: int) -> range:
+    """The positions of the swaps a run stands for, in order."""
+    src, dst = divmod(code >> 2, _SPAN)
+    return range(src, dst) if src < dst else range(src - 1, dst - 1, -1)
+
+
+def _moves(codes: Iterable[int]) -> list[Move]:
+    """`Move` values for move codes, runs spelled out as swaps; one shared
+    value per move."""
+    made: dict[int, Move] = {}
+    out = []
+    for code in codes:
+        steps = [q << 2 for q in _run_swaps(code)] if code & 3 == 3 \
+            else (code,)
+        for step in steps:
+            move = made.get(step)
+            if move is None:
+                move = made[step] = Move(_MOVE_KINDS[step & 3], step >> 2)
+            out.append(move)
+    return out
+
+
+def _commutes(a: int, b: int) -> bool:
+    """A diag commutes with every letter, slants of one kind when their
+    indices differ by at least 2, slants of opposite kinds when their
+    indices differ."""
+    if a & 3 == 2 or b & 3 == 2:
         return True
-    if a.kind == b.kind:
-        return abs(a.index - b.index) >= 2
-    return a.index != b.index
+    gap = abs((a >> 2) - (b >> 2))
+    return gap >= 2 or (gap == 1 and a & 3 != b & 3)
 
 
-def _diag_passes_slant_right(diag_index: int, slant: Letter, t: Fraction,
-                             s: Fraction) -> Fraction:
-    """New slant parameter when ``diag k (s)`` moves right past a slant (t)."""
-    if slant.kind == UPPER:
-        if diag_index == slant.index:
-            return t * s
-        if diag_index == slant.index + 1:
-            return t / s
-    else:
-        if diag_index == slant.index + 1:
-            return t * s
-        if diag_index == slant.index:
-            return t / s
-    return t
-
-
-def _braid_ok(word: Sequence[Letter], p: int) -> bool:
+def _braid_at(word: list[int], p: int) -> bool:
+    """(i, j, i) on slants of one kind with |i - j| = 1."""
     if p + 2 >= len(word):
         return False
-    a, b, c = word[p], word[p + 1], word[p + 2]
-    return (a.is_slant and a.kind == b.kind == c.kind
-            and a.index == c.index and abs(a.index - b.index) == 1)
+    a = word[p]
+    return a & 3 != 2 and a == word[p + 2] and abs(a - word[p + 1]) == 4
 
 
-def _mixed_ok(word: Sequence[Letter], p: int) -> bool:
+def _mixed_at(word: list[int], p: int) -> bool:
     """(upper i, diag i, diag i+1, lower i), or the same with the two slant
     kinds exchanged."""
     if p + 3 >= len(word):
         return False
     a, b, c, d = word[p:p + 4]
-    return (b.kind == DIAG and c.kind == DIAG
-            and b.index == a.index and c.index == a.index + 1
-            and d.index == a.index and {a.kind, d.kind} == {UPPER, LOWER})
+    return a & 3 != 2 and b == (a & ~3) + 2 and c == b + 4 and d == a ^ 1
 
 
-def apply_move_word(word: Word, move: Move) -> Word:
-    """The letters of a word after one local move: a swap exchanges two
-    letters, a braid turns (a, b, a) into (b, a, b), and a mixed move
-    exchanges the letters at pos and pos + 3.  Raises :class:`WordError`
-    when the move does not apply at its position."""
-    p = move.pos
-    if p < 0 or p >= len(word):
-        raise WordError(f"move position {p} out of range")
-    letters = list(word)
-    if move.kind == "swap":
-        if p + 1 == len(word):
-            raise WordError(f"move position {p} out of range")
-        a, b = word[p], word[p + 1]
-        if not _swap_ok(a, b):
-            raise WordError(f"letters {a} {b} do not commute")
-        letters[p:p + 2] = [b, a]
-    elif move.kind == "braid":
-        if not _braid_ok(word, p):
-            raise WordError(f"no braid pattern at position {p}")
-        a, b = word[p], word[p + 1]
-        letters[p:p + 3] = [b, a, b]
-    elif move.kind == "mixed":
-        if not _mixed_ok(word, p):
-            raise WordError(f"no mixed four-letter pattern at position {p}")
-        letters[p], letters[p + 3] = word[p + 3], word[p]
+def applicable_moves(word: Word) -> list[Move]:
+    """All moves legal at their positions in this word."""
+    codes = _encode(word)
+    size = len(codes)
+    moves = [Move("swap", p) for p in range(size - 1)
+             if _commutes(codes[p], codes[p + 1])]
+    moves += [Move("braid", p) for p in range(size - 2)
+              if _braid_at(codes, p)]
+    moves += [Move("mixed", p) for p in range(size - 3)
+              if _mixed_at(codes, p)]
+    return moves
+
+
+def _conjugate_slants(word: list[int], values: list, undo: bool = False) \
+        -> None:
+    """Pass the diags through the slants, in place: a lower takes the diags
+    on its left across to its right, an upper those on its right across to
+    its left.  Either way slant i gets t H[i+1] / H[i], with H[k] the
+    product of the parameters of the diags @k passed; ``undo`` divides
+    instead.  A zero diag parameter counts as 1 in H."""
+    for kind, order in ((0, range(len(word))),
+                        (1, range(len(word) - 1, -1, -1))):
+        torus: dict[int, Fraction] = {}
+        for k in order:
+            code = word[k]
+            i = code >> 2
+            if code & 3 == 2:
+                if values[k]:
+                    torus[i] = torus[i] * values[k] if i in torus \
+                        else values[k]
+            elif code & 3 == kind:
+                num, den = torus.get(i + 1, 1), torus.get(i, 1)
+                if undo:
+                    num, den = den, num
+                if num != den:
+                    values[k] = values[k] * num / den
+
+
+def _zero_diag_swap(word: list[int], values: list, p: int) -> None:
+    """What a zero diag parameter does across the diag-slant swap at p: it
+    zeroes the slant or divides it by zero passing right, and it divides 1
+    by zero passing left."""
+    a, b = word[p], word[p + 1]
+    if a & 3 == 2 and b & 3 != 2 and not values[p]:
+        if a >> 2 == (b >> 2) + (b & 3):  # the rescaling divides by @k
+            restored = word[:], values[:]
+            _conjugate_slants(*restored, undo=True)
+            restored[1][p + 1] / values[p]  # raises ZeroDivisionError
+        if a >> 2 == (b >> 2) + 1 - (b & 3):  # it multiplies by @k
+            values[p + 1] = values[p + 1] * values[p]
+    elif b & 3 == 2 and a & 3 != 2 and not values[p + 1]:
+        1 / values[p + 1]  # raises ZeroDivisionError
+
+
+def _mixed(word: list[int], values: list, p: int, torus: dict) -> None:
+    """The mixed move at p on held values (see `_replay`), with ``torus``
+    the product of all diag parameters by index.  Once @i and @i+1 are
+    taken out of the two slants that hold them (upper i first), each slant
+    holds its parameter times H[i+1] / H[i] of the diags on its far side,
+    and those two ratios multiply to the torus ratio without @i and @i+1.
+    So the product of the two parameters is known, and the move's formulas
+    give the new held values.  The new @i and @i+1 then rescale the lowers
+    of index i-1, i, i+1 on the right of the move and the uppers on its
+    left."""
+    t1, t2, t3, t4 = values[p:p + 4]
+    i = word[p] >> 2
+    forward = word[p] & 3 == 1
+    old2, old3 = t2 or 1, t3 or 1
+    if forward:
+        t1, t4 = t1 * old2 / old3, t4 * old2 / old3
+    pair = t1 * t4 * torus.get(i, 1) * old3 / (torus.get(i + 1, 1) * old2)
+    total = t2 + t3 * pair if forward else t3 + t2 * pair
+    if total == 0:
+        raise WordError("mixed transport undefined at this parameter point")
+    if forward:
+        new = [t3 * t4 / total, total, t2 * t3 / total, t3 * t1 / total]
     else:
-        raise WordError(f"unknown move kind {move.kind!r}")
-    return tuple(letters)
+        new = [t2 * t4 / total, t2 * t3 / total, total, t2 * t1 / total]
+    new2, new3 = new[1] or 1, new[2] or 1
+    if not forward:
+        new[0], new[3] = new[0] * new3 / new2, new[3] * new3 / new2
+    values[p:p + 4] = new
+    word[p], word[p + 3] = word[p + 3], word[p]
+    change = {}
+    if new2 != old2:
+        change[i] = Fraction(new2) / old2
+        torus[i] = torus.get(i, 1) * change[i]
+    if new3 != old3:
+        change[i + 1] = Fraction(new3) / old3
+        torus[i + 1] = torus.get(i + 1, 1) * change[i + 1]
+    scale = {j: Fraction(change.get(j + 1, 1)) / change.get(j, 1)
+             for j in {k + d for k in change for d in (-1, 0)}}
+    if not scale:
+        return
+    for kind, span in ((1, range(p)), (0, range(p + 4, len(word)))):
+        for q in span:
+            code = word[q]
+            if code & 3 == kind and code >> 2 in scale:
+                values[q] = values[q] * scale[code >> 2]
+
+
+def _replay(word: list[int], values: list, moves: Iterable[int],
+            offset: int = 0) -> None:
+    """Apply move codes to letter codes and their parameters, in place,
+    checking each move's pattern as it comes; the lists may be a stretch of
+    a longer word that starts at ``offset``, the start of the positions
+    named in errors.
+
+    The diag parameters stay with their letters; together they are one
+    torus element.  Each lower is held with the diags on its left passed
+    through it, each upper with those on its right (`_conjugate_slants`).
+    Those values do not change when a diag and a slant swap, so every swap,
+    and every run of a diag, only moves list entries.  The braid formula is
+    the same on these values, and a mixed move reads @i and @i+1 and the
+    torus (`_mixed`).  One final pass restores the slant parameters.  A
+    zero diag parameter acts where it passes a slant (`_zero_diag_swap`),
+    raising where the step-by-step rescaling divides by zero."""
+    size = len(word)
+    torus: dict[int, Fraction] = {}
+    zeros = False
+    for code, t in zip(word, values):
+        if code & 3 == 2:
+            i = code >> 2
+            if t:
+                torus[i] = torus[i] * t if i in torus else t
+            else:
+                zeros = True
+    _conjugate_slants(word, values)
+    for code in moves:
+        p = code >> 2
+        kind = code & 3
+        if kind == 3:
+            src, dst = divmod(p, _SPAN)
+            if word[src] & 3 != 2:
+                raise WordError(f"no diag to move at position {src}")
+            if zeros and not values[src]:
+                for q in _run_swaps(code):
+                    _zero_diag_swap(word, values, q)
+                    word[q], word[q + 1] = word[q + 1], word[q]
+                    values[q], values[q + 1] = values[q + 1], values[q]
+            else:
+                word.insert(dst, word.pop(src))
+                values.insert(dst, values.pop(src))
+            continue
+        if kind == 0:
+            if p < 0 or p + 1 >= size:
+                raise WordError(f"move position {p + offset} out of range")
+            a = word[p]
+            b = word[p + 1]
+            if not _commutes(a, b):
+                raise WordError(
+                    f"letters {_letter(a)} {_letter(b)} do not commute")
+            if zeros:
+                _zero_diag_swap(word, values, p)
+            word[p] = b
+            word[p + 1] = a
+            values[p], values[p + 1] = values[p + 1], values[p]
+            continue
+        if p < 0 or p >= size:
+            raise WordError(f"move position {p + offset} out of range")
+        if kind == 1:
+            if not _braid_at(word, p):
+                raise WordError(f"no braid pattern at position {p + offset}")
+            t1, t2, t3 = values[p:p + 3]
+            total = t1 + t3
+            if total == 0:
+                raise WordError("braid transport undefined: t1 + t3 = 0")
+            values[p:p + 3] = [t2 * t3 / total, total, t1 * t2 / total]
+            word[p], word[p + 1], word[p + 2] = \
+                word[p + 1], word[p], word[p + 1]
+        else:
+            if not _mixed_at(word, p):
+                raise WordError(
+                    f"no mixed four-letter pattern at position {p + offset}")
+            _mixed(word, values, p, torus)
+    _conjugate_slants(word, values, undo=True)
+
+
+_MOVE_WIDTHS = {"swap": 2, "braid": 3, "mixed": 4}
+
+
+def _span(moves: Sequence[Move], size: int) -> tuple[int, int]:
+    """The stretch of a word of ``size`` letters that the moves can rewrite:
+    from the first to the last position any of them reaches, cut to the
+    word; (0, 0) if none reaches it."""
+    lo, hi = size, 0
+    for move in moves:
+        start = max(move.pos, 0)
+        stop = min(move.pos + _MOVE_WIDTHS.get(move.kind, 1), size)
+        if start < stop:
+            lo, hi = min(lo, start), max(hi, stop)
+    return (lo, hi) if lo < hi else (0, 0)
+
+
+def _move_codes(moves: Iterable[Move], size: int, offset: int):
+    """Move codes of `Move` values, positions counted from ``offset``, made
+    as `_replay` reaches each; a move of unknown kind raises there, after
+    the position check."""
+    for move in moves:
+        kind = _MOVE_CODES.get(move.kind)
+        if kind is None:
+            if 0 <= move.pos < size:
+                raise WordError(f"unknown move kind {move.kind!r}")
+            raise WordError(f"move position {move.pos} out of range")
+        yield (move.pos - offset) << 2 | kind
+
+
+def _replay_moves(letters: Word, values: list, moves: list[Move]) -> Word:
+    """`_replay` on the stretch of the word that the moves reach, whose
+    product each move preserves; the values change in place, and the new
+    letters are returned."""
+    lo, hi = _span(moves, len(letters))
+    stretch = letters[lo:hi]
+    codes = _encode(stretch)
+    decode = dict(zip(codes, stretch))
+    part = values[lo:hi]
+    _replay(codes, part, _move_codes(moves, len(letters), lo), lo)
+    values[lo:hi] = part
+    return letters[:lo] + tuple(decode[code] for code in codes) + letters[hi:]
+
+
+def transport_params(word: Word, params: Sequence, moves: Iterable[Move]) \
+        -> tuple[Word, tuple[Fraction, ...]]:
+    """Replay a move sequence, transporting parameters exactly; the matrix
+    product is preserved.  Raises :class:`WordError` at the first move that
+    does not apply at its position."""
+    letters = tuple(word)
+    values = [as_scalar(t) for t in params]
+    if len(letters) != len(values):
+        for _ in moves:
+            raise WordError("word/parameter length mismatch")
+        return letters, tuple(values)
+    return _replay_moves(letters, values, list(moves)), tuple(values)
 
 
 def local_move_transport(word: Word, params: Sequence, move: Move) \
@@ -461,52 +702,12 @@ def local_move_transport(word: Word, params: Sequence, move: Move) \
     return transport_params(word, params, (move,))
 
 
-def _transport(word: Word, values: list[Fraction], move: Move) -> None:
-    """Transport the parameters ``values`` of ``word`` across a move that
-    `apply_move_word` has accepted, in place."""
-    p = move.pos
-    if move.kind == "swap":
-        a, b = word[p], word[p + 1]
-        ta, tb = values[p], values[p + 1]
-        if a.kind == DIAG and b.kind != DIAG:
-            tb = _diag_passes_slant_right(a.index, b, tb, ta)
-        elif b.kind == DIAG and a.kind != DIAG:
-            # diag moves left: inverse of the rescaling it applies moving right
-            ta = _diag_passes_slant_right(b.index, a, ta, 1 / tb)
-        values[p:p + 2] = [tb, ta]
-    elif move.kind == "braid":
-        t1, t2, t3 = values[p:p + 3]
-        total = t1 + t3
-        if total == 0:
-            raise WordError("braid transport undefined: t1 + t3 = 0")
-        values[p:p + 3] = [t2 * t3 / total, total, t1 * t2 / total]
-    else:
-        t1, t2, t3, t4 = values[p:p + 4]
-        forward = word[p].kind == UPPER
-        total = t2 + t1 * t3 * t4 if forward else t3 + t1 * t2 * t4
-        if total == 0:
-            raise WordError("mixed transport undefined at this parameter point")
-        if forward:
-            values[p:p + 4] = [t3 * t4 / total, total,
-                               t2 * t3 / total, t1 * t3 / total]
-        else:
-            values[p:p + 4] = [t2 * t4 / total, t2 * t3 / total,
-                               total, t1 * t2 / total]
-
-
-def applicable_moves(word: Word) -> list[Move]:
-    """All moves legal at their positions in this word."""
-    moves = []
-    for p in range(len(word) - 1):
-        if _swap_ok(word[p], word[p + 1]):
-            moves.append(Move("swap", p))
-    for p in range(len(word) - 2):
-        if _braid_ok(word, p):
-            moves.append(Move("braid", p))
-    for p in range(len(word) - 3):
-        if _mixed_ok(word, p):
-            moves.append(Move("mixed", p))
-    return moves
+def apply_move_word(word: Word, move: Move) -> Word:
+    """The letters of a word after one local move: a swap exchanges two
+    letters, a braid turns (a, b, a) into (b, a, b), and a mixed move
+    exchanges the letters at pos and pos + 3.  Raises :class:`WordError`
+    when the move does not apply at its position."""
+    return _replay_moves(tuple(word), [_ONE] * len(word), [move])
 
 
 # ---------------------------------------------------------------------------
@@ -514,53 +715,92 @@ def applicable_moves(word: Word) -> list[Move]:
 
 
 class _Rewriter:
-    """Mutable word with a move log; `bring` rewrites it letter by letter."""
+    """A word as a mutable list of letter codes, with a log of move codes;
+    `bring` rewrites it letter by letter."""
 
-    def __init__(self, word: Word):
-        self.word = tuple(word)
-        self.moves: list[Move] = []
+    def __init__(self, word: list[int]):
+        self.word = word
+        self.log: list[int] = []
 
-    def apply(self, move: Move) -> None:
-        self.word = apply_move_word(self.word, move)
-        self.moves.append(move)
-
-    def bring(self, letter: Letter, p: int) -> None:
+    def bring(self, letter: int, p: int) -> None:
         """Rewrite the word so that ``letter`` sits at position p, leaving
-        the positions before p alone.  A diag met while fetching a slant goes
-        to the end of the word; otherwise ``letter`` is fetched to p + 1 and
-        exchanged with the letter ``here`` at p by a swap if they commute, a
-        braid if they are slants of one kind (``here`` fetched to p + 2
-        first), or a mixed move if they are slants of opposite kinds and one
-        index i (@i fetched to p + 1 and @i+1 to p + 2 first).  The mixed
-        branch is safe because it runs only while lowers are placed: the
-        prefix before p then holds lowers only, so both diags lie beyond
-        p + 1 and diag swaps, which always apply, bring them in.
+        the positions before p alone.  A diag letter is fetched with one
+        swap per position passed, as it commutes with everything.  A diag
+        met while fetching a slant goes to the end of the word; otherwise
+        ``letter`` is fetched to p + 1 and exchanged with the letter
+        ``here`` at p by a swap if they commute, a braid if they are slants
+        of one kind (``here`` fetched to p + 2 first), or a mixed move if
+        they are slants of opposite kinds and one index i (@i fetched to
+        p + 1 and @i+1 to p + 2 first).  The mixed branch needs both diags
+        beyond p + 1.  It runs only while lowers are placed, and every diag
+        met at a fetched position has gone to the end by then; uppers may
+        lie before p, but on 3793 mixed moves of random routes (n = 4 to 16)
+        no diag did.
 
         A fetch at p nests fetches at p + 1 and p + 2 only, so the recursion
         is at most ``len(word) - p`` deep.  That reaches the word length, past
         Python's frame limit from n = 32 on, so it runs on a stack of pending
-        fetches and moves, at most three per level."""
+        fetches (pairs) and move codes, at most three per level.  A diag's
+        passage is logged as one run."""
+        word, log = self.word, self.log
         todo: list = [(letter, p)]
         while todo:
             task = todo.pop()
-            if isinstance(task, Move):
-                self.apply(task)
+            if task.__class__ is int:
+                q = task >> 2
+                if task & 3 == 0:
+                    word[q], word[q + 1] = word[q + 1], word[q]
+                elif task & 3 == 1:
+                    word[q], word[q + 1], word[q + 2] = \
+                        word[q + 1], word[q], word[q + 1]
+                else:
+                    word[q], word[q + 3] = word[q + 3], word[q]
+                log.append(task)
                 continue
             letter, p = task
-            here = self.word[p]
+            here = word[p]
             if here == letter:
                 continue
-            if here.kind == DIAG and letter.kind != DIAG:
-                for q in range(p, len(self.word) - 1):
-                    self.apply(Move("swap", q))
+            if letter & 3 == 2:
+                q = word.index(letter, p)
+                word.insert(p, word.pop(q))
+                log.append(_run(q, p))
+            elif here & 3 == 2:
+                word.append(word.pop(p))
+                log.append(_run(p, len(word) - 1))
                 todo.append(task)
-            elif _swap_ok(here, letter):
-                todo += [Move("swap", p), (letter, p + 1)]
-            elif here.kind == letter.kind:
-                todo += [Move("braid", p), (here, p + 2), (letter, p + 1)]
+            elif _commutes(here, letter):
+                todo += [p << 2, (letter, p + 1)]
+            elif here & 3 == letter & 3:
+                todo += [p << 2 | 1, (here, p + 2), (letter, p + 1)]
             else:
-                todo += [Move("mixed", p), (diag(here.index + 1), p + 2),
-                         (diag(here.index), p + 1), (letter, p + 1)]
+                at = (here & ~3) + 2  # @i
+                todo += [p << 2 | 2, (at + 4, p + 2), (at, p + 1),
+                         (letter, p + 1)]
+
+
+def _route(word: Word, n: int) -> list[int]:
+    """Move codes rewriting a full-type scheme into the staircase scheme:
+    its letters are fetched one by one, from the left, by
+    `_Rewriter.bring`."""
+    target = _encode(staircase_scheme(n))
+    rw = _Rewriter(_encode(word))
+    for p, letter in enumerate(target):
+        rw.bring(letter, p)
+    if rw.word != target:
+        raise WordError("rewriting failed to reach the staircase")
+    return rw.log
+
+
+def _reversed_moves(codes: Sequence[int]):
+    """Move codes undoing ``codes``: every move is an involution at its
+    position, and a run is undone by the run between the same two positions
+    the other way."""
+    for code in reversed(codes):
+        if code & 3 == 3:
+            src, dst = divmod(code >> 2, _SPAN)
+            code = _run(dst, src)
+        yield code
 
 
 def moves_to_staircase(word: Word, n: int | None = None) -> list[Move]:
@@ -573,13 +813,7 @@ def moves_to_staircase(word: Word, n: int | None = None) -> list[Move]:
         n = infer_n(word)
     if not is_full_scheme(word, n):
         raise WordError("word is not a factorization scheme of full type")
-    target = staircase_scheme(n)
-    rw = _Rewriter(word)
-    for p, letter in enumerate(target):
-        rw.bring(letter, p)
-    if rw.word != target:
-        raise WordError("rewriting failed to reach the staircase")
-    return rw.moves
+    return _moves(_route(word, n))
 
 
 def move_path(source: Word, target: Word, n: int | None = None) -> list[Move]:
@@ -591,20 +825,4 @@ def move_path(source: Word, target: Word, n: int | None = None) -> list[Move]:
         n = max(infer_n(source), infer_n(target))
     forward = moves_to_staircase(source, n)
     backward = moves_to_staircase(target, n)
-    return forward + [m for m in reversed(backward)]
-
-
-def transport_params(word: Word, params: Sequence, moves: Iterable[Move]) \
-        -> tuple[Word, tuple[Fraction, ...]]:
-    """Replay a move sequence, transporting parameters exactly: the
-    parameters are coerced once and moved in place, and every move is
-    checked by `apply_move_word`."""
-    current_word = tuple(word)
-    values = [as_scalar(t) for t in params]
-    for move in moves:
-        if len(current_word) != len(values):
-            raise WordError("word/parameter length mismatch")
-        new_word = apply_move_word(current_word, move)
-        _transport(current_word, values, move)
-        current_word = new_word
-    return current_word, tuple(values)
+    return forward + backward[::-1]

@@ -17,12 +17,12 @@ from totpos.positivity import (bruhat_type, is_oscillatory,
 from totpos.positivity import test_initial_minors as initial_criterion
 from totpos.positivity import test_tnn_efficient as tnn_efficient_criterion
 from totpos.positivity import test_tnn_neville as tnn_neville_criterion
-from totpos.words import (DIAG, apply_move_word, moves_to_staircase,
-                          product_map, staircase_scheme)
+from totpos.words import (DIAG, moves_to_staircase, product_map,
+                          staircase_scheme)
 
-from util import (rand_full_scheme, rand_matrix, rand_positive,
-                  rand_tnn_invertible, rand_tp, rand_typed_scheme,
-                  rand_walk_full_scheme)
+from util import (oracle_apply_move, rand_full_scheme, rand_matrix,
+                  rand_positive, rand_tnn_invertible, rand_tp,
+                  rand_typed_scheme, rand_walk_full_scheme)
 
 
 def test_twist_monomial_certifies_at_n4():
@@ -45,6 +45,13 @@ def test_factor_scheme_round_trips_at_n6_to_n8():
         scheme = rand_walk_full_scheme(rng, n)
         t = tuple(rand_positive(rng) for _ in scheme)
         assert factor_scheme(product_map(scheme, t, n), scheme) == t
+
+
+def test_factor_scheme_round_trips_at_n16():
+    rng = random.Random(212)
+    scheme = rand_walk_full_scheme(rng, 16)
+    t = tuple(rand_positive(rng) for _ in scheme)
+    assert factor_scheme(product_map(scheme, t, 16), scheme) == t
 
 
 def test_staircase_factor_and_reconstruct_round_trip_at_n16():
@@ -88,7 +95,7 @@ def test_closed_form_factors_into_the_inverse_exponents_at_n12():
 def test_route_to_staircase_replays_at_n12():
     word = rand_walk_full_scheme(random.Random(209), 12)
     for move in moves_to_staircase(word, 12):
-        word = apply_move_word(word, move)
+        word = oracle_apply_move(word, move)
     assert word == staircase_scheme(12)
 
 

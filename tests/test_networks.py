@@ -257,6 +257,22 @@ class TestChips:
             assert weight_matrix(net) == product_map(tuple(letters), params, n)
 
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4),
+           st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    def test_glued_random_networks_equal_their_revalidation(self, rng, n,
+                                                            widths):
+        nets = [rand_network(rng, n, cols) for cols in widths]
+        glued = concatenate(*nets)
+        again = PlanarNetwork(glued.n, glued.vertices, glued.edges,
+                              glued.essential)
+        assert again == glued
+        product = weight_matrix(nets[0])
+        for net in nets[1:]:
+            product = product * weight_matrix(net)
+        assert weight_matrix(glued) == product
+
+
 class TestStandardNetwork:
     def test_essential_edge_count(self):
         for n in (1, 2, 3, 4):
@@ -271,9 +287,10 @@ class TestStandardNetwork:
         for n in range(1, 7):
             t = [rand_positive(rng) for _ in range(n * n)]
             net = standard_network(n, t)
-            assert validated == [net]  # planarity is checked once
+            assert validated == []  # chips and their gluing are trusted
             again = PlanarNetwork(net.n, net.vertices, net.edges,
                                   net.essential)
+            assert validated == [again]
             assert again == net and again.essential == net.essential
             assert weight_matrix(again) == product_map(
                 staircase_scheme(n), t, n)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from totpos.matrices import Matrix
 from totpos.positivity import is_tp_bruteforce
-from totpos.words import (Move, Permutation, WordError, apply_move_word,
+from totpos.words import (DIAG, Move, Permutation, WordError, _encode,
+                          _replay, _run, _run_swaps, apply_move_word,
                           applicable_moves, diag, elementary_matrix,
                           format_word, infer_n,
                           is_reduced_word, is_reduced_word_for,
@@ -20,8 +21,9 @@ from totpos.words import (Move, Permutation, WordError, apply_move_word,
                           staircase_scheme, transport_params, upper,
                           validate_scheme)
 
-from util import (matrix_product_map, oracle_reduced_words, rand_full_scheme,
-                  rand_positive)
+from util import (matrix_product_map, oracle_apply_move, oracle_reduced_words,
+                  oracle_transport, rand_full_scheme, rand_positive,
+                  rand_walk_full_scheme)
 
 SLANT_PARAMS = st.one_of(st.just(Fraction(0)),
                          st.integers(-3, 3).map(Fraction),
@@ -41,6 +43,46 @@ PINNED_ROUTES = {
         "s9 s8 s7",
     "2~ 3~ 2~ 1~ 2~ 3~ @2 @1 @3 @4 3 2 3 1 2 3": "b0 s6",
 }
+
+
+@st.composite
+def transport_cases(draw):
+    """(scheme, params, moves): a random full scheme with n = 2..6, slant
+    parameters that may be zero or negative, diag parameters that are
+    nonzero but for one case in eight, and up to 30 moves, most applicable
+    where they come and the rest random, unknown kinds and positions out of
+    range included; or, for n <= 5, the route to the staircase."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(2, 6))
+    scheme = rand_walk_full_scheme(rng, n)
+    zero_diags = draw(st.integers(0, 7)) == 0
+    params = [draw(SLANT_PARAMS if letter.kind != DIAG or zero_diags
+                   else DIAG_PARAMS) for letter in scheme]
+    if n <= 5 and draw(st.integers(0, 3)) == 0:
+        return scheme, params, moves_to_staircase(scheme, n)
+    moves, word = [], scheme
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 5)):
+            move = draw(st.sampled_from(applicable_moves(word)))
+        else:
+            move = Move(draw(st.sampled_from(["swap", "braid", "mixed",
+                                              "flip"])),
+                        draw(st.integers(-2, len(word) + 1)))
+        moves.append(move)
+        try:
+            word = oracle_apply_move(word, move)
+        except WordError:
+            break
+    return scheme, params, moves
+
+
+def outcome(call):
+    try:
+        word, values = call()
+    except (WordError, ZeroDivisionError) as error:
+        return type(error), str(error)
+    assert all(type(t) is Fraction for t in values)
+    return word, [str(t) for t in values]
 
 
 @st.composite
@@ -304,6 +346,46 @@ class TestTransport:
                 word, params = local_move_transport(word, params, move)
                 assert all(t > 0 for t in params)
             assert product_map(word, params, n) == target
+
+
+class TestTransportOracle:
+    @settings(deadline=None, max_examples=300)
+    @given(transport_cases())
+    def test_matches_move_by_move_oracle(self, case):
+        scheme, params, moves = case
+        assert outcome(lambda: transport_params(scheme, params, moves)) \
+            == outcome(lambda: oracle_transport(scheme, params, moves))
+
+    def test_every_diag_slant_swap_matches_the_oracle(self):
+        # zero diag parameters included: passing a slant they zero it,
+        # leave it or divide by zero, depending on the two indices
+        slants = [make(i) for make in (upper, lower) for i in (1, 2)]
+        for k, slant, d, t in itertools.product((1, 2, 3), slants, (0, 2),
+                                                (0, 3)):
+            for word, params in (((diag(k), slant), (d, t)),
+                                 ((slant, diag(k)), (t, d))):
+                moves = [Move("swap", 0)]
+                assert outcome(lambda: transport_params(word, params, moves)) \
+                    == outcome(lambda: oracle_transport(word, params, moves))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.randoms(use_true_random=False), st.integers(2, 5),
+           st.data())
+    def test_a_diag_run_replays_as_its_swaps(self, rng, n, data):
+        scheme = rand_walk_full_scheme(rng, n)
+        params = [data.draw(SLANT_PARAMS) for _ in scheme]
+        src = data.draw(st.sampled_from(
+            [p for p, letter in enumerate(scheme) if letter.kind == DIAG]))
+        dst = data.draw(st.integers(0, len(scheme) - 1))
+        run = _run(src, dst)
+
+        def replay(codes):
+            word, values = _encode(scheme), list(params)
+            _replay(word, values, codes)
+            return word, values
+
+        assert outcome(lambda: replay([run])) \
+            == outcome(lambda: replay([q << 2 for q in _run_swaps(run)]))
 
 
 class TestApplyMoveWord:

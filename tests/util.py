@@ -8,16 +8,16 @@ from fractions import Fraction
 
 from totpos.diagrams import (Chamber, DiagramMove, DoubleWiringDiagram,
                              MoveGraph, minimal_diagram)
-from totpos.exact import LaurentDivisionError, LaurentPoly
+from totpos.exact import LaurentDivisionError, LaurentPoly, as_scalar
 from totpos.factorization import _integer_inverse, _prime_exponents, _primes
 from totpos.matrices import (Matrix, MinorSpec, exact_rank,
                              initial_minor_specs, ldu_decompose, minor_values)
 from totpos.networks import (NetworkError, PlanarNetwork, _cross,
                              _on_segment, _segments_conflict)
 from totpos.positivity import NotApplicableError
-from totpos.words import (DIAG, LOWER, UPPER, Letter, Permutation, Word,
-                          diag, lower, product_map, reduced_words,
-                          staircase_scheme, upper)
+from totpos.words import (DIAG, LOWER, UPPER, Letter, Move, Permutation,
+                          Word, WordError, diag, lower, product_map,
+                          reduced_words, staircase_scheme, upper)
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9,
@@ -309,6 +309,127 @@ def enumerate_paths(net: PlanarNetwork, start: int, goal: int):
 
     walk(start, [start], Fraction(1))
     return results
+
+
+# ---------------------------------------------------------------------------
+# transport oracle: every move rebuilds the word tuple and rescales the
+# parameters it touches, one move at a time
+
+
+def _oracle_swap_ok(a: Letter, b: Letter) -> bool:
+    if a.kind == DIAG or b.kind == DIAG:
+        return True
+    if a.kind == b.kind:
+        return abs(a.index - b.index) >= 2
+    return a.index != b.index
+
+
+def _oracle_diag_passes_slant_right(diag_index: int, slant: Letter, t, s):
+    """New slant parameter when ``diag k (s)`` moves right past a slant (t)."""
+    if slant.kind == UPPER:
+        if diag_index == slant.index:
+            return t * s
+        if diag_index == slant.index + 1:
+            return t / s
+    else:
+        if diag_index == slant.index + 1:
+            return t * s
+        if diag_index == slant.index:
+            return t / s
+    return t
+
+
+def _oracle_braid_ok(word: Word, p: int) -> bool:
+    if p + 2 >= len(word):
+        return False
+    a, b, c = word[p], word[p + 1], word[p + 2]
+    return (a.is_slant and a.kind == b.kind == c.kind
+            and a.index == c.index and abs(a.index - b.index) == 1)
+
+
+def _oracle_mixed_ok(word: Word, p: int) -> bool:
+    if p + 3 >= len(word):
+        return False
+    a, b, c, d = word[p:p + 4]
+    return (b.kind == DIAG and c.kind == DIAG
+            and b.index == a.index and c.index == a.index + 1
+            and d.index == a.index and {a.kind, d.kind} == {UPPER, LOWER})
+
+
+def oracle_apply_move(word: Word, move: Move) -> Word:
+    """The letters of a word after one local move, as a new tuple; raises
+    `WordError` when the move does not apply at its position."""
+    p = move.pos
+    if p < 0 or p >= len(word):
+        raise WordError(f"move position {p} out of range")
+    letters = list(word)
+    if move.kind == "swap":
+        if p + 1 == len(word):
+            raise WordError(f"move position {p} out of range")
+        a, b = word[p], word[p + 1]
+        if not _oracle_swap_ok(a, b):
+            raise WordError(f"letters {a} {b} do not commute")
+        letters[p:p + 2] = [b, a]
+    elif move.kind == "braid":
+        if not _oracle_braid_ok(word, p):
+            raise WordError(f"no braid pattern at position {p}")
+        a, b = word[p], word[p + 1]
+        letters[p:p + 3] = [b, a, b]
+    elif move.kind == "mixed":
+        if not _oracle_mixed_ok(word, p):
+            raise WordError(f"no mixed four-letter pattern at position {p}")
+        letters[p], letters[p + 3] = word[p + 3], word[p]
+    else:
+        raise WordError(f"unknown move kind {move.kind!r}")
+    return tuple(letters)
+
+
+def _oracle_transport_values(word: Word, values: list, move: Move) -> None:
+    p = move.pos
+    if move.kind == "swap":
+        a, b = word[p], word[p + 1]
+        ta, tb = values[p], values[p + 1]
+        if a.kind == DIAG and b.kind != DIAG:
+            tb = _oracle_diag_passes_slant_right(a.index, b, tb, ta)
+        elif b.kind == DIAG and a.kind != DIAG:
+            # diag moves left: inverse of the rescaling it applies moving right
+            ta = _oracle_diag_passes_slant_right(b.index, a, ta, 1 / tb)
+        values[p:p + 2] = [tb, ta]
+    elif move.kind == "braid":
+        t1, t2, t3 = values[p:p + 3]
+        total = t1 + t3
+        if total == 0:
+            raise WordError("braid transport undefined: t1 + t3 = 0")
+        values[p:p + 3] = [t2 * t3 / total, total, t1 * t2 / total]
+    else:
+        t1, t2, t3, t4 = values[p:p + 4]
+        forward = word[p].kind == UPPER
+        total = t2 + t1 * t3 * t4 if forward else t3 + t1 * t2 * t4
+        if total == 0:
+            raise WordError(
+                "mixed transport undefined at this parameter point")
+        if forward:
+            values[p:p + 4] = [t3 * t4 / total, total,
+                               t2 * t3 / total, t1 * t3 / total]
+        else:
+            values[p:p + 4] = [t2 * t4 / total, t2 * t3 / total,
+                               total, t1 * t2 / total]
+
+
+def oracle_transport(word: Word, params, moves):
+    """Independent transport oracle, one move at a time: each move is
+    checked and applied by `oracle_apply_move`, and the parameters it
+    touches are rescaled by the local formulas, a diag rescaling each slant
+    it passes.  Returns (word, parameters) as `transport_params` does."""
+    current = tuple(word)
+    values = [as_scalar(t) for t in params]
+    for move in moves:
+        if len(current) != len(values):
+            raise WordError("word/parameter length mismatch")
+        new = oracle_apply_move(current, move)
+        _oracle_transport_values(current, values, move)
+        current = new
+    return current, tuple(values)
 
 
 # ---------------------------------------------------------------------------
