@@ -83,8 +83,8 @@ def _guard(args, default: int) -> int:
 
 
 def _witnesses(failures) -> list[dict]:
-    return [{"rows": list(spec.rows), "cols": list(spec.cols),
-             "value": format_scalar(value)} for spec, value in failures]
+    return [{**spec.to_json(), "value": format_scalar(value)}
+            for spec, value in failures]
 
 
 # ---------------------------------------------------------------------------
@@ -93,34 +93,34 @@ def _witnesses(failures) -> list[dict]:
 
 def _cmd_test(args) -> int:
     x = _load_matrix(args.matrix)
-    if args.method == "brute":
-        from .matrices import all_minor_specs
-        pv.check_guard(x.n, _guard(args, 6))
-        specs = all_minor_specs(x.n)
-    elif args.method in ("initial", "neville"):
-        # strict Neville elimination stops at the first pivot that is not
-        # positive, when every pivot it has read is an initial minor: on
-        # total positivity it is the initial-minor test
-        from .matrices import initial_minor_specs
-        specs = initial_minor_specs(x.n)
-    elif args.method == "fekete":
-        from .matrices import solid_minor_specs
-        specs = solid_minor_specs(x.n)
-    else:  # chamber
+    if args.method == "chamber":  # every diagram has n^2 chambers
         if args.diagram is not None:
             d = dg.DoubleWiringDiagram(_parse_word_arg(args.diagram), x.n)
         else:
             d = dg.minimal_diagram(x.n)
-        specs = dg.chamber_minors(d)
-    if args.method == "chamber":
         failures = pv.failing_chamber_minors(x, d)
+        checked = x.n * x.n
     else:
+        if args.method == "brute":
+            from .matrices import all_minor_specs
+            pv.check_guard(x.n, _guard(args, 6))
+            specs = all_minor_specs(x.n)
+        elif args.method in ("initial", "neville"):
+            # strict Neville elimination stops at the first pivot that is
+            # not positive, when every pivot it has read is an initial
+            # minor: on total positivity it is the initial-minor test
+            from .matrices import initial_minor_specs
+            specs = initial_minor_specs(x.n)
+        else:  # fekete
+            from .matrices import solid_minor_specs
+            specs = solid_minor_specs(x.n)
         failures = pv.failing_minors(x, specs, strict=True)
+        checked = len(specs)
     verdict = not failures
-    report = {"verdict": verdict, "minors_checked": len(specs),
+    report = {"verdict": verdict, "minors_checked": checked,
               "witnesses": _witnesses(failures)}
     lines = [f"totally positive: {str(verdict).lower()} "
-             f"({len(specs)} minors checked, method {args.method})"]
+             f"({checked} minors checked, method {args.method})"]
     lines += [f"  minor {spec} = {format_scalar(v)}" for spec, v in failures]
     _emit(args, report, lines)
     return 0 if verdict else 1
@@ -181,7 +181,7 @@ def _cmd_factor(args) -> int:
         _emit(args, report, [f"not totally positive: initial minor "
                              f"{exc.spec} = {format_scalar(exc.value)}"])
         return 1
-    u, v = wd.validate_scheme(scheme, x.n)
+    u = v = wd.Permutation.reversal(x.n)  # factor_scheme needs full type
     report = {"verdict": True,
               "scheme": wd.format_word(scheme),
               "u": list(u.images), "v": list(v.images),
@@ -211,9 +211,8 @@ def _cmd_diagrams(args) -> int:
         layout = dg.chamber_layout(d)
         report = {
             "word": str(d),
-            "chambers": [{"rows": list(c.spec.rows),
-                          "cols": list(c.spec.cols),
-                          "bounded": c.bounded} for c in layout],
+            "chambers": [{**c.spec.to_json(), "bounded": c.bounded}
+                         for c in layout],
         }
         lines = [f"word: {d}"]
         for c in layout:

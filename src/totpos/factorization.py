@@ -6,10 +6,11 @@
   nonzero initial minors as the staircase product at the parameters they
   determine.  Both read the parameters off a closed form: each is a
   Laurent monomial in at most four initial minors, a Neville elimination
-  multiplier or pivot (Gasca and Peña 1992; Koev 2007), see
-  `_staircase_params`.  `staircase_minor_exponents` writes the same
-  closed form as exponent vectors: the matrix E with the initial minors
-  equal to the parameter monomials t^E, and its inverse.
+  multiplier or pivot (Gasca and Peña 1992; Koev 2007).  The rule is
+  stated once, as a per-n table of (minor, exponent) entries,
+  `_staircase_terms`; `_staircase_params` evaluates it on values, and
+  `staircase_minor_exponents` reads off it the exponent matrix E with the
+  initial minors equal to the parameter monomials t^E, and its inverse.
   `staircase_edge_for_minor` reads the minor-to-edge bijection off E;
   neither is a step of factoring.
 * `factor_scheme` factors along any full-type scheme by routing the
@@ -26,6 +27,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -80,47 +82,51 @@ def reconstruct_from_initial_minors(values: Mapping[MinorSpec, Fraction],
     return product_map(staircase_scheme(n), _staircase_params(vals, n), n)
 
 
+@cache
+def _staircase_terms(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The Neville corner rule: for each staircase parameter, in parameter
+    order, the initial minors of its Laurent monomial as (index in
+    `initial_minor_specs` order, exponent +1 or -1), its own corner first.
+
+    Write D(r, c) for the initial minor with corner (r, c), and 1 when r
+    or c is 0.  Lower letter i of staircase block k (blocks k = n-1 down to
+    1, i = k..n-1) owns corner (i+1, i+1-k), upper letter i of block k
+    owns (k, i+1), and ``@i`` owns (i, i).  The parameter of corner (r, c)
+    is D(r, c) D(r-1-a, c-1-b) / (D(r-1, c-1) D(r-a, c-b)), with (a, b) =
+    (1, 0) below the diagonal (a Neville multiplier of x) and (0, 1) above
+    it (one of x^T), and D(r, r) / D(r-1, r-1), a pivot, on it (Gasca and
+    Peña 1992); corners with a zero index drop out.
+    """
+    slants = [(k, i) for k in range(n - 1, 0, -1) for i in range(k, n)]
+    corners = ([(i + 1, i + 1 - k) for k, i in slants]
+               + [(i, i) for i in range(1, n + 1)]
+               + [(k, i + 1) for k, i in slants])
+    table = []
+    for r, c in corners:
+        terms = [(r, c, 1), (r - 1, c - 1, -1)]
+        if r != c:
+            a, b = (1, 0) if r > c else (0, 1)
+            terms += [(r - 1 - a, c - 1 - b, 1), (r - a, c - b, -1)]
+        table.append(tuple(((i - 1) * n + j - 1, s) for i, j, s in terms
+                           if i and j))
+    return tuple(table)
+
+
 def _staircase_params(values: Sequence[Fraction], n: int) \
         -> tuple[Fraction, ...]:
     """The staircase parameters of the matrix x whose initial minors, in
-    `initial_minor_specs` order, are the nonzero ``values``.
-
-    Write D(i, j) for the initial minor with corner (i, j), and 1 when i
-    or j is 0.  For i >= j the Neville pivot p(i, j) = D(i, j) / D(i-1,
-    j-1) is the ratio of the minors on rows i-j+1..i and i-j+1..i-1 against
-    the first j and j-1 columns, and the multiplier m(i, j) = p(i, j) /
-    p(i-1, j).  Lower letter i of staircase block k (blocks k = n-1 down to
-    1, i = k..n-1) has parameter m(i+1, i+1-k) of x, upper letter i of
-    block k has m(i+1, k) of x^T (whose D(i, j) is D(j, i) of x), and
-    ``@i`` has D(i, i) / D(i-1, i-1).  Each comes out as one `Fraction`
-    of integer products.
-    """
+    `initial_minor_specs` order, are the nonzero ``values``: the monomials
+    of `_staircase_terms`, each one `Fraction` of integer products."""
     ratios = [v.as_integer_ratio() for v in values]
-
-    def d(i: int, j: int, flip: bool = False) -> tuple[int, int]:
-        if flip:
-            i, j = j, i
-        return ratios[(i - 1) * n + j - 1] if i and j else (1, 1)
-
-    def monomial(top, bottom) -> Fraction:
+    params = []
+    for terms in _staircase_terms(n):
         num = den = 1
-        for p, q in top:
+        for j, s in terms:
+            p, q = ratios[j] if s > 0 else ratios[j][::-1]
             num *= p
             den *= q
-        for p, q in bottom:
-            num *= q
-            den *= p
-        return Fraction(num, den)
-
-    def m(i: int, j: int, flip: bool) -> Fraction:
-        return monomial((d(i, j, flip), d(i - 2, j - 1, flip)),
-                        (d(i - 1, j - 1, flip), d(i - 1, j, flip)))
-
-    blocks = [(k, i) for k in range(n - 1, 0, -1) for i in range(k, n)]
-    return (tuple(m(i + 1, i + 1 - k, False) for k, i in blocks)
-            + tuple(monomial((d(i, i),), (d(i - 1, i - 1),))
-                    for i in range(1, n + 1))
-            + tuple(m(i + 1, k, True) for k, i in blocks))
+        params.append(Fraction(num, den))
+    return tuple(params)
 
 
 _staircase_cache: dict[int, tuple[list[MinorSpec], list[list[int]],
@@ -133,50 +139,35 @@ def staircase_minor_exponents(n: int) \
     are the parameter monomials t^E[row], and parameter k is the Laurent
     monomial D^E_inverse[k] in the initial minors D.
 
-    Both come from the closed form of `_staircase_params`, on exponent
-    vectors: the parameter of corner (r, c) is t = D(r, c) D(r-1-a, c-1-b)
-    / (D(r-1, c-1) D(r-a, c-b)), with (a, b) = (1, 0) below the diagonal
-    (a lower letter, read on x) and (0, 1) above it (an upper letter, read
-    on x^T), and D(r, r) / D(r-1, r-1) on it; corners with a zero index
-    drop out.  Each formula is a row of E_inverse, and solved for D(r, c)
-    in row-major order it gives the row of E from rows already built.
-    Checked on the way: every entry of E is 0 or 1, and E_inverse E = I.
-    `_staircase_params` evaluates the same formulas on values without
-    these index lists, which would make each factoring call about half as
-    slow again at n = 8.
+    E_inverse is read off `_staircase_terms`, one row per parameter.  Each
+    row, solved for its own corner D(r, c), gives the row of E from rows of
+    corners before it in row-major order.  Checked on the way: every entry
+    of E is 0 or 1, and E_inverse E = I.  Factoring evaluates the same
+    table on values and never builds these matrices.  The table is memoized:
+    at n = 8 `_staircase_params` took 77-117 us on the built table, 163-221
+    us rebuilding it per call and 114-187 us as per-call closures (three
+    runs of best of 7, 2-core VM, Python 3.11).
     """
     if n < 1:
         raise ValueError("matrix must be square and nonempty")
     if n in _staircase_cache:
         return _staircase_cache[n]
     size = n * n
-    slants = [(k, i) for k in range(n - 1, 0, -1) for i in range(k, n)]
-    param = {(i, i): len(slants) + i - 1 for i in range(1, n + 1)}
-    for p, (k, i) in enumerate(slants):
-        param[i + 1, i + 1 - k] = p
-        param[k, i + 1] = len(slants) + n + p
-    exponents: list[list[int]] = []
-    formulas: list = [None] * size  # E_inverse rows as (column, sign) pairs
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            corners = [(r, c, 1), (r - 1, c - 1, -1)]
-            if r != c:
-                a, b = (1, 0) if r > c else (0, 1)
-                corners += [(r - 1 - a, c - 1 - b, 1), (r - a, c - b, -1)]
-            terms = [((i - 1) * n + j - 1, s) for i, j, s in corners
-                     if i and j]
-            row = [0] * size
-            row[param[r, c]] = 1
-            for j, s in terms[1:]:
-                row = [v - s * w for v, w in zip(row, exponents[j])]
-            if min(row) < 0 or max(row) > 1:
-                raise AssertionError(
-                    f"initial minor with corner ({r}, {c}) of the staircase "
-                    f"product is not a 0/1 parameter monomial")
-            exponents.append(row)
-            formulas[param[r, c]] = terms
+    table = _staircase_terms(n)
+    exponents: list[list[int]] = []  # by corner, in row-major order
+    for k in sorted(range(size), key=lambda k: table[k][0][0]):
+        row = [0] * size
+        row[k] = 1
+        for j, s in table[k][1:]:
+            row = [v - s * w for v, w in zip(row, exponents[j])]
+        if min(row) < 0 or max(row) > 1:
+            r, c = divmod(table[k][0][0], n)
+            raise AssertionError(
+                f"initial minor with corner ({r + 1}, {c + 1}) of the "
+                f"staircase product is not a 0/1 parameter monomial")
+        exponents.append(row)
     inverse = []
-    for k, terms in enumerate(formulas):
+    for k, terms in enumerate(table):
         row = [0] * size
         check = [0] * size
         for j, s in terms:

@@ -22,15 +22,19 @@ Families of minors go through one entry point, :func:`minor_family`.  It
 clears the row denominators once per matrix and returns scaled integer
 minors: each is the true minor times the multipliers of its rows, so it
 has the true minor's sign, and :func:`unscale` gives the exact value.  The
-algorithm follows the family:
+algorithm follows the shapes of the specs and the length of the list:
 
 * solid minors (Fekete, initial, antiprincipal): Dodgson condensation,
   level by level, O(1) per minor; a minor reached through a zero divisor
   is evaluated by the kernel instead;
-* all minors, and the minors on rows [1..k] or columns [1..k] (the
-  efficient TNN test): Laplace expansion along the last row, row sets
-  depth first, O(k) per minor from its parent's;
+* a list at least as long as all C(2n, n) - 1 minors, or a list of minors
+  on rows [1..k] or columns [1..k] at least as long as that family,
+  2^(n+1) - n - 2 (the efficient TNN test): Laplace expansion along the
+  last row, row sets depth first, O(k) per minor from its parent's;
 * any other list: the kernel on each submatrix of the cleared rows.
+
+Every engine returns the same exact minors, so the choice needs no look
+at which minors are listed: a list that repeats specs only costs more.
 
 Chamber minors have their own engine, :func:`_sweep_family`, behind
 :func:`totpos.diagrams.chamber_family`, with the same contract.  At each
@@ -416,6 +420,10 @@ def minor_family(x: Matrix, specs: Sequence[MinorSpec],
     matrix, so ``minor(x, spec) == unscale(spec, values[k], multipliers)``
     and both have the same sign.  With ``stop``, returns None as soon as
     some value satisfies it (the specs are then visited in no fixed order).
+
+    The engine is picked by the specs' shapes and the list's length, not
+    by which minors are listed: building a whole family by Laplace costs
+    no more than evaluating a list at least as long one minor at a time.
     """
     n = x.n
     for spec in specs:
@@ -425,10 +433,10 @@ def minor_family(x: Matrix, specs: Sequence[MinorSpec],
     if all(s.rows[-1] - s.rows[0] == s.cols[-1] - s.cols[0] == len(s.rows) - 1
            for s in specs):
         done = _condense(m, specs, values, stop)
-    elif _covers(specs, comb(2 * n, n) - 1):
+    elif len(specs) >= comb(2 * n, n) - 1:
         done = _laplace(m, specs, range(len(specs)), values, stop,
                         chain=False)
-    elif (_covers(specs, 2 ** (n + 1) - n - 2)
+    elif (len(specs) >= 2 ** (n + 1) - n - 2
           and all(s.rows[-1] == len(s.rows) or s.cols[-1] == len(s.cols)
                   for s in specs)):
         # rows [1..k] on x, the rest (columns [1..k]) on its transpose
@@ -442,12 +450,6 @@ def minor_family(x: Matrix, specs: Sequence[MinorSpec],
     else:
         done = _direct(m, specs, range(len(specs)), values, stop)
     return (values, mults) if done else None
-
-
-def _covers(specs: Sequence[MinorSpec], count: int) -> bool:
-    """Whether ``specs`` name ``count`` distinct minors."""
-    return (len(specs) >= count
-            and len({(s.rows, s.cols) for s in specs}) == count)
 
 
 def unscale(spec: MinorSpec, value: int, mults: Sequence[int]) -> Fraction:

@@ -253,14 +253,12 @@ def _paths_avoiding(net, out, start: int, goal: int, banned: set[int]):
         yield from walk(start)
 
 
-def disjoint_path_minor(net: PlanarNetwork, spec: MinorSpec):
-    """Sum over vertex-disjoint, order-preserving path families connecting
-    the sources in ``spec.rows`` to the sinks in ``spec.cols`` of the
-    product of all edge weights.  Brute force; the independent oracle for
-    the determinant identity behind `weight_matrix` minors."""
-    spec.validate_for(net.n)
-    sources = [net.sources[i - 1] for i in spec.rows]
-    sinks = [net.sinks[j - 1] for j in spec.cols]
+def _disjoint_families(net: PlanarNetwork, rows: Sequence[int],
+                       cols: Sequence[int]):
+    """Yield the weight of each vertex-disjoint, order-preserving path
+    family connecting the sources in ``rows`` to the sinks in ``cols``."""
+    sources = [net.sources[i - 1] for i in rows]
+    sinks = [net.sinks[j - 1] for j in cols]
     out = net.out_edges()
 
     def families(r: int, used: set[int]):
@@ -271,27 +269,22 @@ def disjoint_path_minor(net: PlanarNetwork, spec: MinorSpec):
             for rest in families(r + 1, used | verts):
                 yield w * rest
 
-    total = 0
-    for product in families(0, set()):
-        total = total + product
-    return total
+    return families(0, set())
+
+
+def disjoint_path_minor(net: PlanarNetwork, spec: MinorSpec):
+    """Sum over vertex-disjoint, order-preserving path families connecting
+    the sources in ``spec.rows`` to the sinks in ``spec.cols`` of the
+    product of all edge weights.  Brute force; the independent oracle for
+    the determinant identity behind `weight_matrix` minors."""
+    spec.validate_for(net.n)
+    return sum(_disjoint_families(net, spec.rows, spec.cols))
 
 
 def has_disjoint_family(net: PlanarNetwork, rows: Sequence[int],
                         cols: Sequence[int]) -> bool:
-    sources = [net.sources[i - 1] for i in rows]
-    sinks = [net.sinks[j - 1] for j in cols]
-    out = net.out_edges()
-
-    def search(r: int, used: set[int]) -> bool:
-        if r == len(sources):
-            return True
-        for verts, _ in _paths_avoiding(net, out, sources[r], sinks[r], used):
-            if search(r + 1, used | verts):
-                return True
-        return False
-
-    return search(0, set())
+    """Whether some vertex-disjoint family joins ``rows`` to ``cols``."""
+    return next(_disjoint_families(net, rows, cols), None) is not None
 
 
 def is_totally_connected(net: PlanarNetwork) -> bool:

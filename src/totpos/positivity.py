@@ -39,8 +39,9 @@ from typing import Iterable
 from .diagrams import DoubleWiringDiagram, chamber_family, chamber_minors
 from .matrices import (Matrix, MinorSpec, _integer_rows, _neville,
                        all_minor_specs, column_rank_profile,
-                       initial_minor_specs, is_block_triangular, minor,
-                       minor_family, solid_minor_specs, unscale)
+                       initial_minor_spec, initial_minor_specs,
+                       is_block_triangular, minor, minor_family,
+                       solid_minor_specs, unscale)
 from .words import Permutation
 
 
@@ -141,24 +142,14 @@ _SINGULAR = ("matrix is singular; the efficient criterion requires an "
 
 def tnn_efficient_specs(n: int) -> list[MinorSpec]:
     """Minors with row set [1, k] (any columns) or column set [1, k] (any
-    rows), deduplicated; exactly 2^(n+1) - n - 2 of them."""
-    indices = range(1, n + 1)
-    seen = set()
+    rows), distinct by construction; exactly 2^(n+1) - n - 2 of them."""
     specs = []
     for k in range(1, n + 1):
         head = tuple(range(1, k + 1))
-        for other in itertools.combinations(indices, k):
-            for spec in (MinorSpec.trusted(head, other),
-                         MinorSpec.trusted(other, head)):
-                key = (spec.rows, spec.cols)
-                if key not in seen:
-                    seen.add(key)
-                    specs.append(spec)
-    expected = 2 ** (n + 1) - n - 2
-    if len(specs) != expected:
-        raise AssertionError(
-            f"enumerated {len(specs)} initial-row/column minors, "
-            f"expected {expected}")
+        for other in itertools.combinations(range(1, n + 1), k):
+            specs.append(MinorSpec.trusted(head, other))
+            if other != head:
+                specs.append(MinorSpec.trusted(other, head))
     return specs
 
 
@@ -208,9 +199,8 @@ def _neville_failure(x: Matrix) -> MinorSpec | None:
     for m, transpose in ((rows, False), (columns, True)):
         failed = _neville(m)
         if failed is not None:
-            i, k = failed
-            lines = tuple(range(i - k + 1, i + 2)), tuple(range(1, k + 2))
-            return MinorSpec.trusted(*(lines[::-1] if transpose else lines))
+            i, k = failed[::-1] if transpose else failed
+            return initial_minor_spec(x.n, i + 1, k + 1)
     return None
 
 

@@ -68,8 +68,13 @@ FAMILIES = {
 
 @st.composite
 def spec_lists(draw, n):
-    """A named family of size n, or random specs (repeats allowed)."""
-    name = draw(st.sampled_from(sorted(FAMILIES) + ["random"]))
+    """A named family of size n, the same followed by a sample of its own
+    specs (the engine is picked by length, repeats included), or random
+    specs (repeats allowed)."""
+    name = draw(st.sampled_from(sorted(FAMILIES) + ["repeats", "random"]))
+    if name == "repeats":
+        family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))](n)
+        return family + draw(st.lists(st.sampled_from(family), max_size=8))
     if name != "random":
         return FAMILIES[name](n)
     specs = []
@@ -387,7 +392,9 @@ def test_spec_families_are_valid_specs():
     # the family generators build their specs unchecked
     for n in range(1, 6):
         for family in FAMILIES.values():
-            for spec in family(n):
+            specs = family(n)
+            assert len(set(specs)) == len(specs)
+            for spec in specs:
                 assert spec == MinorSpec(spec.rows, spec.cols)
                 assert hash(spec) == hash(MinorSpec(spec.rows, spec.cols))
                 assert all(type(i) is int for i in spec.rows + spec.cols)

@@ -17,8 +17,9 @@ from totpos.positivity import test_tnn_efficient as tnn_efficient_criterion
 from totpos.positivity import test_tp_given_tnn as tp_given_tnn_criterion
 from totpos.words import Permutation, diag, lower, product_map, upper
 
-from util import (oracle_bruhat_type, rand_matrix, rand_positive,
-                  rand_tnn_invertible, rand_tp, rand_typed_scheme)
+from util import (oracle_bruhat_type, oracle_tnn_efficient_specs,
+                  rand_matrix, rand_positive, rand_tnn_invertible, rand_tp,
+                  rand_typed_scheme)
 
 UNIT3 = Matrix([[1, 1, 1], [1, 2, 3], [1, 3, 6]])
 PASCAL5 = Matrix([[1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [1, 2, 1, 0, 0],
@@ -88,6 +89,11 @@ class TestEfficientTnn:
         for n in range(2, 7):
             assert len(tnn_efficient_specs(n)) == 2 ** (n + 1) - n - 2
         assert len(tnn_efficient_specs(3)) == 11
+
+    def test_specs_match_the_oracle_in_order(self):
+        # witnesses are reported in spec order, so the order is pinned too
+        for n in range(1, 11):
+            assert tnn_efficient_specs(n) == oracle_tnn_efficient_specs(n)
 
     def test_positive_chip_products_pass(self):
         rng = random.Random(62)

@@ -277,6 +277,23 @@ def fitted_edge_for_minor(n: int) -> dict:
     return mapping
 
 
+def oracle_tnn_efficient_specs(n: int) -> list[MinorSpec]:
+    """The efficient TNN family enumerated with a set of the specs seen:
+    [1, k] against each k-subset, both ways round, first occurrences
+    kept."""
+    seen = set()
+    specs = []
+    for k in range(1, n + 1):
+        head = tuple(range(1, k + 1))
+        for other in itertools.combinations(range(1, n + 1), k):
+            for spec in (MinorSpec(head, other), MinorSpec(other, head)):
+                if spec not in seen:
+                    seen.add(spec)
+                    specs.append(spec)
+    assert len(specs) == 2 ** (n + 1) - n - 2
+    return specs
+
+
 def oracle_validate_planarity(vertices, edges) -> None:
     """Independent planarity oracle, every pair checked: raises the
     `NetworkError` for the first crossing edge pair, else for the first
