@@ -26,41 +26,33 @@ from . import somos as sm
 from . import words as wd
 from .exact import format_scalar, laurent_has_nonnegative_coeffs
 from .matrices import (Matrix, MinorSpec, SingularLeadingMinorError,
-                       desnanot_residual, minor)
+                       all_minor_specs, desnanot_residual,
+                       initial_minor_specs, minor, solid_minor_specs)
 
 
 class InputError(Exception):
     """Bad file, JSON, or value; reported with its location at exit 2."""
 
 
-def _read_json(path: str):
+def _load(path: str, parse=Matrix.from_json, kind: str = "matrix"):
+    """The value ``parse`` reads off the JSON in ``path`` (stdin via
+    ``-``): a matrix unless told otherwise."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as handle:
-            return json.load(handle)
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as handle:
+                data = json.load(handle)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-
-
-def _load_matrix(path: str) -> Matrix:
-    data = _read_json(path)
     try:
-        return Matrix.from_json(data)
+        return parse(data)
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-        raise InputError(f"{path}: bad matrix data: {exc}") from exc
-
-
-def _load_network(path: str) -> nw.PlanarNetwork:
-    data = _read_json(path)
-    try:
-        return nw.PlanarNetwork.from_json(data)
-    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-        raise InputError(f"{path}: bad network data: {exc}") from exc
+        raise InputError(f"{path}: bad {kind} data: {exc}") from exc
 
 
 def _parse_word_arg(text: str) -> wd.Word:
@@ -82,9 +74,25 @@ def _guard(args, default: int) -> int:
     return default if args.guard_n is None else args.guard_n
 
 
-def _witnesses(failures) -> list[dict]:
-    return [{**spec.to_json(), "value": format_scalar(value)}
-            for spec, value in failures]
+def _verdict(args, verdict: bool, checked: int, failures,
+             human_lines: list[str]) -> int:
+    """Emit a verdict report, its failing minors as witnesses; the exit
+    code is 0 when the verdict holds."""
+    report = {"verdict": verdict, "minors_checked": checked,
+              "witnesses": [{**spec.to_json(), "value": format_scalar(value)}
+                            for spec, value in failures]}
+    _emit(args, report, human_lines)
+    return 0 if verdict else 1
+
+
+# The minors each `test` method checks, chamber aside.  Strict Neville
+# elimination stops at the first pivot that is not positive, when every
+# pivot it has read is an initial minor: on total positivity it is the
+# initial-minor test.
+_TP_FAMILIES = {"initial": initial_minor_specs,
+                "neville": initial_minor_specs,
+                "fekete": solid_minor_specs,
+                "brute": all_minor_specs}
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +100,7 @@ def _witnesses(failures) -> list[dict]:
 
 
 def _cmd_test(args) -> int:
-    x = _load_matrix(args.matrix)
+    x = _load(args.matrix)
     if args.method == "chamber":  # every diagram has n^2 chambers
         if args.diagram is not None:
             d = dg.DoubleWiringDiagram(_parse_word_arg(args.diagram), x.n)
@@ -102,55 +110,37 @@ def _cmd_test(args) -> int:
         checked = x.n * x.n
     else:
         if args.method == "brute":
-            from .matrices import all_minor_specs
             pv.check_guard(x.n, _guard(args, 6))
-            specs = all_minor_specs(x.n)
-        elif args.method in ("initial", "neville"):
-            # strict Neville elimination stops at the first pivot that is
-            # not positive, when every pivot it has read is an initial
-            # minor: on total positivity it is the initial-minor test
-            from .matrices import initial_minor_specs
-            specs = initial_minor_specs(x.n)
-        else:  # fekete
-            from .matrices import solid_minor_specs
-            specs = solid_minor_specs(x.n)
+        specs = _TP_FAMILIES[args.method](x.n)
         failures = pv.failing_minors(x, specs, strict=True)
         checked = len(specs)
     verdict = not failures
-    report = {"verdict": verdict, "minors_checked": checked,
-              "witnesses": _witnesses(failures)}
     lines = [f"totally positive: {str(verdict).lower()} "
              f"({checked} minors checked, method {args.method})"]
     lines += [f"  minor {spec} = {format_scalar(v)}" for spec, v in failures]
-    _emit(args, report, lines)
-    return 0 if verdict else 1
+    return _verdict(args, verdict, checked, failures, lines)
 
 
 def _cmd_tnn(args) -> int:
-    x = _load_matrix(args.matrix)
+    x = _load(args.matrix)
     if args.method == "brute":
-        from .matrices import all_minor_specs
         pv.check_guard(x.n, _guard(args, 6))
         specs = all_minor_specs(x.n)
         failures = pv.failing_minors(x, specs, strict=False)
-        verdict = not failures
-        checked = len(specs)
+        verdict, checked = not failures, len(specs)
     else:
         # the user picks neville above the efficient guard; efficient
         # stays the default, so its reports and guard exit are unchanged
         report = (pv.tnn_neville_report if args.method == "neville"
                   else pv.tnn_efficient_report)
         verdict, checked, failures = report(x, guard=_guard(args, 16))
-    report = {"verdict": verdict, "minors_checked": checked,
-              "witnesses": _witnesses(failures)}
-    lines = [f"totally nonnegative: {str(verdict).lower()} "
-             f"({checked} minors checked, method {args.method})"]
-    _emit(args, report, lines)
-    return 0 if verdict else 1
+    return _verdict(args, verdict, checked, failures,
+                    [f"totally nonnegative: {str(verdict).lower()} "
+                     f"({checked} minors checked, method {args.method})"])
 
 
 def _cmd_oscillatory(args) -> int:
-    x = _load_matrix(args.matrix)
+    x = _load(args.matrix)
     verdicts = pv.oscillation_criteria(x, guard=_guard(args, 6))
     if len(set(verdicts.values())) != 1:
         raise AssertionError(f"oscillation criteria disagree: {verdicts}")
@@ -162,7 +152,7 @@ def _cmd_oscillatory(args) -> int:
 
 
 def _cmd_type(args) -> int:
-    x = _load_matrix(args.matrix)
+    x = _load(args.matrix)
     u, v = pv.bruhat_type(x)
     report = {"u": list(u.images), "v": list(v.images)}
     _emit(args, report, [f"u = {u.one_line()}", f"v = {v.one_line()}"])
@@ -170,17 +160,15 @@ def _cmd_type(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    x = _load_matrix(args.matrix)
+    x = _load(args.matrix)
     scheme = (_parse_word_arg(args.scheme) if args.scheme is not None
               else wd.staircase_scheme(x.n))
     try:
         params = fz.factor_scheme(x, scheme)
     except fz.NotTotallyPositiveError as exc:
-        report = {"verdict": False, "minors_checked": x.n * x.n,
-                  "witnesses": _witnesses([(exc.spec, exc.value)])}
-        _emit(args, report, [f"not totally positive: initial minor "
-                             f"{exc.spec} = {format_scalar(exc.value)}"])
-        return 1
+        return _verdict(args, False, x.n * x.n, [(exc.spec, exc.value)],
+                        [f"not totally positive: initial minor "
+                         f"{exc.spec} = {format_scalar(exc.value)}"])
     u = v = wd.Permutation.reversal(x.n)  # factor_scheme needs full type
     report = {"verdict": True,
               "scheme": wd.format_word(scheme),
@@ -194,7 +182,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_twist(args) -> int:
-    x = _load_matrix(args.matrix)
+    x = _load(args.matrix)
     try:
         result = fz.twist(x)
     except (SingularLeadingMinorError, ZeroDivisionError) as exc:
@@ -254,7 +242,7 @@ def _cmd_diagrams(args) -> int:
 def _cmd_network(args) -> int:
     if args.action != "eval":
         raise InputError(f"unknown network action {args.action!r}")
-    net = _load_network(args.file)
+    net = _load(args.file, nw.PlanarNetwork.from_json, "network")
     matrix = nw.weight_matrix(net)
     _emit(args, matrix.to_json(), [str(matrix)])
     return 0
@@ -329,7 +317,6 @@ def _cmd_selfcheck(args) -> int:
         t = [Fraction(rng.randint(1, 5)) for _ in range(9)]
         net = nw.standard_network(3, t)
         wm = nw.weight_matrix(net)
-        from .matrices import all_minor_specs
         for spec in all_minor_specs(3):
             ok &= minor(wm, spec) == nw.disjoint_path_minor(net, spec)
     results.append(("path-oracle", ok))

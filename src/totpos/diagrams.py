@@ -436,14 +436,11 @@ def enumerate_move_graph(n: int, guard: int = 4) -> MoveGraph:
         nxt = []
         for k in frontier:
             key = keys[k]
-            tried: set[tuple[int, int]] = set()
             for found in _class_moves(reps[k], n):
                 # a move exchanges exactly the chamber y for another chamber
-                # z, so a repeat of (y, z) reaches the same class again
+                # z, so a repeat of (y, z) reaches the same class again and
+                # its edge is already seen
                 y, z = found[3], found[4]
-                if (y, z) in tried:
-                    continue
-                tried.add((y, z))
                 i = bisect_left(key, y)
                 bag = key[:i] + key[i + 1:]
                 j = bisect_left(bag, z)

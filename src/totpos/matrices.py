@@ -42,7 +42,9 @@ slice of a double wiring diagram the chambers are the leading minors in
 track order, and a crossing swaps two adjacent tracks, so the rows of
 Bareiss tableaux kept along the sweep give each new chamber from a few
 elimination steps of O(n) each, instead of one elimination per chamber,
-O(k^3).  A chamber behind a zero divisor is evaluated by the kernel.
+O(k^3).  A chamber behind a zero divisor is evaluated by the kernel.  One
+sweep serves every chamber: a stop rule checks them in the order the sweep
+produces them, so no input costs more than one sweep.
 """
 
 from __future__ import annotations
@@ -536,14 +538,13 @@ def _sweep_family(x: Matrix, swaps: Sequence[tuple[bool, int]],
     tracks, bottom track first; the level-k chamber of a slice is the minor
     on the rows and columns of tracks 1..k.  Each crossing is a swap
     ``(on_cols, h)`` of tracks h and h + 1, which changes the level-h
-    chamber only.  With ``stop`` the chambers are checked as they are
-    produced: the first and the last slice level by level together (a
-    totally nonnegative matrix that is not totally positive has a zero
-    among them), then one per crossing.
+    chamber only.  One set of tableaux serves the whole sweep.  With
+    ``stop`` the chambers are checked in the order the sweep produces them:
+    the first slice level by level, then one per crossing.
     """
     n = x.n
     m, mults = _integer_rows(x.rows)
-    first = _Tableaux(m, list(range(n - 1, -1, -1)), list(range(n)))
+    sweep = _Tableaux(m, list(range(n - 1, -1, -1)), list(range(n)))
     # at[k]: position of the next level-k chamber, levels in order
     at = [0] * (n + 1)
     for _, h in swaps:
@@ -556,29 +557,20 @@ def _sweep_family(x: Matrix, swaps: Sequence[tuple[bool, int]],
 
     def record(k: int) -> bool:
         """The current level-k chamber; False to stop."""
-        value = first.leading(k)
+        value = sweep.leading(k)
         position = at[k]
         at[k] += 1
         if value is None:
-            unknown.append((position, first.spec(k)))
+            unknown.append((position, sweep.spec(k)))
             return True
         values[position] = value
         return stop is None or not stop(value)
 
-    last = None
-    if stop is not None:
-        last = _Tableaux(m, first.rows[:], first.cols[:])
-        for swap in swaps:
-            last.swap(*swap)
     for k in range(1, n + 1):
         if not record(k):
             return None
-        if last is not None:
-            value = last.leading(k)
-            if value is not None and stop(value):
-                return None
     for swap in swaps:
-        first.swap(*swap)
+        sweep.swap(*swap)
         if not record(swap[1]):
             return None
     specs = [spec for _, spec in unknown]
@@ -754,21 +746,19 @@ def solid_minor_specs(n: int) -> list[MinorSpec]:
 
 def initial_minor_spec(n: int, i: int, j: int) -> MinorSpec:
     """The unique solid minor with 1 in its index support whose lower-right
-    corner is the entry (i, j)."""
+    corner is the entry (i, j) of an n x n matrix."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"corner ({i}, {j}) out of range for a {n}x{n} "
+                         f"matrix")
     k = min(i, j)
-    return MinorSpec(tuple(range(i - k + 1, i + 1)),
-                     tuple(range(j - k + 1, j + 1)))
+    return MinorSpec.trusted(tuple(range(i - k + 1, i + 1)),
+                             tuple(range(j - k + 1, j + 1)))
 
 
 def initial_minor_specs(n: int) -> list[MinorSpec]:
     """All n^2 initial minors, in row-major corner order."""
-    specs = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            k = min(i, j)
-            specs.append(MinorSpec.trusted(tuple(range(i - k + 1, i + 1)),
-                                           tuple(range(j - k + 1, j + 1))))
-    return specs
+    return [initial_minor_spec(n, i, j)
+            for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,8 @@ class Permutation(Record):
 
     @classmethod
     def transposition(cls, n: int, i: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(tuple(images))
+        """The adjacent transposition s_i, for 1 <= i <= n - 1."""
+        return permutation_of_word((i,), n)
 
     @property
     def n(self) -> int:

@@ -113,6 +113,9 @@ def _witness(rows, cols, value):
          _witness([1], [3], "0"), _witness([3], [1], "0")]}),
     (TRI3, ["tnn", "--method", "neville"], 0,
      {"verdict": True, "minors_checked": 9, "witnesses": []}),
+    (TRI3, ["test", "--method", "chamber"], 1,
+     {"verdict": False, "minors_checked": 9, "witnesses": [
+         _witness([3], [1], "0"), _witness([1], [3], "0")]}),
 ])
 def test_pinned_reports(matrix, argv, code, report, tmp_path, capsys):
     path = tmp_path / "x.json"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import totpos.matrices as mx
 import totpos.positivity as pv
 from totpos.diagrams import (DoubleWiringDiagram, chamber_family,
                              chamber_minors, minimal_diagram)
@@ -189,6 +190,28 @@ class TestChamberFamily:
         failures = pv.failing_chamber_minors(x, d)
         assert failures == [(s, minor(x, s)) for s in chamber_minors(d)
                             if minor(x, s) <= 0]
+
+    @pytest.mark.parametrize("stop", [None, lambda v: v <= 0],
+                             ids=["no stop", "stop"])
+    def test_one_set_of_tableaux_per_call(self, stop, monkeypatch):
+        built = []
+
+        class Counted(mx._Tableaux):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(mx, "_Tableaux", Counted)
+        rng = random.Random(18)
+        d = DoubleWiringDiagram(tuple(letter for letter
+                                      in rand_walk_full_scheme(rng, 4)
+                                      if letter.kind != DIAG), 4)
+        tridiagonal = Matrix([[1, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1],
+                              [0, 0, 1, 2]])
+        for x in (rand_tp(rng, 4), tridiagonal, Matrix.identity(4)):
+            built.clear()
+            chamber_family(x, d, stop=stop)
+            assert len(built) == 1
 
     def test_every_divisor_zero(self):
         # rank one: every chamber above level 1 vanishes, so every tableau

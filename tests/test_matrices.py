@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from totpos.exact import LaurentPoly
 from totpos.matrices import (Matrix, MinorSpec, SingularLeadingMinorError,
                              all_minor_specs, desnanot_residual, exact_rank,
-                             initial_minor_specs,
+                             initial_minor_spec, initial_minor_specs,
                              is_block_triangular, ldu_decompose, minor,
                              solid_minor_specs)
 
-from util import cofactor_det, oracle_matmul, rand_matrix
+from util import (cofactor_det, oracle_initial_minor_specs, oracle_matmul,
+                  rand_matrix)
 
 UNIT_WEIGHT_3X3 = Matrix([[1, 1, 1], [1, 2, 3], [1, 3, 6]])
 
@@ -80,6 +81,16 @@ class TestSpecFamilies:
                                for j in range(1, n + 1)}
             for s in specs:
                 assert 1 in s.rows or 1 in s.cols
+
+    def test_initial_specs_match_the_corner_rule_in_order(self):
+        for n in range(1, 13):
+            assert initial_minor_specs(n) == oracle_initial_minor_specs(n)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (4, 2), (2, 4),
+                                      (5, 2), (-1, 3), (4, 4)])
+    def test_initial_spec_corner_out_of_range(self, i, j):
+        with pytest.raises(ValueError, match="out of range for a 3x3"):
+            initial_minor_spec(3, i, j)
 
     def test_solid_by_brute_force(self):
         def is_interval(seq):

@@ -114,6 +114,12 @@ class TestPermutations:
         s2 = Permutation.transposition(3, 2)
         assert (s1 * s2).images == (2, 3, 1)
 
+    @pytest.mark.parametrize("n, i", [(3, 0), (3, 3), (3, -1), (1, 1)])
+    def test_transposition_index_out_of_range(self, n, i):
+        with pytest.raises(ValueError,
+                           match=f"generator {i} out of range for n={n}"):
+            Permutation.transposition(n, i)
+
     def test_matrix(self):
         w = Permutation((2, 3, 1))
         m = w.matrix()

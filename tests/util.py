@@ -294,6 +294,19 @@ def oracle_tnn_efficient_specs(n: int) -> list[MinorSpec]:
     return specs
 
 
+def oracle_initial_minor_specs(n: int) -> list[MinorSpec]:
+    """The initial minors by the corner rule written out, row-major: the
+    corner (i, j) has size k = min(i, j), rows i-k+1..i and columns
+    j-k+1..j."""
+    specs = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            k = min(i, j)
+            specs.append(MinorSpec(tuple(range(i - k + 1, i + 1)),
+                                   tuple(range(j - k + 1, j + 1))))
+    return specs
+
+
 def oracle_validate_planarity(vertices, edges) -> None:
     """Independent planarity oracle, every pair checked: raises the
     `NetworkError` for the first crossing edge pair, else for the first
