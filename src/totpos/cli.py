@@ -100,6 +100,8 @@ _TP_FAMILIES = {"initial": initial_minor_specs,
 
 
 def _cmd_test(args) -> int:
+    if args.diagram is not None and args.method != "chamber":
+        raise InputError("--diagram applies to --method chamber only")
     x = _load(args.matrix)
     if args.method == "chamber":  # every diagram has n^2 chambers
         if args.diagram is not None:
@@ -240,8 +242,6 @@ def _cmd_diagrams(args) -> int:
 
 
 def _cmd_network(args) -> int:
-    if args.action != "eval":
-        raise InputError(f"unknown network action {args.action!r}")
     net = _load(args.file, nw.PlanarNetwork.from_json, "network")
     matrix = nw.weight_matrix(net)
     _emit(args, matrix.to_json(), [str(matrix)])

@@ -108,6 +108,8 @@ class Permutation(Record):
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Function composition: (p * q)(k) = p(q(k))."""
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
         return Permutation(tuple(self.images[other.images[k] - 1]
                                  for k in range(self.n)))
 
@@ -478,7 +480,7 @@ def _conjugate_slants(word: list[int], values: list, undo: bool = False) \
     on its left across to its right, an upper those on its right across to
     its left.  Either way slant i gets t H[i+1] / H[i], with H[k] the
     product of the parameters of the diags @k passed; ``undo`` divides
-    instead.  A zero diag parameter counts as 1 in H."""
+    instead."""
     for kind, order in ((0, range(len(word))),
                         (1, range(len(word) - 1, -1, -1))):
         torus: dict[int, Fraction] = {}
@@ -486,31 +488,13 @@ def _conjugate_slants(word: list[int], values: list, undo: bool = False) \
             code = word[k]
             i = code >> 2
             if code & 3 == 2:
-                if values[k]:
-                    torus[i] = torus[i] * values[k] if i in torus \
-                        else values[k]
+                torus[i] = torus[i] * values[k] if i in torus else values[k]
             elif code & 3 == kind:
                 num, den = torus.get(i + 1, 1), torus.get(i, 1)
                 if undo:
                     num, den = den, num
                 if num != den:
                     values[k] = values[k] * num / den
-
-
-def _zero_diag_swap(word: list[int], values: list, p: int) -> None:
-    """What a zero diag parameter does across the diag-slant swap at p: it
-    zeroes the slant or divides it by zero passing right, and it divides 1
-    by zero passing left."""
-    a, b = word[p], word[p + 1]
-    if a & 3 == 2 and b & 3 != 2 and not values[p]:
-        if a >> 2 == (b >> 2) + (b & 3):  # the rescaling divides by @k
-            restored = word[:], values[:]
-            _conjugate_slants(*restored, undo=True)
-            restored[1][p + 1] / values[p]  # raises ZeroDivisionError
-        if a >> 2 == (b >> 2) + 1 - (b & 3):  # it multiplies by @k
-            values[p + 1] = values[p + 1] * values[p]
-    elif b & 3 == 2 and a & 3 != 2 and not values[p + 1]:
-        1 / values[p + 1]  # raises ZeroDivisionError
 
 
 def _mixed(word: list[int], values: list, p: int, torus: dict) -> None:
@@ -526,10 +510,9 @@ def _mixed(word: list[int], values: list, p: int, torus: dict) -> None:
     t1, t2, t3, t4 = values[p:p + 4]
     i = word[p] >> 2
     forward = word[p] & 3 == 1
-    old2, old3 = t2 or 1, t3 or 1
     if forward:
-        t1, t4 = t1 * old2 / old3, t4 * old2 / old3
-    pair = t1 * t4 * torus.get(i, 1) * old3 / (torus.get(i + 1, 1) * old2)
+        t1, t4 = t1 * t2 / t3, t4 * t2 / t3
+    pair = t1 * t4 * torus[i] * t3 / (torus[i + 1] * t2)
     total = t2 + t3 * pair if forward else t3 + t2 * pair
     if total == 0:
         raise WordError("mixed transport undefined at this parameter point")
@@ -537,19 +520,16 @@ def _mixed(word: list[int], values: list, p: int, torus: dict) -> None:
         new = [t3 * t4 / total, total, t2 * t3 / total, t3 * t1 / total]
     else:
         new = [t2 * t4 / total, t2 * t3 / total, total, t2 * t1 / total]
-    new2, new3 = new[1] or 1, new[2] or 1
     if not forward:
-        new[0], new[3] = new[0] * new3 / new2, new[3] * new3 / new2
+        new[0], new[3] = new[0] * new[2] / new[1], new[3] * new[2] / new[1]
     values[p:p + 4] = new
     word[p], word[p + 3] = word[p + 3], word[p]
     change = {}
-    if new2 != old2:
-        change[i] = Fraction(new2) / old2
-        torus[i] = torus.get(i, 1) * change[i]
-    if new3 != old3:
-        change[i + 1] = Fraction(new3) / old3
-        torus[i + 1] = torus.get(i + 1, 1) * change[i + 1]
-    scale = {j: Fraction(change.get(j + 1, 1)) / change.get(j, 1)
+    for k, old, now in ((i, t2, new[1]), (i + 1, t3, new[2])):
+        if now != old:
+            change[k] = now / old
+            torus[k] *= change[k]
+    scale = {j: change.get(j + 1, 1) / change.get(j, 1)
              for j in {k + d for k in change for d in (-1, 0)}}
     if not scale:
         return
@@ -573,19 +553,17 @@ def _replay(word: list[int], values: list, moves: Iterable[int],
     Those values do not change when a diag and a slant swap, so every swap,
     and every run of a diag, only moves list entries.  The braid formula is
     the same on these values, and a mixed move reads @i and @i+1 and the
-    torus (`_mixed`).  One final pass restores the slant parameters.  A
-    zero diag parameter acts where it passes a slant (`_zero_diag_swap`),
-    raising where the step-by-step rescaling divides by zero."""
+    torus (`_mixed`).  One final pass restores the slant parameters.
+
+    The diag parameters must be nonzero, as in `product_map`:
+    `transport_params` checks that, and the other callers pass unit or
+    positive parameters."""
     size = len(word)
     torus: dict[int, Fraction] = {}
-    zeros = False
     for code, t in zip(word, values):
         if code & 3 == 2:
             i = code >> 2
-            if t:
-                torus[i] = torus[i] * t if i in torus else t
-            else:
-                zeros = True
+            torus[i] = torus[i] * t if i in torus else t
     _conjugate_slants(word, values)
     for code in moves:
         p = code >> 2
@@ -594,14 +572,8 @@ def _replay(word: list[int], values: list, moves: Iterable[int],
             src, dst = divmod(p, _SPAN)
             if word[src] & 3 != 2:
                 raise WordError(f"no diag to move at position {src}")
-            if zeros and not values[src]:
-                for q in _run_swaps(code):
-                    _zero_diag_swap(word, values, q)
-                    word[q], word[q + 1] = word[q + 1], word[q]
-                    values[q], values[q + 1] = values[q + 1], values[q]
-            else:
-                word.insert(dst, word.pop(src))
-                values.insert(dst, values.pop(src))
+            word.insert(dst, word.pop(src))
+            values.insert(dst, values.pop(src))
             continue
         if kind == 0:
             if p < 0 or p + 1 >= size:
@@ -611,8 +583,6 @@ def _replay(word: list[int], values: list, moves: Iterable[int],
             if not _commutes(a, b):
                 raise WordError(
                     f"letters {_letter(a)} {_letter(b)} do not commute")
-            if zeros:
-                _zero_diag_swap(word, values, p)
             word[p] = b
             word[p + 1] = a
             values[p], values[p + 1] = values[p + 1], values[p]
@@ -683,14 +653,18 @@ def _replay_moves(letters: Word, values: list, moves: list[Move]) -> Word:
 def transport_params(word: Word, params: Sequence, moves: Iterable[Move]) \
         -> tuple[Word, tuple[Fraction, ...]]:
     """Replay a move sequence, transporting parameters exactly; the matrix
-    product is preserved.  Raises :class:`WordError` at the first move that
-    does not apply at its position."""
+    product is preserved.  Diag parameters must be nonzero, as in
+    `product_map`.  Raises :class:`WordError`, before any move, on a
+    word/parameter length mismatch or a zero diag parameter, and then at
+    the first move that does not apply at its position."""
     letters = tuple(word)
     values = [as_scalar(t) for t in params]
     if len(letters) != len(values):
-        for _ in moves:
-            raise WordError("word/parameter length mismatch")
-        return letters, tuple(values)
+        raise WordError("word/parameter length mismatch")
+    for letter, t in zip(letters, values):
+        if letter.kind == DIAG and not t:
+            raise WordError(
+                f"diag letter @{letter.index} is undefined at parameter 0")
     return _replay_moves(letters, values, list(moves)), tuple(values)
 
 

@@ -54,6 +54,12 @@ class TestTest:
                      "--diagram", "2~ 1 2 1~ 2~ 1"]) == 0
         capsys.readouterr()
 
+    def test_diagram_needs_the_chamber_method(self, unit3, capsys):
+        assert main(["test", unit3, "--diagram", "2~ 1 2 1~ 2~ 1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "totpos: --diagram applies to --method chamber only\n"
+
 
 # A mixed-sign matrix with zero and negative minors of sizes 1 and 2, and a
 # totally nonnegative tridiagonal one; the reports are pinned whole.
@@ -229,6 +235,25 @@ class TestFactorTwist:
         target.write_text(json.dumps(rebuilt.to_json()))
         assert main(["test", str(target), "--method", "brute"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("rows, scheme, params", [
+        (UNIT3["rows"], "2~ 1 @3 2 1~ @1 2~ 1 @2",
+         "1 1/3 3 3 3/2 2/3 2/3 1 1/2"),
+        ([["1", "2", "6", "6"], ["1", "4", "18", "24"],
+          ["2", "12", "63", "96"], ["2", "24", "153", "277"]],
+         "3~ 2~ 3~ 1~ @1 2~ 3 @2 3~ @3 @4 2 3 1 2 3",
+         "1 2 3 1 1 2 6/19 2 57 3/19 19 3 1 2 3 1"),
+    ])
+    def test_factor_scheme_output_pinned(self, rows, scheme, params,
+                                         tmp_path, capsys):
+        # both schemes reach the staircase through a mixed move
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"n": len(rows), "rows": rows}))
+        assert main(["factor", str(path), "--scheme", scheme]) == 0
+        rev = " ".join(str(k) for k in range(len(rows), 0, -1))
+        assert capsys.readouterr().out == (
+            f"scheme: {scheme}\ntype: u = [{rev}]  v = [{rev}]\n"
+            f"params: {params}\n")
 
     def test_twist(self, unit3, capsys):
         assert main(["twist", unit3, "--report", "json"]) == 0
@@ -471,6 +496,7 @@ class TestErrors:
         (["test", "{zero}", "--method", "chamber", "--diagram", ""], 1),
         (["diagrams", "--n", "1", "--word", ""], 0),
         (["diagrams", "--n", "3", "--word", ""], 2),
+        (["test", "{pascal}", "--method", "fekete", "--diagram", "zz qq"], 2),
     ])
     def test_edge_inputs_exit_codes(self, argv, code, tmp_path, capsys):
         files = {"singular": {"n": 2, "rows": [["1", "1"], ["1", "1"]]},
@@ -506,3 +532,9 @@ class TestSelfcheck:
         assert main(["selfcheck"]) == 0
         out = capsys.readouterr().out
         assert out.count("ok ") == 7
+        assert main(["selfcheck", "--report", "json"]) == 0
+        suites = ["desnanot-residual", "criterion-equivalence", "path-oracle",
+                  "transport", "factorization-round-trip", "twist-monomial",
+                  "somos-laurent"]
+        assert capsys.readouterr().out == json.dumps(
+            {"verdict": True, "suites": dict.fromkeys(suites, True)}) + "\n"

@@ -79,7 +79,7 @@ def transport_cases(draw):
 def outcome(call):
     try:
         word, values = call()
-    except (WordError, ZeroDivisionError) as error:
+    except WordError as error:
         return type(error), str(error)
     assert all(type(t) is Fraction for t in values)
     return word, [str(t) for t in values]
@@ -113,6 +113,12 @@ class TestPermutations:
         s1 = Permutation.transposition(3, 1)
         s2 = Permutation.transposition(3, 2)
         assert (s1 * s2).images == (2, 3, 1)
+
+    def test_composition_of_different_sizes(self):
+        for p, q in ((Permutation.identity(2), Permutation.identity(3)),
+                     (Permutation.reversal(4), Permutation.reversal(3))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                p * q
 
     @pytest.mark.parametrize("n, i", [(3, 0), (3, 3), (3, -1), (1, 1)])
     def test_transposition_index_out_of_range(self, n, i):
@@ -340,6 +346,22 @@ class TestTransport:
             w2, p2 = local_move_transport(w1, p1, move)
             assert w2 == word and p2 == params
 
+    @pytest.mark.parametrize("moves", [[], [Move("swap", 0)],
+                                       [Move("braid", 9)]])
+    def test_zero_diag_parameter_is_rejected_first(self, moves):
+        # the first zero diag in word order is named, before any move runs
+        word, params = parse_word("1 @2 @1 1~"), [1, 0, 0, 1]
+        message = "diag letter @2 is undefined at parameter 0"
+        with pytest.raises(WordError, match=message):
+            transport_params(word, params, moves)
+        for move in moves:
+            with pytest.raises(WordError, match=message):
+                local_move_transport(word, params, move)
+
+    def test_length_mismatch_without_moves(self):
+        with pytest.raises(WordError, match="length mismatch"):
+            transport_params(staircase_scheme(2), [1, 2, 3], [])
+
     def test_random_sequences_preserve_product_and_positivity(self):
         rng = random.Random(37)
         for _ in range(40):
@@ -358,28 +380,39 @@ class TestTransportOracle:
     @settings(deadline=None, max_examples=300)
     @given(transport_cases())
     def test_matches_move_by_move_oracle(self, case):
+        # a zero diag parameter is rejected before any move, as the product
+        # map is undefined there
         scheme, params, moves = case
+        zero = next((letter for letter, t in zip(scheme, params)
+                     if letter.kind == DIAG and not t), None)
+        expected = (outcome(lambda: oracle_transport(scheme, params, moves))
+                    if zero is None else
+                    (WordError, f"diag letter @{zero.index} is undefined at "
+                                "parameter 0"))
         assert outcome(lambda: transport_params(scheme, params, moves)) \
-            == outcome(lambda: oracle_transport(scheme, params, moves))
+            == expected
 
     def test_every_diag_slant_swap_matches_the_oracle(self):
-        # zero diag parameters included: passing a slant they zero it,
-        # leave it or divide by zero, depending on the two indices
         slants = [make(i) for make in (upper, lower) for i in (1, 2)]
         for k, slant, d, t in itertools.product((1, 2, 3), slants, (0, 2),
                                                 (0, 3)):
             for word, params in (((diag(k), slant), (d, t)),
                                  ((slant, diag(k)), (t, d))):
                 moves = [Move("swap", 0)]
+                expected = (outcome(lambda: oracle_transport(word, params,
+                                                             moves))
+                            if d else (WordError, f"diag letter @{k} is "
+                                                  "undefined at parameter 0"))
                 assert outcome(lambda: transport_params(word, params, moves)) \
-                    == outcome(lambda: oracle_transport(word, params, moves))
+                    == expected
 
     @settings(deadline=None, max_examples=200)
     @given(st.randoms(use_true_random=False), st.integers(2, 5),
            st.data())
     def test_a_diag_run_replays_as_its_swaps(self, rng, n, data):
         scheme = rand_walk_full_scheme(rng, n)
-        params = [data.draw(SLANT_PARAMS) for _ in scheme]
+        params = [data.draw(DIAG_PARAMS if letter.kind == DIAG
+                            else SLANT_PARAMS) for letter in scheme]
         src = data.draw(st.sampled_from(
             [p for p, letter in enumerate(scheme) if letter.kind == DIAG]))
         dst = data.draw(st.integers(0, len(scheme) - 1))
