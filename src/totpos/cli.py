@@ -26,8 +26,7 @@ from . import somos as sm
 from . import words as wd
 from .exact import format_scalar, laurent_has_nonnegative_coeffs
 from .matrices import (Matrix, MinorSpec, SingularLeadingMinorError,
-                       all_minor_specs, desnanot_residual,
-                       initial_minor_specs, minor, solid_minor_specs)
+                       all_minor_specs, desnanot_residual, minor)
 
 
 class InputError(Exception):
@@ -85,16 +84,6 @@ def _verdict(args, verdict: bool, checked: int, failures,
     return 0 if verdict else 1
 
 
-# The minors each `test` method checks, chamber aside.  Strict Neville
-# elimination stops at the first pivot that is not positive, when every
-# pivot it has read is an initial minor: on total positivity it is the
-# initial-minor test.
-_TP_FAMILIES = {"initial": initial_minor_specs,
-                "neville": initial_minor_specs,
-                "fekete": solid_minor_specs,
-                "brute": all_minor_specs}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -108,14 +97,19 @@ def _cmd_test(args) -> int:
             d = dg.DoubleWiringDiagram(_parse_word_arg(args.diagram), x.n)
         else:
             d = dg.minimal_diagram(x.n)
-        failures = pv.failing_chamber_minors(x, d)
-        checked = x.n * x.n
-    else:
-        if args.method == "brute":
-            pv.check_guard(x.n, _guard(args, 6))
-        specs = _TP_FAMILIES[args.method](x.n)
+        failures, checked = pv.failing_chamber_minors(x, d), x.n * x.n
+    elif args.method == "brute":
+        pv.check_guard(x.n, _guard(args, 6))
+        specs = all_minor_specs(x.n)
         failures = pv.failing_minors(x, specs, strict=True)
         checked = len(specs)
+    elif args.method == "fekete":
+        failures = pv.failing_solid_minors(x)
+        checked = x.n * (x.n + 1) * (2 * x.n + 1) // 6
+    else:
+        # strict Neville elimination, stopped at the first pivot that is
+        # not positive, reads only initial minors: it is the initial test
+        failures, checked = pv.failing_initial_minors(x), x.n * x.n
     verdict = not failures
     lines = [f"totally positive: {str(verdict).lower()} "
              f"({checked} minors checked, method {args.method})"]

@@ -18,11 +18,11 @@ division is exact and intermediate values stay small.  Beside it,
 the pivot row (Neville elimination), on the same cleared rows; the
 polynomial TP and TNN verdicts read the signs of its pivots.
 
-Families of minors go through one entry point, :func:`minor_family`.  It
-clears the row denominators once per matrix and returns scaled integer
-minors: each is the true minor times the multipliers of its rows, so it
-has the true minor's sign, and :func:`unscale` gives the exact value.  The
-algorithm follows the shapes of the specs and the length of the list:
+Families of minors are evaluated once per matrix: the row denominators
+are cleared once, and each minor comes back scaled, the true minor times
+the multipliers of its rows, so it has the true minor's sign and
+:func:`unscale` gives the exact value.  :func:`minor_family` takes a
+list of specs and follows their shapes and the length of the list:
 
 * solid minors (Fekete, initial, antiprincipal): Dodgson condensation,
   level by level, O(1) per minor; a minor reached through a zero divisor
@@ -36,14 +36,16 @@ algorithm follows the shapes of the specs and the length of the list:
 Every engine returns the same exact minors, so the choice needs no look
 at which minors are listed: a list that repeats specs only costs more.
 
+Three families take no spec list, so a verdict builds specs only for
+its witnesses and for minors behind a zero divisor.  :func:`initial_family`
+and :func:`solid_family` read the same condensation walk in spec order.
 Chamber minors have their own engine, :func:`_sweep_family`, behind
-:func:`totpos.diagrams.chamber_family`, with the same contract.  At each
-slice of a double wiring diagram the chambers are the leading minors in
-track order, and a crossing swaps two adjacent tracks, so the rows of
-Bareiss tableaux kept along the sweep give each new chamber from a few
-elimination steps of O(n) each, instead of one elimination per chamber,
-O(k^3).  A chamber behind a zero divisor is evaluated by the kernel.  One
-sweep serves every chamber: a stop rule checks them in the order the sweep
+:func:`totpos.diagrams.chamber_family`.  At each slice of a double wiring
+diagram the chambers are the leading minors in track order, and a
+crossing swaps two adjacent tracks, so the rows of Bareiss tableaux kept
+along the sweep give each new chamber from a few elimination steps of
+O(n) each, instead of one elimination per chamber, O(k^3).  One sweep
+serves every chamber: a stop rule checks them in the order the sweep
 produces them, so no input costs more than one sweep.
 """
 
@@ -431,11 +433,15 @@ def minor_family(x: Matrix, specs: Sequence[MinorSpec],
     for spec in specs:
         spec.validate_for(n)
     m, mults = _integer_rows(x.rows)
-    values: list = [None] * len(specs)
     if all(s.rows[-1] - s.rows[0] == s.cols[-1] - s.cols[0] == len(s.rows) - 1
-           for s in specs):
-        done = _condense(m, specs, values, stop)
-    elif len(specs) >= comb(2 * n, n) - 1:
+           for s in specs):  # one condensation walk, specs read by size
+        cells: list[list] = [[] for _ in range(max(
+            (len(s.rows) for s in specs), default=0))]
+        for k, s in enumerate(specs):
+            cells[len(s.rows) - 1].append((k, s.rows[0] - 1, s.cols[0] - 1))
+        return _condense(m, mults, len(specs), cells, stop)
+    values: list = [None] * len(specs)
+    if len(specs) >= comb(2 * n, n) - 1:
         done = _laplace(m, specs, range(len(specs)), values, stop,
                         chain=False)
     elif (len(specs) >= 2 ** (n + 1) - n - 2
@@ -450,7 +456,7 @@ def minor_family(x: Matrix, specs: Sequence[MinorSpec],
                 and _laplace([list(c) for c in zip(*m)], specs, on_cols,
                              values, stop, chain=True, transpose=True))
     else:
-        done = _direct(m, specs, range(len(specs)), values, stop)
+        done = _direct(m, enumerate(specs), values, stop)
     return (values, mults) if done else None
 
 
@@ -471,60 +477,77 @@ def _det_int(m: list[list[int]]) -> int:
     return sign * m[-1][-1] if len(pivots) == len(m) else 0
 
 
-def _direct(m, specs, indices, values, stop) -> bool:
-    """Bareiss on each listed spec's integer submatrix."""
-    for k in indices:
-        spec = specs[k]
+def _direct(m, pairs, values, stop) -> bool:
+    """Bareiss on the integer submatrix of each (position, spec) pair."""
+    for position, spec in pairs:
         cols = [j - 1 for j in spec.cols]
         value = _det_int([[m[i - 1][j] for j in cols] for i in spec.rows])
-        values[k] = value
+        values[position] = value
         if stop is not None and stop(value):
             return False
     return True
 
 
-def _condense(m, specs, values, stop) -> bool:
-    """Solid minors by Dodgson condensation, level by level.
+def _solid_levels(m):
+    """The solid minors of the integer rows ``m`` by Dodgson condensation,
+    one level per size 1..n, each indexed by its top-left corner (0-based).
 
     The size-k solid minor at top-left (i, j) times the size-(k-2) one at
     (i+1, j+1) equals the 2x2 determinant of the size-(k-1) ones at (i, j),
     (i, j+1), (i+1, j) and (i+1, j+1) (Desnanot), so every division is
     exact.  A minor whose divisor vanishes, or whose inputs are unknown, is
-    unknown (None); requested unknown minors are evaluated directly.
+    unknown (None).
     """
-    n = len(m)
-    wanted: dict[int, list[int]] = {}
-    for k, spec in enumerate(specs):
-        wanted.setdefault(len(spec.rows), []).append(k)
+    below, level = [[1] * len(m)] * len(m), m  # sizes 0 and 1
+    yield level
+    for _ in range(len(m) - 1):
+        below, level = level, [
+            [(a0 * b1 - a1 * b0) // d if d and a0 is not None
+             and a1 is not None and b0 is not None and b1 is not None
+             else None
+             for a0, a1, b0, b1, d in zip(up, up[1:], lo, lo[1:], div[1:])]
+            for up, lo, div in zip(level, level[1:], below[1:])]
+        yield level
+
+
+def _condense(m, mults, count, cells, stop):
+    """``count`` solid minors of the integer rows m, as :func:`minor_family`
+    returns them: ``cells`` lists those of size 1, 2, ... by (position, top
+    row, left column), 0-based; an unknown one gets a spec for the kernel."""
+    values: list = [None] * count
     unknown = []
-    # level holds the solid minors of size - 1, below those of size - 2
-    below, level = None, [[1] * (n + 1) for _ in range(n + 1)]
-    for size in range(1, max(wanted, default=0) + 1):
-        if size == 1:
-            nxt = m
-        else:
-            nxt = [[_step(a0, a1, b0, b1, d) for a0, a1, b0, b1, d
-                    in zip(up, up[1:], lo, lo[1:], div[1:])]
-                   for up, lo, div in zip(level, level[1:], below[1:])]
-        below, level = level, nxt
-        for k in wanted.get(size, ()):
-            spec = specs[k]
-            value = level[spec.rows[0] - 1][spec.cols[0] - 1]
+    for size, (wanted, level) in enumerate(zip(cells, _solid_levels(m)), 1):
+        for position, i, j in wanted:
+            value = values[position] = level[i][j]
             if value is None:
-                unknown.append(k)
-                continue
-            values[k] = value
-            if stop is not None and stop(value):
-                return False
-    return _direct(m, specs, sorted(unknown), values, stop)
+                unknown.append((position, _solid_spec(size, i, j)))
+            elif stop is not None and stop(value):
+                return None
+    return (values, mults) if _direct(m, unknown, values, stop) else None
 
 
-def _step(a0, a1, b0, b1, d):
-    """One condensation step; None when the divisor d is 0 or unknown or
-    an input is unknown."""
-    if not d or a0 is None or a1 is None or b0 is None or b1 is None:
-        return None
-    return (a0 * b1 - a1 * b0) // d
+def initial_family(x: Matrix, stop: Callable[[int], bool] | None = None) \
+        -> tuple[list[int], list[int]] | None:
+    """The initial minors of x, in :func:`initial_minor_specs` order, as
+    :func:`minor_family` returns them: the condensation level of size k
+    holds those of size k in its first row and its first column."""
+    n = x.n
+    cells = ([(k * n + j, 0, j - k) for j in range(k, n)]
+             + [(i * n + k, i - k, 0) for i in range(k + 1, n)]
+             for k in range(n))
+    return _condense(*_integer_rows(x.rows), n * n, cells, stop)
+
+
+def solid_family(x: Matrix, stop: Callable[[int], bool] | None = None) \
+        -> tuple[list[int], list[int]] | None:
+    """The solid minors of x in :func:`solid_minor_specs` order, as
+    :func:`minor_family` returns them: the condensation levels, row-major."""
+    n = x.n
+    position = itertools.count()
+    cells = ([(next(position), i, j) for i in range(w) for j in range(w)]
+             for w in range(n, 0, -1))
+    count = n * (n + 1) * (2 * n + 1) // 6
+    return _condense(*_integer_rows(x.rows), count, cells, stop)
 
 
 def _sweep_family(x: Matrix, swaps: Sequence[tuple[bool, int]],
@@ -573,13 +596,7 @@ def _sweep_family(x: Matrix, swaps: Sequence[tuple[bool, int]],
         sweep.swap(*swap)
         if not record(swap[1]):
             return None
-    specs = [spec for _, spec in unknown]
-    direct: list = [None] * len(specs)
-    if not _direct(m, specs, range(len(specs)), direct, stop):
-        return None
-    for (position, _), value in zip(unknown, direct):
-        values[position] = value
-    return values, mults
+    return (values, mults) if _direct(m, unknown, values, stop) else None
 
 
 class _Tableaux:
@@ -744,6 +761,21 @@ def solid_minor_specs(n: int) -> list[MinorSpec]:
     return specs
 
 
+def _solid_spec(size: int, i: int, j: int) -> MinorSpec:
+    """The solid minor of ``size`` with top-left (i, j), 0-based."""
+    return MinorSpec.trusted(tuple(range(i + 1, i + size + 1)),
+                             tuple(range(j + 1, j + size + 1)))
+
+
+def _solid_spec_at(n: int, position: int) -> MinorSpec:
+    """``solid_minor_specs(n)[position]``, without the list."""
+    size = 1
+    while position >= (n - size + 1) ** 2:
+        position -= (n - size + 1) ** 2
+        size += 1
+    return _solid_spec(size, *divmod(position, n - size + 1))
+
+
 def initial_minor_spec(n: int, i: int, j: int) -> MinorSpec:
     """The unique solid minor with 1 in its index support whose lower-right
     corner is the entry (i, j) of an n x n matrix."""
@@ -751,8 +783,7 @@ def initial_minor_spec(n: int, i: int, j: int) -> MinorSpec:
         raise ValueError(f"corner ({i}, {j}) out of range for a {n}x{n} "
                          f"matrix")
     k = min(i, j)
-    return MinorSpec.trusted(tuple(range(i - k + 1, i + 1)),
-                             tuple(range(j - k + 1, j + 1)))
+    return _solid_spec(k, i - k, j - k)
 
 
 def initial_minor_specs(n: int) -> list[MinorSpec]:

@@ -21,8 +21,8 @@ criteria:
   and every diagonal pivot is positive.  A pivot is a ratio of initial
   minors, so a failing one points at a witness.  For total positivity
   the pass would stop at the first pivot that is not positive, having
-  read exactly the initial minors, so the CLI's `test --method neville`
-  runs `test_initial_minors`;
+  read only initial minors, so the CLI's `test --method neville` reads
+  the initial family;
 * `is_oscillatory`: equivalent characterizations of invertible totally
   nonnegative matrices some power of which is totally positive, on the
   Neville TNN check of the input and the initial minors of x^(n-1);
@@ -38,10 +38,10 @@ from typing import Iterable
 
 from .diagrams import DoubleWiringDiagram, chamber_family, chamber_minors
 from .matrices import (Matrix, MinorSpec, _integer_rows, _neville,
-                       all_minor_specs, column_rank_profile,
-                       initial_minor_spec, initial_minor_specs,
+                       _solid_spec_at, all_minor_specs, column_rank_profile,
+                       initial_family, initial_minor_spec,
                        is_block_triangular, minor, minor_family,
-                       solid_minor_specs, unscale)
+                       solid_family, unscale)
 from .words import Permutation
 
 
@@ -69,41 +69,45 @@ def _negative(value) -> bool:
     return value < 0
 
 
-def _passes(x: Matrix, specs: list[MinorSpec], fails) -> bool:
-    """No minor on ``specs`` fails; stops at the first that does."""
-    return minor_family(x, specs, stop=fails) is not None
-
-
-def _failures(specs, values, mults, fails) -> list[tuple[MinorSpec, Fraction]]:
+def _failures(spec_at, values, mults, fails) \
+        -> list[tuple[MinorSpec, Fraction]]:
+    """The failing values with their specs, ``spec_at(position)``."""
     return [(spec, unscale(spec, value, mults))
-            for spec, value in zip(specs, values) if fails(value)]
+            for position, value in enumerate(values) if fails(value)
+            for spec in (spec_at(position),)]
 
 
 def failing_minors(x: Matrix, specs: Iterable[MinorSpec], *,
                    strict: bool) -> list[tuple[MinorSpec, Fraction]]:
     """Specs whose minors fail the sign requirement (> 0, or >= 0)."""
     specs = list(specs)
-    values, mults = minor_family(x, specs)
-    return _failures(specs, values, mults,
+    return _failures(specs.__getitem__, *minor_family(x, specs),
                      _nonpositive if strict else _negative)
 
 
 def is_tp_bruteforce(x: Matrix, guard: int = 6) -> bool:
     """Every one of the C(2n, n) - 1 minors is positive."""
     check_guard(x.n, guard)
-    return _passes(x, all_minor_specs(x.n), _nonpositive)
+    return minor_family(x, all_minor_specs(x.n), _nonpositive) is not None
 
 
 def is_tnn_bruteforce(x: Matrix, guard: int = 6) -> bool:
     """Every minor is nonnegative."""
     check_guard(x.n, guard)
-    return _passes(x, all_minor_specs(x.n), _negative)
+    return minor_family(x, all_minor_specs(x.n), _negative) is not None
 
 
 def test_initial_minors(x: Matrix) -> bool:
     """Positivity of the n^2 initial minors; equivalent to total
     positivity."""
-    return _passes(x, initial_minor_specs(x.n), _nonpositive)
+    return initial_family(x, stop=_nonpositive) is not None
+
+
+def failing_initial_minors(x: Matrix) -> list[tuple[MinorSpec, Fraction]]:
+    """The initial minors that are not positive, in spec order."""
+    n = x.n
+    return _failures(lambda p: initial_minor_spec(n, p // n + 1, p % n + 1),
+                     *initial_family(x), _nonpositive)
 
 
 def test_chamber_minors(x: Matrix, d: DoubleWiringDiagram) -> bool:
@@ -118,8 +122,8 @@ def failing_chamber_minors(x: Matrix, d: DoubleWiringDiagram) \
     """The chamber minors of the diagram that are not positive, in
     :func:`chamber_minors` order."""
     _check_diagram(x, d)
-    values, mults = chamber_family(x, d)
-    return _failures(chamber_minors(d), values, mults, _nonpositive)
+    return _failures(chamber_minors(d).__getitem__, *chamber_family(x, d),
+                     _nonpositive)
 
 
 def _check_diagram(x: Matrix, d: DoubleWiringDiagram) -> None:
@@ -129,7 +133,14 @@ def _check_diagram(x: Matrix, d: DoubleWiringDiagram) -> None:
 
 def test_fekete_solid(x: Matrix) -> bool:
     """Positivity of all solid minors; equivalent to total positivity."""
-    return _passes(x, solid_minor_specs(x.n), _nonpositive)
+    return solid_family(x, stop=_nonpositive) is not None
+
+
+def failing_solid_minors(x: Matrix) -> list[tuple[MinorSpec, Fraction]]:
+    """The solid minors that are not positive, in spec order."""
+    n = x.n
+    return _failures(lambda p: _solid_spec_at(n, p), *solid_family(x),
+                     _nonpositive)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +191,8 @@ def tnn_efficient_report(x: Matrix, guard: int = 16) \
         value > 0 if spec.rows == spec.cols and spec.rows[-1] == spec.size
         else value >= 0
         for spec, value in zip(specs, values))
-    return verdict, len(specs), _failures(specs, values, mults, _negative)
+    return verdict, len(specs), _failures(specs.__getitem__, values, mults,
+                                          _negative)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +255,8 @@ def test_tp_given_tnn(x: Matrix) -> bool:
     """For a totally nonnegative x: totally positive iff the 2n - 1
     antiprincipal minors (top-right and bottom-left corner minors) are all
     nonzero."""
-    return _passes(x, antiprincipal_specs(x.n), lambda value: value == 0)
+    return minor_family(x, antiprincipal_specs(x.n),
+                        lambda value: value == 0) is not None
 
 
 def antiprincipal_specs(n: int) -> list[MinorSpec]:

@@ -104,6 +104,8 @@ class Permutation(Record):
         return len(self.images)
 
     def __call__(self, k: int) -> int:
+        if not 1 <= k <= self.n:
+            raise ValueError(f"point {k} out of range for n={self.n}")
         return self.images[k - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":

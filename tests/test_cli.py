@@ -66,6 +66,9 @@ class TestTest:
 MIXED3 = {"n": 3, "rows": [["2", "-1", "1/2"], ["1", "3", "0"],
                            ["-2", "1", "1"]]}
 TRI3 = {"n": 3, "rows": [["1", "1", "0"], ["1", "2", "1"], ["0", "1", "2"]]}
+# A zero centre: condensation divides by it for the determinant, which the
+# kernel evaluates instead.
+ZERO3 = {"n": 3, "rows": [["2", "1", "1"], ["1", "0", "1"], ["1", "1", "3"]]}
 
 
 def _witness(rows, cols, value):
@@ -122,6 +125,18 @@ def _witness(rows, cols, value):
     (TRI3, ["test", "--method", "chamber"], 1,
      {"verdict": False, "minors_checked": 9, "witnesses": [
          _witness([3], [1], "0"), _witness([1], [3], "0")]}),
+    (TRI3, ["test", "--method", "fekete"], 1,
+     {"verdict": False, "minors_checked": 14, "witnesses": [
+         _witness([1], [3], "0"), _witness([3], [1], "0")]}),
+    (ZERO3, ["test", "--method", "initial"], 1,
+     {"verdict": False, "minors_checked": 9, "witnesses": [
+         _witness([1, 2], [1, 2], "-1"),
+         _witness([1, 2, 3], [1, 2, 3], "-3")]}),
+    (ZERO3, ["test", "--method", "fekete"], 1,
+     {"verdict": False, "minors_checked": 14, "witnesses": [
+         _witness([2], [2], "0"), _witness([1, 2], [1, 2], "-1"),
+         _witness([2, 3], [2, 3], "-1"),
+         _witness([1, 2, 3], [1, 2, 3], "-3")]}),
 ])
 def test_pinned_reports(matrix, argv, code, report, tmp_path, capsys):
     path = tmp_path / "x.json"

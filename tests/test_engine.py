@@ -132,6 +132,83 @@ class TestMinorFamily:
         assert minor_family(Matrix.identity(3), []) == ([], [1, 1, 1])
 
 
+SOLID_FAMILIES = [(mx.initial_family, initial_minor_specs),
+                  (mx.solid_family, solid_minor_specs)]
+SOLID_IDS = ["initial", "solid"]
+
+
+class TestSolidFamilies:
+    """The initial and solid families read off the condensation walk
+    without spec lists, against the spec-list engine and per-minor
+    evaluation."""
+
+    @pytest.mark.parametrize("family, specs_of", SOLID_FAMILIES,
+                             ids=SOLID_IDS)
+    @settings(deadline=None, max_examples=150)
+    @given(x=matrices())
+    def test_equal_to_minor_family(self, family, specs_of, x):
+        specs = specs_of(x.n)
+        values, mults = family(x)
+        assert (values, mults) == minor_family(x, specs)
+        exact = [unscale(s, v, mults) for s, v in zip(specs, values)]
+        assert exact == [minor(x, s) for s in specs]
+        assert exact == [cofactor_det(x.submatrix_rows(s.rows, s.cols))
+                         for s in specs]
+
+    @pytest.mark.parametrize("family, specs_of", SOLID_FAMILIES,
+                             ids=SOLID_IDS)
+    @settings(deadline=None, max_examples=150)
+    @given(x=matrices(), which=st.sampled_from(["nonpositive", "negative",
+                                                "zero"]))
+    def test_stop_iff_some_value_satisfies_it(self, family, specs_of, x,
+                                              which):
+        stop = {"nonpositive": lambda v: v <= 0,
+                "negative": lambda v: v < 0,
+                "zero": lambda v: v == 0}[which]
+        stopped = family(x, stop=stop) is None
+        assert stopped == any(stop(minor(x, s)) for s in specs_of(x.n))
+
+    @pytest.mark.parametrize("family, specs_of", SOLID_FAMILIES,
+                             ids=SOLID_IDS)
+    def test_every_condensation_divisor_zero(self, family, specs_of):
+        # rank one: every solid 2-minor vanishes, so every solid minor of
+        # size >= 4 is reached through a zero divisor
+        x = Matrix([[(i + 1) * (j + 2) for j in range(6)] for i in range(6)])
+        specs = specs_of(6)
+        values, mults = family(x)
+        assert [unscale(s, v, mults) for s, v in zip(specs, values)] \
+            == [minor(x, s) for s in specs]
+        assert all((v != 0) == (s.size == 1) for s, v in zip(specs, values))
+        zero = Matrix([[0] * 5 for _ in range(5)])
+        assert family(zero)[0] == [0] * len(specs_of(5))
+        assert family(zero, stop=lambda v: v <= 0) is None
+
+    def test_tp_verdicts_build_no_spec(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spec was built")
+
+        monkeypatch.setattr(MinorSpec, "trusted", refuse)
+        monkeypatch.setattr(MinorSpec, "__init__", refuse)
+        monkeypatch.setattr(mx, "initial_minor_specs", refuse)
+        monkeypatch.setattr(mx, "solid_minor_specs", refuse)
+        rng = random.Random(20)
+        for n in range(1, 9):
+            x = rand_tp(rng, n)
+            assert pv.test_initial_minors(x)
+            assert pv.test_fekete_solid(x)
+        with pytest.raises(AssertionError, match="a spec was built"):
+            pv.failing_solid_minors(Matrix([[1, 2], [3, 1]]))
+
+    @pytest.mark.parametrize("failing, specs_of", [
+        (pv.failing_initial_minors, initial_minor_specs),
+        (pv.failing_solid_minors, solid_minor_specs)], ids=SOLID_IDS)
+    @settings(deadline=None, max_examples=100)
+    @given(x=matrices())
+    def test_witnesses_in_spec_order(self, failing, specs_of, x):
+        assert failing(x) == pv.failing_minors(x, specs_of(x.n),
+                                               strict=True)
+
+
 @st.composite
 def chamber_inputs(draw):
     """A matrix of n = 1..7 and a random double wiring diagram of its size.

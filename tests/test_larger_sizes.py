@@ -11,7 +11,9 @@ from totpos.factorization import (_prime_exponents, _primes,
                                   reconstruct_from_initial_minors,
                                   staircase_minor_exponents, twist,
                                   verify_twist_monomial)
-from totpos.matrices import Matrix
+from totpos.matrices import (Matrix, MinorSpec, initial_family,
+                             initial_minor_specs, minor, minor_family,
+                             solid_family, solid_minor_specs)
 from totpos.positivity import (bruhat_type, is_oscillatory,
                                is_tnn_bruteforce, is_tp_bruteforce)
 from totpos.positivity import test_initial_minors as initial_criterion
@@ -130,6 +132,27 @@ def test_neville_agrees_with_initial_minors_at_n32():
         reversed_rows = Matrix(x.rows[::-1])
         assert not initial_criterion(reversed_rows)
         assert not tnn_neville_criterion(reversed_rows)
+
+
+def test_solid_families_match_spec_lists_at_n32():
+    # a staircase product (totally positive) and a near miss: its last
+    # entry lowered until the determinant, the last initial and the last
+    # solid minor, is 0
+    rng = random.Random(213)
+    word = staircase_scheme(32)
+    x = product_map(word, [rand_positive(rng) for _ in word], 32)
+    rows = [list(row) for row in x.rows]
+    head = tuple(range(1, 32))
+    rows[-1][-1] -= x.det() / minor(x, MinorSpec(head, head))
+    near = Matrix(rows)
+    assert near.det() == 0
+    initial, solid = initial_minor_specs(32), solid_minor_specs(32)
+    assert (len(initial), len(solid)) == (1024, 11440)
+    for y, tp in ((x, True), (near, False)):
+        for family, specs in ((initial_family, initial),
+                              (solid_family, solid)):
+            assert family(y) == minor_family(y, specs)
+            assert (family(y, stop=lambda v: v <= 0) is not None) == tp
 
 
 def test_oscillation_criteria_agree_at_n5():

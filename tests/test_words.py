@@ -126,6 +126,14 @@ class TestPermutations:
                            match=f"generator {i} out of range for n={n}"):
             Permutation.transposition(n, i)
 
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_point_out_of_range(self, k):
+        w = Permutation((2, 3, 1))
+        with pytest.raises(ValueError,
+                           match=f"point {k} out of range for n=3"):
+            w(k)
+        assert [w(k) for k in (1, 2, 3)] == [2, 3, 1]
+
     def test_matrix(self):
         w = Permutation((2, 3, 1))
         m = w.matrix()
