@@ -6,13 +6,14 @@
   nonzero initial minors as the staircase product at the parameters they
   determine.  Both read the parameters off a closed form: each is a
   Laurent monomial in at most four initial minors, a Neville elimination
-  multiplier or pivot (Gasca and Peña 1992; Koev 2007).  The rule is
-  stated once, as a per-n table of (minor, exponent) entries,
-  `_staircase_terms`; `_staircase_params` evaluates it on values, and
-  `staircase_minor_exponents` reads off it the exponent matrix E with the
-  initial minors equal to the parameter monomials t^E, and its inverse.
-  `staircase_edge_for_minor` reads the minor-to-edge bijection off E;
-  neither is a step of factoring.
+  multiplier or pivot (Gasca and Peña 1992; Koev 2007), stated once as a
+  per-n table of (minor, exponent) entries, `_staircase_terms`, and
+  evaluated by `_staircase_params`.  The converse is a closed form too:
+  the initial minor with corner (r, c) is the product of the parameters
+  whose corners (a, b) have a <= r, b <= c and a - b between 0 and r - c.
+  `staircase_minor_exponents` writes both as exponent matrices, E and its
+  inverse, and `staircase_edge_for_minor` maps each initial minor to the
+  parameter owning its corner; neither is a step of factoring.
 * `factor_scheme` factors along any full-type scheme by routing the
   staircase parameters through local moves.
 * `twist` is the birational map assembled from the LDU factors of the
@@ -28,14 +29,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from operator import mul
 from typing import Mapping, Sequence
 
 from .diagrams import DoubleWiringDiagram, chamber_family, chamber_minors
 from .exact import as_scalar
 from .matrices import (Matrix, MinorSpec, _integer_rows, _inverse_rows,
-                       _ldu_rows, initial_minor_specs, minor, minor_values,
-                       unscale)
+                       _ldu_rows, initial_family, initial_minor_spec,
+                       initial_minor_specs, minor, unscale)
 from .words import (DIAG, Permutation, Word, WordError, _encode, _replay,
                     _reversed_moves, _route, infer_n, is_full_scheme,
                     product_map, staircase_scheme, validate_scheme)
@@ -57,8 +59,7 @@ class ReconstructionError(ValueError):
 
 def initial_minors(x: Matrix) -> dict[MinorSpec, Fraction]:
     """All n^2 initial minors of x, keyed by spec."""
-    specs = initial_minor_specs(x.n)
-    return dict(zip(specs, minor_values(x, specs)))
+    return dict(zip(initial_minor_specs(x.n), _initial_values(x)))
 
 
 def reconstruct_from_initial_minors(values: Mapping[MinorSpec, Fraction],
@@ -139,37 +140,32 @@ def staircase_minor_exponents(n: int) \
     are the parameter monomials t^E[row], and parameter k is the Laurent
     monomial D^E_inverse[k] in the initial minors D.
 
-    E_inverse is read off `_staircase_terms`, one row per parameter.  Each
-    row, solved for its own corner D(r, c), gives the row of E from rows of
-    corners before it in row-major order.  Checked on the way: every entry
-    of E is 0 or 1, and E_inverse E = I.  Factoring evaluates the same
-    table on values and never builds these matrices.  The table is memoized:
+    Both are closed forms.  E_inverse is `_staircase_terms`, one row per
+    parameter.  The row of E for the initial minor with corner (r, c) has
+    a 1 at each parameter whose corner (a, b) has a <= r, b <= c and
+    min(0, r - c) <= a - b <= max(0, r - c): the weights its path family
+    passes.  Checked on the way: E_inverse E = I.  Factoring evaluates the
+    table on values and never builds these matrices.  They are memoized:
     at n = 8 `_staircase_params` took 77-117 us on the built table, 163-221
     us rebuilding it per call and 114-187 us as per-call closures (three
     runs of best of 7, 2-core VM, Python 3.11).
     """
-    if n < 1:
-        raise ValueError("matrix must be square and nonempty")
     if n in _staircase_cache:
         return _staircase_cache[n]
-    size = n * n
-    table = _staircase_terms(n)
-    exponents: list[list[int]] = []  # by corner, in row-major order
-    for k in sorted(range(size), key=lambda k: table[k][0][0]):
-        row = [0] * size
-        row[k] = 1
-        for j, s in table[k][1:]:
-            row = [v - s * w for v, w in zip(row, exponents[j])]
-        if min(row) < 0 or max(row) > 1:
-            r, c = divmod(table[k][0][0], n)
-            raise AssertionError(
-                f"initial minor with corner ({r + 1}, {c + 1}) of the "
-                f"staircase product is not a 0/1 parameter monomial")
-        exponents.append(row)
+    edges = staircase_edge_for_minor(n)
+    owner, size = list(edges.values()), n * n
+    exponents = []
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            low, high = min(0, r - c), max(0, r - c)
+            row = [0] * size
+            for a in range(1, r + 1):
+                for b in range(max(1, a - high), min(c, a - low) + 1):
+                    row[owner[(a - 1) * n + b - 1]] = 1
+            exponents.append(row)
     inverse = []
-    for k, terms in enumerate(table):
-        row = [0] * size
-        check = [0] * size
+    for k, terms in enumerate(_staircase_terms(n)):
+        row, check = [0] * size, [0] * size
         for j, s in terms:
             row[j] = s
             check = [v + s * w for v, w in zip(check, exponents[j])]
@@ -178,33 +174,34 @@ def staircase_minor_exponents(n: int) \
             raise AssertionError("staircase exponent matrices are not "
                                  "inverse to each other")
         inverse.append(row)
-    _staircase_cache[n] = (initial_minor_specs(n), exponents, inverse)
+    _staircase_cache[n] = (list(edges), exponents, inverse)
     return _staircase_cache[n]
 
 
 def staircase_edge_for_minor(n: int) -> dict[MinorSpec, int]:
     """The bijection from initial minors to essential-edge ordinals: each
-    initial minor covers a set of essential edges, of which exactly one is
-    uppermost (touches the highest level); that edge's weight is the minor
-    divided by lower edges' weights."""
-    specs, exponents, _ = staircase_minor_exponents(n)
-    word = staircase_scheme(n)
+    initial minor maps to the parameter that owns its corner, the first
+    term of that parameter's `_staircase_terms` row.  That edge is the
+    uppermost one the minor covers, and its weight is the minor divided by
+    lower edges' weights."""
+    if n < 1:
+        raise ValueError("matrix must be square and nonempty")
+    table = _staircase_terms(n)
+    return dict(zip(initial_minor_specs(n),
+                    sorted(range(n * n), key=lambda k: table[k][0][0])))
 
-    def level(k: int) -> int:
-        letter = word[k]
-        return letter.index if letter.kind == DIAG else letter.index + 1
 
-    mapping: dict[MinorSpec, int] = {}
-    for spec, row in zip(specs, exponents):
-        covered = [k for k, e in enumerate(row) if e]
-        top = max(level(k) for k in covered)
-        uppermost = [k for k in covered if level(k) == top]
-        if len(uppermost) != 1:
-            raise AssertionError(f"no unique uppermost edge for {spec}")
-        mapping[spec] = uppermost[0]
-    if len(set(mapping.values())) != n * n:
-        raise AssertionError("minor-to-edge map is not a bijection")
-    return mapping
+def _initial_values(x: Matrix) -> list[Fraction]:
+    """The n^2 initial minors of x in row-major corner order, off the
+    condensation walk: the one with corner (i, j) lies on rows i-k+1..i,
+    k = min(i, j), so it is unscaled by P[i] / P[i-k], P holding the
+    prefix products of the row multipliers."""
+    n = x.n
+    values, mults = initial_family(x)
+    prefix = list(accumulate(mults, mul, initial=1))
+    return [Fraction(values[(i - 1) * n + j - 1],
+                     prefix[i] // prefix[i - min(i, j)])
+            for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
 def factor_staircase(x: Matrix) -> tuple[Fraction, ...]:
@@ -212,14 +209,15 @@ def factor_staircase(x: Matrix) -> tuple[Fraction, ...]:
     ``product_map(staircase_scheme(n), t) == x`` for totally positive x.
 
     Raises :class:`NotTotallyPositiveError` citing the first failing
-    initial minor otherwise.
+    initial minor, in row-major corner order, otherwise.
     """
-    specs = initial_minor_specs(x.n)
-    values = minor_values(x, specs)
-    for spec, value in zip(specs, values):
+    n = x.n
+    values = _initial_values(x)
+    for p, value in enumerate(values):
         if value <= 0:
-            raise NotTotallyPositiveError(spec, value)
-    return _staircase_params(values, x.n)
+            raise NotTotallyPositiveError(
+                initial_minor_spec(n, p // n + 1, p % n + 1), value)
+    return _staircase_params(values, n)
 
 
 def factor_scheme(x: Matrix, scheme: Word) -> tuple[Fraction, ...]:
@@ -245,22 +243,14 @@ def parameter_sum_formula(x: Matrix) -> Fraction:
     """Closed form for the sum of the staircase factorization parameters:
     a Laurent polynomial in leading principal and near-principal minors."""
     n = x.n
-
-    def leading(k: int) -> Fraction:
-        if k == 0:
-            return Fraction(1)
-        return minor(x, MinorSpec(tuple(range(1, k + 1)),
-                                  tuple(range(1, k + 1))))
-
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        total += leading(i) / leading(i - 1)
+    lead = [Fraction(1)] + [minor(x, MinorSpec(tuple(range(1, k + 1)),
+                                               tuple(range(1, k + 1))))
+                            for k in range(1, n + 1)]
+    total = sum(lead[i] / lead[i - 1] for i in range(1, n + 1))
     for i in range(1, n):
-        rows = tuple(range(1, i)) + (i + 1,)
-        cols = tuple(range(1, i + 1))
-        low = minor(x, MinorSpec(rows, cols))
-        high = minor(x, MinorSpec(cols, rows))
-        total += (low + high) / leading(i)
+        rows, cols = tuple(range(1, i)) + (i + 1,), tuple(range(1, i + 1))
+        total += (minor(x, MinorSpec(rows, cols))
+                  + minor(x, MinorSpec(cols, rows))) / lead[i]
     return total
 
 

@@ -379,12 +379,7 @@ def _ldu_rows(m: list[list[int]]) -> None:
 
 def _det_fraction_rows(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     m, mults = _integer_rows(rows)
-    if not m:
-        return Fraction(1)
-    pivots, sign = _eliminate(m)
-    if len(pivots) < len(m):
-        return Fraction(0)
-    return Fraction(sign * m[-1][-1], prod(mults))
+    return Fraction(_det_int(m), prod(mults)) if m else Fraction(1)
 
 
 def minor(x: Matrix, spec: MinorSpec) -> Fraction:

@@ -20,13 +20,12 @@ summing over vertex-disjoint path families instead.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence
 
 from .exact import as_scalar
-from .matrices import Matrix, MinorSpec
+from .matrices import Matrix, MinorSpec, all_minor_specs
 from .records import Record
 from .words import DIAG, UPPER, Letter, Word, staircase_scheme
 
@@ -290,13 +289,8 @@ def has_disjoint_family(net: PlanarNetwork, rows: Sequence[int],
 def is_totally_connected(net: PlanarNetwork) -> bool:
     """True iff every pair of equal-size boundary subsets is joined by some
     vertex-disjoint family."""
-    indices = range(1, net.n + 1)
-    for k in range(1, net.n + 1):
-        for rows in itertools.combinations(indices, k):
-            for cols in itertools.combinations(indices, k):
-                if not has_disjoint_family(net, rows, cols):
-                    return False
-    return True
+    return all(has_disjoint_family(net, spec.rows, spec.cols)
+               for spec in all_minor_specs(net.n))
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_tnn_efficient(x: Matrix, guard: int = 16) -> tuple[bool, int]:
 def tnn_efficient_report(x: Matrix, guard: int = 16) \
         -> tuple[bool, int, list[tuple[MinorSpec, Fraction]]]:
     """:func:`test_tnn_efficient`'s verdict and count, with its negative
-    minors in spec order as witnesses."""
+    minors in spec order as witnesses, else :func:`_sylvester_witness`."""
     check_guard(x.n, guard, "the efficient TNN test")
     specs = tnn_efficient_specs(x.n)
     values, mults = minor_family(x, specs)
@@ -191,8 +191,30 @@ def tnn_efficient_report(x: Matrix, guard: int = 16) \
         value > 0 if spec.rows == spec.cols and spec.rows[-1] == spec.size
         else value >= 0
         for spec, value in zip(specs, values))
-    return verdict, len(specs), _failures(specs.__getitem__, values, mults,
-                                          _negative)
+    failures = _failures(specs.__getitem__, values, mults, _negative)
+    if not verdict and not failures:
+        failures = [_sylvester_witness(x, dict(zip(specs, values)))]
+    return verdict, len(specs), failures
+
+
+def _sylvester_witness(x: Matrix, values: dict[MinorSpec, int]) \
+        -> tuple[MinorSpec, Fraction]:
+    """The negative minor of an invertible x whose efficient family (by
+    spec, row-scaled) has a zero leading principal minor and no negative
+    one.  With D(k) the first zero one, invertibility makes some b_kj =
+    [1..k|1..k-1, j] and b_ik = [1..k-1, i|1..k] with i, j > k positive;
+    by Sylvester's identity the first such j and i give [1..k, i|1..k, j]
+    = -b_kj b_ik / D(k-1) < 0."""
+    n = x.n
+    k = next(k for k in range(1, n)
+             if not values[MinorSpec.trusted(*[tuple(range(1, k + 1))] * 2)])
+    head, stem = tuple(range(1, k + 1)), tuple(range(1, k))
+    j = next(j for j in range(k + 1, n + 1)
+             if values[MinorSpec.trusted(head, stem + (j,))] > 0)
+    i = next(i for i in range(k + 1, n + 1)
+             if values[MinorSpec.trusted(stem + (i,), head)] > 0)
+    spec = MinorSpec.trusted(head + (i,), head + (j,))
+    return spec, minor(x, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +256,8 @@ def tnn_neville_report(x: Matrix, guard: int = 16) \
 
     The witness is the failing pivot's initial minor when :func:`minor`
     finds it negative.  Otherwise (a zero pivot, or a pivot past a kept
-    row) the witnesses are the negative minors of the efficient family,
-    so n above ``guard`` raises :class:`GuardExceeded` there.
+    row) the witnesses are those of :func:`tnn_efficient_report`, so n
+    above ``guard`` raises :class:`GuardExceeded` there.
     """
     n = x.n
     spec = _neville_failure(x)
@@ -246,9 +268,7 @@ def tnn_neville_report(x: Matrix, guard: int = 16) \
     value = minor(x, spec)
     if value < 0:
         return False, n * n, [(spec, value)]
-    check_guard(n, guard, "the efficient TNN test")
-    return False, n * n, failing_minors(x, tnn_efficient_specs(n),
-                                        strict=False)
+    return False, n * n, tnn_efficient_report(x, guard)[2]
 
 
 def test_tp_given_tnn(x: Matrix) -> bool:

@@ -69,6 +69,10 @@ TRI3 = {"n": 3, "rows": [["1", "1", "0"], ["1", "2", "1"], ["0", "1", "2"]]}
 # A zero centre: condensation divides by it for the determinant, which the
 # kernel evaluates instead.
 ZERO3 = {"n": 3, "rows": [["2", "1", "1"], ["1", "0", "1"], ["1", "1", "3"]]}
+# A zero corner and no negative minor in the efficient family: the witness
+# is the negative minor Sylvester's identity derives from the zero.
+CORNER3 = {"n": 3, "rows": [["0", "0", "1"], ["0", "-1", "-1"],
+                            ["1", "-1", "-1"]]}
 
 
 def _witness(rows, cols, value):
@@ -137,6 +141,12 @@ def _witness(rows, cols, value):
          _witness([2], [2], "0"), _witness([1, 2], [1, 2], "-1"),
          _witness([2, 3], [2, 3], "-1"),
          _witness([1, 2, 3], [1, 2, 3], "-3")]}),
+    (CORNER3, ["tnn", "--method", "efficient"], 1,
+     {"verdict": False, "minors_checked": 11, "witnesses": [
+         _witness([1, 3], [1, 3], "-1")]}),
+    (CORNER3, ["tnn", "--method", "neville"], 1,
+     {"verdict": False, "minors_checked": 9, "witnesses": [
+         _witness([1, 3], [1, 3], "-1")]}),
 ])
 def test_pinned_reports(matrix, argv, code, report, tmp_path, capsys):
     path = tmp_path / "x.json"

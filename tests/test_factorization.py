@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import totpos.matrices as mx
 from totpos import factorization
 from totpos.factorization import (NotTotallyPositiveError,
                                   ReconstructionError, _prime_exponents,
@@ -20,10 +21,11 @@ from totpos.factorization import (NotTotallyPositiveError,
 from totpos.matrices import (Matrix, MinorSpec, SingularLeadingMinorError,
                              initial_minor_specs, ldu_decompose, minor)
 from totpos.networks import standard_network
-from totpos.positivity import is_tp_bruteforce
+from totpos.positivity import failing_initial_minors, is_tp_bruteforce
 from totpos.words import (Permutation, parse_word, product_map,
                           staircase_scheme)
 
+from test_engine import matrices
 from util import (fitted_edge_for_minor, fitted_staircase_exponents,
                   oracle_matmul, oracle_reconstruct, oracle_twist,
                   rand_full_scheme, rand_matrix, rand_positive, rand_tp)
@@ -164,6 +166,41 @@ class TestFactorStaircase:
             factor_staircase(x)
         assert info.value.spec == MinorSpec((1, 2), (1, 2))
         assert info.value.value == -3
+
+    @settings(deadline=None, max_examples=200)
+    @given(x=matrices())
+    def test_cites_the_first_failing_initial_minor(self, x):
+        failing = failing_initial_minors(x)
+        if not failing:
+            assert product_map(staircase_scheme(x.n), factor_staircase(x),
+                               x.n) == x
+            return
+        with pytest.raises(NotTotallyPositiveError) as info:
+            factor_staircase(x)
+        assert (info.value.spec, info.value.value) == failing[0]
+
+    def test_tp_factoring_builds_no_spec(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spec was built")
+
+        monkeypatch.setattr(MinorSpec, "trusted", refuse)
+        monkeypatch.setattr(MinorSpec, "__init__", refuse)
+        monkeypatch.setattr(mx, "initial_minor_specs", refuse)
+        monkeypatch.setattr(factorization, "initial_minor_specs", refuse)
+        rng = random.Random(94)
+        for n in range(1, 9):
+            t = tuple(rand_positive(rng) for _ in range(n * n))
+            x = product_map(staircase_scheme(n), t, n)
+            assert factor_staircase(x) == t
+
+    def test_edge_map_needs_no_exponents(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("exponents were built")
+
+        monkeypatch.setattr(factorization, "staircase_minor_exponents",
+                            refuse)
+        for n in range(1, 9):
+            assert staircase_edge_for_minor(n) == fitted_edge_for_minor(n)
 
     def test_edge_bijection_n3(self):
         mapping = staircase_edge_for_minor(3)

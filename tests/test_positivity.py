@@ -1,15 +1,20 @@
 """Positivity criteria, efficient tests, oscillation, and cell type."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import totpos.positivity as pv
 from totpos.diagrams import DoubleWiringDiagram, enumerate_move_graph
 from totpos.matrices import Matrix, MinorSpec, minor
 from totpos.positivity import (GuardExceeded, NotApplicableError, bruhat_type,
-                               is_oscillatory, is_tnn_bruteforce,
-                               is_tp_bruteforce, tnn_efficient_specs)
+                               failing_minors, is_oscillatory,
+                               is_tnn_bruteforce, is_tp_bruteforce,
+                               tnn_efficient_report, tnn_efficient_specs,
+                               tnn_neville_report)
 from totpos.positivity import test_chamber_minors as chamber_criterion
 from totpos.positivity import test_fekete_solid as fekete_criterion
 from totpos.positivity import test_initial_minors as initial_criterion
@@ -154,6 +159,48 @@ class TestEfficientTnn:
         # invertible TNN; a non-TNN invertible witness with zero corner:
         verdict, _ = tnn_efficient_criterion(Matrix([[0, 1], [1, 0]]))
         assert not verdict
+
+
+class TestTnnWitnesses:
+    """Every negative efficient or Neville TNN verdict names a negative
+    minor, also when the efficient family has none and the verdict rests
+    on a zero leading principal minor."""
+
+    ZERO_CORNER = Matrix([[0, 0, 1], [0, -1, -1], [1, -1, -1]])
+
+    def check(self, x):
+        efficient = failing_minors(x, tnn_efficient_specs(x.n), strict=False)
+        for report in (tnn_efficient_report, tnn_neville_report):
+            verdict, _, witnesses = report(x)
+            assert verdict == is_tnn_bruteforce(x, guard=x.n)
+            assert verdict == (not witnesses)
+            assert all(value == minor(x, spec) < 0
+                       for spec, value in witnesses)
+        if efficient:
+            assert tnn_efficient_report(x)[2] == efficient
+
+    def test_zero_leading_minor_without_a_negative_family_minor(self):
+        x = self.ZERO_CORNER
+        assert failing_minors(x, tnn_efficient_specs(3), strict=False) == []
+        witness = [(MinorSpec((1, 3), (1, 3)), -1)]
+        assert tnn_efficient_report(x) == (False, 11, witness)
+        assert tnn_neville_report(x) == (False, 9, witness)
+        self.check(x)
+
+    def test_every_invertible_two_by_two(self):
+        for entries in itertools.product(range(-2, 4), repeat=4):
+            x = Matrix([entries[:2], entries[2:]])
+            if x.det() != 0:
+                self.check(x)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(3, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-1, 2), min_size=n,
+                                    max_size=n), min_size=n, max_size=n)))
+    def test_small_entries(self, rows):
+        x = Matrix(rows)
+        assume(x.det() != 0)
+        self.check(x)
 
 
 class TestTpGivenTnn:
