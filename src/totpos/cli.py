@@ -157,10 +157,12 @@ def _cmd_type(args) -> int:
 
 def _cmd_factor(args) -> int:
     x = _load(args.matrix)
-    scheme = (_parse_word_arg(args.scheme) if args.scheme is not None
-              else wd.staircase_scheme(x.n))
     try:
-        params = fz.factor_scheme(x, scheme)
+        if args.scheme is None:
+            scheme, params = wd.staircase_scheme(x.n), fz.factor_staircase(x)
+        else:
+            scheme = _parse_word_arg(args.scheme)
+            params = fz.factor_scheme(x, scheme)
     except fz.NotTotallyPositiveError as exc:
         return _verdict(args, False, x.n * x.n, [(exc.spec, exc.value)],
                         [f"not totally positive: initial minor "
@@ -336,6 +338,11 @@ def _cmd_selfcheck(args) -> int:
         ok &= fz.factor_staircase(x) == t
         ok &= fz.reconstruct_from_initial_minors(fz.initial_minors(x), n) == x
     results.append(("factorization-round-trip", ok))
+
+    mixed = wd.parse_word("2~ 1 @3 2 1~ @1 2~ 1 @2")
+    t = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in mixed)
+    results.append(("factor-scheme",
+                    fz.factor_scheme(wd.product_map(mixed, t, 3), mixed) == t))
 
     results.append(("twist-monomial",
                     fz.verify_twist_monomial(wd.staircase_scheme(2), 2)))

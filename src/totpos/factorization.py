@@ -14,15 +14,15 @@
   `staircase_minor_exponents` writes both as exponent matrices, E and its
   inverse, and `staircase_edge_for_minor` maps each initial minor to the
   parameter owning its corner; neither is a step of factoring.
-* `factor_scheme` factors along any full-type scheme by routing the
-  staircase parameters through local moves.
 * `twist` is the birational map assembled from the LDU factors of the
   transposed matrix against the order-reversing permutation, computed on
   integer rows from one elimination per factor; it sends the
   totally positive matrices onto themselves, and the factorization
   parameters of any scheme become Laurent monomials in the chamber minors
-  of the twisted matrix.  `verify_twist_monomial` certifies that monomial
-  property numerically for a given scheme.
+  of the twisted matrix.  That is the Chamber Ansatz (Berenstein, Fomin
+  and Zelevinsky 1996), stated once in `_chamber_ansatz`.
+* `factor_scheme` factors along any full-type scheme with one twist, one
+  chamber sweep and that read-off, which `verify_twist_monomial` checks.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ from itertools import accumulate
 from operator import mul
 from typing import Mapping, Sequence
 
-from .diagrams import DoubleWiringDiagram, chamber_family, chamber_minors
+from .diagrams import DoubleWiringDiagram, chamber_family
 from .exact import as_scalar
 from .matrices import (Matrix, MinorSpec, _integer_rows, _inverse_rows,
                        _ldu_rows, initial_family, initial_minor_spec,
-                       initial_minor_specs, minor, unscale)
-from .words import (DIAG, Permutation, Word, WordError, _encode, _replay,
-                    _reversed_moves, _route, infer_n, is_full_scheme,
+                       initial_minor_specs, minor)
+from .words import (_ONE, DIAG, LOWER, Permutation, Word, WordError,
+                    _conjugate_slants, _encode, infer_n, is_full_scheme,
                     product_map, staircase_scheme, validate_scheme)
 
 
@@ -154,23 +154,26 @@ def staircase_minor_exponents(n: int) \
         return _staircase_cache[n]
     edges = staircase_edge_for_minor(n)
     owner, size = list(edges.values()), n * n
-    exponents = []
+    covered, exponents = [], []
     for r in range(1, n + 1):
         for c in range(1, n + 1):
             low, high = min(0, r - c), max(0, r - c)
+            cells = [owner[(a - 1) * n + b - 1] for a in range(1, r + 1)
+                     for b in range(max(1, a - high), min(c, a - low) + 1)]
             row = [0] * size
-            for a in range(1, r + 1):
-                for b in range(max(1, a - high), min(c, a - low) + 1):
-                    row[owner[(a - 1) * n + b - 1]] = 1
+            for k in cells:
+                row[k] = 1
+            covered.append(cells)
             exponents.append(row)
     inverse = []
     for k, terms in enumerate(_staircase_terms(n)):
-        row, check = [0] * size, [0] * size
+        # row k of E_inverse E is e_k: the sets of the +1 terms cover what
+        # those of the -1 terms cover, and k once more
+        row, plus, minus = [0] * size, [], [k]
         for j, s in terms:
             row[j] = s
-            check = [v + s * w for v, w in zip(check, exponents[j])]
-        check[k] -= 1
-        if any(check):
+            (plus if s > 0 else minus).extend(covered[j])
+        if sorted(plus) != sorted(minus):
             raise AssertionError("staircase exponent matrices are not "
                                  "inverse to each other")
         inverse.append(row)
@@ -204,6 +207,18 @@ def _initial_values(x: Matrix) -> list[Fraction]:
             for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
+def _positive_initial_values(x: Matrix) -> list[Fraction]:
+    """`_initial_values`, raising :class:`NotTotallyPositiveError` citing
+    the first one that is not positive."""
+    n = x.n
+    values = _initial_values(x)
+    for p, value in enumerate(values):
+        if value <= 0:
+            raise NotTotallyPositiveError(
+                initial_minor_spec(n, p // n + 1, p % n + 1), value)
+    return values
+
+
 def factor_staircase(x: Matrix) -> tuple[Fraction, ...]:
     """The unique positive parameters with
     ``product_map(staircase_scheme(n), t) == x`` for totally positive x.
@@ -211,32 +226,24 @@ def factor_staircase(x: Matrix) -> tuple[Fraction, ...]:
     Raises :class:`NotTotallyPositiveError` citing the first failing
     initial minor, in row-major corner order, otherwise.
     """
-    n = x.n
-    values = _initial_values(x)
-    for p, value in enumerate(values):
-        if value <= 0:
-            raise NotTotallyPositiveError(
-                initial_minor_spec(n, p // n + 1, p % n + 1), value)
-    return _staircase_params(values, n)
+    return _staircase_params(_positive_initial_values(x), x.n)
 
 
 def factor_scheme(x: Matrix, scheme: Word) -> tuple[Fraction, ...]:
     """Factorization parameters of x along an arbitrary full-type scheme,
-    via the staircase factorization and exact parameter transport: the
-    route from the scheme to the staircase, replayed backwards."""
+    read off the chamber minors of the twist of x on the diagram formed by
+    the scheme's slants (`_chamber_ansatz`).
+
+    Raises :class:`WordError` on a scheme that is not of full type, and
+    then :class:`NotTotallyPositiveError` as `factor_staircase` does."""
     n = x.n
     rev = Permutation.reversal(n)
     if validate_scheme(scheme, n) != (rev, rev):
         raise WordError("factor_scheme needs a scheme of full type "
                         "(both slant subwords reduced for the reversal)")
-    word = _encode(staircase_scheme(n))
-    params = list(factor_staircase(x))
-    _replay(word, params, _reversed_moves(_route(scheme, n)))
-    if word != _encode(scheme):
-        raise AssertionError("transport did not reach the requested scheme")
-    if any(t <= 0 for t in params):
-        raise AssertionError("transported parameters lost positivity")
-    return tuple(params)
+    _positive_initial_values(x)
+    levels = _twisted_chambers(x, scheme, n)
+    return tuple(_chamber_ansatz(_encode(scheme), levels))
 
 
 def parameter_sum_formula(x: Matrix) -> Fraction:
@@ -255,7 +262,7 @@ def parameter_sum_formula(x: Matrix) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the twist map
+# the twist map and the Chamber Ansatz
 
 
 def twist(x: Matrix) -> Matrix:
@@ -288,67 +295,95 @@ def twist(x: Matrix) -> Matrix:
                     for j in range(n)] for i in range(n)])
 
 
-# ---------------------------------------------------------------------------
-# exponent fitting at primes, the certificate of `verify_twist_monomial`
+def _twisted_chambers(x: Matrix, scheme: Word, n: int) \
+        -> list[list[Fraction]]:
+    """The true chamber minors of twist(x) on the diagram of the scheme's
+    slants, one list per level, bottom up, each left to right.  The sweep
+    scales a level-h chamber by the multipliers of the rows on thin tracks
+    1..h, and a lower at height h swaps tracks h and h + 1."""
+    diagram = DoubleWiringDiagram([l for l in scheme if l.kind != DIAG], n)
+    values, mults = chamber_family(twist(x), diagram)
+    tracks = mults[::-1]  # the multiplier of the row on each thin track
+    dens = list(accumulate(tracks, mul))
+    levels = [[den] for den in dens]
+    for letter in diagram.word:
+        h = letter.index
+        if letter.kind == LOWER:
+            dens[h - 1] = dens[h - 1] // tracks[h - 1] * tracks[h]
+            tracks[h - 1], tracks[h] = tracks[h], tracks[h - 1]
+        levels[h - 1].append(dens[h - 1])
+    chambers = iter(values)
+    return [[Fraction(next(chambers), den) for den in level]
+            for level in levels]
 
 
-def _primes(count: int) -> list[int]:
-    found: list[int] = []
-    candidate = 2
-    while len(found) < count:
-        if all(candidate % p for p in found):
-            found.append(candidate)
-        candidate += 1
-    return found
+def _monomial(up: Sequence[Fraction], down: Sequence[Fraction]) -> Fraction:
+    """The product of ``up`` over that of ``down``, as one `Fraction` of
+    integer products."""
+    num = den = 1
+    for f in up:
+        num *= f.numerator
+        den *= f.denominator
+    for f in down:
+        num *= f.denominator
+        den *= f.numerator
+    return Fraction(num, den)
 
 
-def _prime_exponents(value: Fraction, primes: Sequence[int]) \
-        -> list[int] | None:
-    """Exponent vector of value over the given primes, or None if anything
-    else divides it (including sign or a leftover factor)."""
-    if value <= 0:
-        return None
-    num, den = value.numerator, value.denominator
-    exps = []
-    for p in primes:
-        e = 0
-        while num % p == 0:
-            num //= p
-            e += 1
-        while den % p == 0:
-            den //= p
-            e -= 1
-        exps.append(e)
-    if num != 1 or den != 1:
-        return None
-    return exps
+def _chamber_ansatz(codes: list[int], levels: list[list[Fraction]]) \
+        -> list[Fraction]:
+    """The parameters of the scheme with letter codes ``codes`` whose
+    product x has twist chamber minors ``levels`` (`_twisted_chambers`):
+    each is a Laurent monomial in them (Berenstein, Fomin and Zelevinsky
+    1996; Fomin and Zelevinsky 1999, Thm 1.9).
 
-
-def _integer_inverse(rows: Sequence[Sequence[int]]) \
-        -> list[list[int]] | None:
-    """The inverse of a square integer matrix, or None when the matrix is
-    singular or its inverse is not integral."""
-    try:
-        inverse = Matrix(rows).inverse()
-    except ZeroDivisionError:
-        return None
-    if any(v.denominator != 1 for row in inverse.rows for v in row):
-        return None
-    return [[int(v) for v in row] for row in inverse.rows]
+    Write c[h][0..m] for the chambers of level h, left to right.  L[h]
+    starts at 1 and, left to right, takes c_left / c_right at each lower
+    of height h; U[h] starts at 1 and, right to left, takes c_right /
+    c_left at each upper of height h; both are 1 on levels 0 and n.  A
+    lower of height h holds L[h] before and after it over L[h-1] L[h+1] as
+    they stand there, an upper the same in U, read from the right, and
+    diag @h holds D[h] / D[h-1], with D[0] = 1 and D[h] = 1 / (c[h][0]
+    U[h]), U[h] over all uppers.  Held values are the parameters with the
+    diags passed through the slants (`_conjugate_slants`), undone last."""
+    n = len(levels)
+    values: list = [None] * len(codes)
+    for kind, order, step in ((0, range(len(codes)), 1),
+                              (1, range(len(codes) - 1, -1, -1), -1)):
+        ratio = [_ONE] * (n + 1)
+        at = [0] * n if step > 0 else [len(row) - 1 for row in levels]
+        for p in order:
+            code = codes[p]
+            h = code >> 2
+            if code & 3 == 2:
+                continue
+            j = at[h - 1]
+            at[h - 1] = j + step
+            if code & 3 == kind:
+                row = levels[h - 1]
+                now = _monomial((ratio[h], row[j]), (row[j + step],))
+                values[p] = _monomial((ratio[h], now),
+                                      (ratio[h - 1], ratio[h + 1]))
+                ratio[h] = now
+    # the right-to-left pass ran last: ratio[h] is U[h] over all uppers, and
+    # @h holds c[h-1][0] U[h-1] / (c[h][0] U[h])
+    firsts = [_ONE] + [row[0] for row in levels]
+    for p, code in enumerate(codes):
+        if code & 3 == 2:
+            h = code >> 2
+            values[p] = _monomial((firsts[h - 1], ratio[h - 1]),
+                                  (firsts[h], ratio[h]))
+    _conjugate_slants(codes, values, undo=True)
+    return values
 
 
 def verify_twist_monomial(scheme: Word, n: int | None = None,
                           samples: int = 3, rng=None) -> bool:
-    """Certify that each factorization parameter of the scheme is a Laurent
-    monomial in the chamber minors of the twisted matrix.
-
-    Exponents are fitted exactly: the scheme is evaluated at distinct prime
-    parameters, the chamber minors of the twist factor back into those
-    primes (already a consistency check, repeated under a second prime
-    assignment), and the resulting integer exponent matrix is inverted.
-    The fitted monomials are then verified exactly on fresh random positive
-    samples.  Returns False instead of raising when any step refutes the
-    monomial property.
+    """Check that each factorization parameter of the scheme is the Laurent
+    monomial `_chamber_ansatz` gives in the chamber minors of the twisted
+    matrix: at fresh random positive parameters the read-off of the twist
+    of their product returns them exactly.  Returns False instead of
+    raising when a sample refutes it.
     """
     import random
 
@@ -357,47 +392,11 @@ def verify_twist_monomial(scheme: Word, n: int | None = None,
     if not is_full_scheme(scheme, n):
         raise WordError("monomial verification needs a full-type scheme")
     rng = rng or random.Random(20240)
-    uncircled = tuple(l for l in scheme if l.kind != DIAG)
-    diagram = DoubleWiringDiagram(uncircled, n)
-    chamber_specs = chamber_minors(diagram)
-    size = n * n
-
-    def chamber_values(params) -> list[Fraction]:
-        x = product_map(scheme, params, n)
-        values, mults = chamber_family(twist(x), diagram)
-        return [unscale(spec, value, mults)
-                for spec, value in zip(chamber_specs, values)]
-
-    exponent_rows: list[list[int]] | None = None
-    base = _primes(size)
-    for assignment in (base, base[::-1]):
-        values = chamber_values(assignment)
-        rows = []
-        for value in values:
-            exps = _prime_exponents(value, assignment)
-            if exps is None:
-                return False
-            rows.append(exps)
-        if exponent_rows is None:
-            exponent_rows = rows
-        elif rows != exponent_rows:
-            return False
-
-    # parameter k is the monomial prod_j c_j ** beta[k][j]; the exponent
-    # rows satisfy beta . E = identity, so beta is the inverse of E
-    beta = _integer_inverse(exponent_rows)
-    if beta is None:
-        return False
-
+    codes = _encode(scheme)
     for _ in range(samples):
         params = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                  for _ in range(size)]
-        values = chamber_values(params)
-        for k in range(size):
-            monomial = Fraction(1)
-            for j in range(size):
-                if beta[k][j]:
-                    monomial *= values[j] ** beta[k][j]
-            if monomial != params[k]:
-                return False
+                  for _ in range(n * n)]
+        x = product_map(scheme, params, n)
+        if _chamber_ansatz(codes, _twisted_chambers(x, scheme, n)) != params:
+            return False
     return True

@@ -482,7 +482,8 @@ def _conjugate_slants(word: list[int], values: list, undo: bool = False) \
     on its left across to its right, an upper those on its right across to
     its left.  Either way slant i gets t H[i+1] / H[i], with H[k] the
     product of the parameters of the diags @k passed; ``undo`` divides
-    instead."""
+    instead.  `_replay` holds slants so, and `factor_scheme` reads held
+    values off the twist."""
     for kind, order in ((0, range(len(word))),
                         (1, range(len(word) - 1, -1, -1))):
         torus: dict[int, Fraction] = {}
@@ -765,17 +766,6 @@ def _route(word: Word, n: int) -> list[int]:
     if rw.word != target:
         raise WordError("rewriting failed to reach the staircase")
     return rw.log
-
-
-def _reversed_moves(codes: Sequence[int]):
-    """Move codes undoing ``codes``: every move is an involution at its
-    position, and a run is undone by the run between the same two positions
-    the other way."""
-    for code in reversed(codes):
-        if code & 3 == 3:
-            src, dst = divmod(code >> 2, _SPAN)
-            code = _run(dst, src)
-        yield code
 
 
 def moves_to_staircase(word: Word, n: int | None = None) -> list[Move]:

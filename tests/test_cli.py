@@ -556,10 +556,10 @@ class TestSelfcheck:
     def test_selfcheck_passes(self, capsys):
         assert main(["selfcheck"]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok ") == 7
+        assert out.count("ok ") == 8
         assert main(["selfcheck", "--report", "json"]) == 0
         suites = ["desnanot-residual", "criterion-equivalence", "path-oracle",
-                  "transport", "factorization-round-trip", "twist-monomial",
-                  "somos-laurent"]
+                  "transport", "factorization-round-trip", "factor-scheme",
+                  "twist-monomial", "somos-laurent"]
         assert capsys.readouterr().out == json.dumps(
             {"verdict": True, "suites": dict.fromkeys(suites, True)}) + "\n"

@@ -1,5 +1,6 @@
 """Factorization inverse problems and the twist map."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 import totpos.matrices as mx
 from totpos import factorization
+from totpos.diagrams import DoubleWiringDiagram, chamber_layout
 from totpos.factorization import (NotTotallyPositiveError,
-                                  ReconstructionError, _prime_exponents,
-                                  _primes, _staircase_params, factor_scheme,
+                                  ReconstructionError, _chamber_ansatz,
+                                  _staircase_params, factor_scheme,
                                   factor_staircase, initial_minors,
                                   parameter_sum_formula,
                                   reconstruct_from_initial_minors,
@@ -22,13 +24,16 @@ from totpos.matrices import (Matrix, MinorSpec, SingularLeadingMinorError,
                              initial_minor_specs, ldu_decompose, minor)
 from totpos.networks import standard_network
 from totpos.positivity import failing_initial_minors, is_tp_bruteforce
-from totpos.words import (Permutation, parse_word, product_map,
-                          staircase_scheme)
+from totpos.words import (DIAG, Permutation, WordError, _encode, diag,
+                          lower, parse_word, product_map, reduced_words,
+                          staircase_scheme, upper, validate_scheme)
 
 from test_engine import matrices
-from util import (fitted_edge_for_minor, fitted_staircase_exponents,
-                  oracle_matmul, oracle_reconstruct, oracle_twist,
-                  rand_full_scheme, rand_matrix, rand_positive, rand_tp)
+from util import (_prime_exponents, _primes, fitted_edge_for_minor,
+                  fitted_staircase_exponents, fitted_twist_exponents,
+                  oracle_factor_scheme, oracle_matmul, oracle_reconstruct,
+                  oracle_twist, rand_full_scheme, rand_matrix, rand_positive,
+                  rand_tp, rand_typed_scheme, rand_walk_full_scheme)
 
 NONZERO = st.builds(Fraction, st.integers(-9, 9).filter(bool),
                     st.integers(1, 6))
@@ -284,6 +289,112 @@ class TestFactorScheme:
             t = tuple(rand_positive(rng) for _ in scheme)
             x = product_map(scheme, t, n)
             assert factor_scheme(x, scheme) == t
+
+
+def outcome(call):
+    """The value of call(), or its exception as (class, message, spec,
+    value)."""
+    try:
+        return call()
+    except (NotTotallyPositiveError, WordError) as exc:
+        return (type(exc), str(exc), getattr(exc, "spec", None),
+                getattr(exc, "value", None))
+
+
+def full_schemes(n: int, rng: random.Random):
+    """Every full-type slant word on n lines, each with its diags first,
+    last, and at random places."""
+    words = list(reduced_words(Permutation.reversal(n)))
+    size = len(words[0])
+    diags = [diag(i) for i in range(1, n + 1)]
+    for lw in words:
+        for uw in words:
+            for at in itertools.combinations(range(2 * size), size):
+                slants, lows, ups = [], iter(lw), iter(uw)
+                for p in range(2 * size):
+                    slants.append(lower(next(lows)) if p in at
+                                  else upper(next(ups)))
+                yield tuple(diags + slants)
+                yield tuple(slants + diags)
+                spread = list(slants)
+                for letter in diags:
+                    spread.insert(rng.randrange(len(spread) + 1), letter)
+                yield tuple(spread)
+
+
+@st.composite
+def scheme_inputs(draw):
+    """n = 1..6: a random full-type scheme, diags anywhere, and a matrix
+    that is its product at positive parameters, that product with one
+    entry changed, or a random matrix; or a scheme of another type."""
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    kind = draw(st.sampled_from(["tp", "perturbed", "random", "other type"]))
+    scheme = rand_walk_full_scheme(rng, n)
+    t = tuple(rand_positive(rng) for _ in scheme)
+    x = product_map(scheme, t, n)
+    if kind == "perturbed":
+        rows = [list(r) for r in x.rows]
+        rows[rng.randrange(n)][rng.randrange(n)] += draw(NONZERO)
+        x = Matrix(rows)
+    elif kind == "random":
+        x = rand_matrix(rng, n)
+    elif kind == "other type":
+        scheme, u, v = rand_typed_scheme(rng, min(n, 4))
+        if n == 1 or (u == v == Permutation.reversal(u.n) and u.n == n):
+            scheme = scheme + (scheme[0],)
+    return x, scheme, t if kind == "tp" else None
+
+
+class TestChamberAnsatz:
+    @settings(deadline=None, max_examples=120)
+    @given(scheme_inputs())
+    def test_matches_the_transport_oracle(self, inputs):
+        x, scheme, t = inputs
+        got = outcome(lambda: factor_scheme(x, scheme))
+        want = outcome(lambda: oracle_factor_scheme(x, scheme))
+        if t is not None:
+            assert got == want == t
+        elif isinstance(got, tuple) and got[0] is WordError:
+            # a malformed scheme fails validate_scheme, any other scheme
+            # the full-type check
+            try:
+                validate_scheme(scheme, x.n)
+                message = ("factor_scheme needs a scheme of full type (both "
+                           "slant subwords reduced for the reversal)")
+            except WordError as exc:
+                message = str(exc)
+            assert got[1] == message
+            assert want[0] is WordError
+        else:
+            assert got == want
+
+    def test_exponents_equal_the_prime_fit_for_n_up_to_3(self):
+        # the read-off at distinct primes as chamber minors factors back
+        # into exactly the exponents fitted through the twist
+        rng = random.Random(95)
+        count = 0
+        for n in (1, 2, 3):
+            primes = _primes(n * n)
+            for scheme in full_schemes(n, rng):
+                diagram = DoubleWiringDiagram(
+                    tuple(l for l in scheme if l.kind != DIAG), n)
+                levels = [[] for _ in range(n)]
+                for chamber, p in zip(chamber_layout(diagram), primes):
+                    levels[chamber.level - 1].append(Fraction(p))
+                params = _chamber_ansatz(_encode(scheme), levels)
+                assert [_prime_exponents(t, primes) for t in params] \
+                    == fitted_twist_exponents(scheme, n)
+                count += 1
+        assert count == 3 + 3 * 2 + 3 * 80
+
+    def test_verify_reports_a_wrong_read_off(self, monkeypatch):
+        def off_by_one(codes, levels):
+            return [t + 1 for t in ansatz(codes, levels)]
+
+        ansatz = factorization._chamber_ansatz
+        monkeypatch.setattr(factorization, "_chamber_ansatz", off_by_one)
+        assert not verify_twist_monomial(MIXED_SCHEME, 3)
 
 
 class TestTwist:

@@ -5,8 +5,7 @@ import time
 from fractions import Fraction
 
 from totpos import factorization
-from totpos.factorization import (_prime_exponents, _primes,
-                                  _staircase_params, factor_scheme,
+from totpos.factorization import (_staircase_params, factor_scheme,
                                   factor_staircase, initial_minors,
                                   reconstruct_from_initial_minors,
                                   staircase_minor_exponents, twist,
@@ -22,7 +21,7 @@ from totpos.positivity import test_tnn_neville as tnn_neville_criterion
 from totpos.words import (DIAG, moves_to_staircase, product_map,
                           staircase_scheme)
 
-from util import (oracle_apply_move, rand_full_scheme, rand_matrix,
+from util import (_prime_exponents, _primes, oracle_apply_move, rand_full_scheme, rand_matrix,
                   rand_positive, rand_tnn_invertible, rand_tp,
                   rand_typed_scheme, rand_walk_full_scheme)
 
@@ -54,6 +53,13 @@ def test_factor_scheme_round_trips_at_n16():
     scheme = rand_walk_full_scheme(rng, 16)
     t = tuple(rand_positive(rng) for _ in scheme)
     assert factor_scheme(product_map(scheme, t, 16), scheme) == t
+
+
+def test_factor_scheme_round_trips_at_n24():
+    rng = random.Random(213)
+    scheme = rand_walk_full_scheme(rng, 24)
+    t = tuple(Fraction(rng.randint(1, 9)) for _ in scheme)
+    assert factor_scheme(product_map(scheme, t, 24), scheme) == t
 
 
 def test_staircase_factor_and_reconstruct_round_trip_at_n16():

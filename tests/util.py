@@ -7,17 +7,18 @@ import random
 from fractions import Fraction
 
 from totpos.diagrams import (Chamber, DiagramMove, DoubleWiringDiagram,
-                             MoveGraph, minimal_diagram)
+                             MoveGraph, chamber_minors, minimal_diagram)
 from totpos.exact import LaurentDivisionError, LaurentPoly, as_scalar
-from totpos.factorization import _integer_inverse, _prime_exponents, _primes
+from totpos.factorization import factor_staircase, twist
 from totpos.matrices import (Matrix, MinorSpec, exact_rank,
                              initial_minor_specs, ldu_decompose, minor_values)
 from totpos.networks import (NetworkError, PlanarNetwork, _cross,
                              _on_segment, _segments_conflict)
 from totpos.positivity import NotApplicableError
 from totpos.words import (DIAG, LOWER, UPPER, Letter, Move, Permutation,
-                          Word, WordError, diag, lower, product_map,
-                          reduced_words, staircase_scheme, upper)
+                          Word, WordError, diag, lower, move_path,
+                          product_map, reduced_words, staircase_scheme,
+                          transport_params, upper)
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9,
@@ -242,6 +243,79 @@ def oracle_reconstruct(values, n: int) -> Matrix:
             cofactor = vals[corner(i - 1, j - 1)]
             entries[i - 1][j - 1] = (vals[rows, cols] - rest) / cofactor
     return Matrix(entries)
+
+
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes."""
+    found: list[int] = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % p for p in found):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def _prime_exponents(value: Fraction, primes) -> list[int] | None:
+    """Exponent vector of value over the given primes, or None if anything
+    else divides it (including sign or a leftover factor)."""
+    if value <= 0:
+        return None
+    num, den = value.numerator, value.denominator
+    exps = []
+    for p in primes:
+        e = 0
+        while num % p == 0:
+            num //= p
+            e += 1
+        while den % p == 0:
+            den //= p
+            e -= 1
+        exps.append(e)
+    if num != 1 or den != 1:
+        return None
+    return exps
+
+
+def _integer_inverse(rows) -> list[list[int]] | None:
+    """The inverse of a square integer matrix, or None when the matrix is
+    singular or its inverse is not integral."""
+    try:
+        inverse = Matrix(rows).inverse()
+    except ZeroDivisionError:
+        return None
+    if any(v.denominator != 1 for row in inverse.rows for v in row):
+        return None
+    return [[int(v) for v in row] for row in inverse.rows]
+
+
+def fitted_twist_exponents(scheme: Word, n: int):
+    """Independent twist-monomial oracle, the prime fit: the scheme's
+    product at the first n^2 primes, each chamber minor of its twist on the
+    diagram of the scheme's slants factored back into those primes, and the
+    exponent matrix inverted over the integers.  Returns the rows beta with
+    parameter k equal to the product of chamber minor j to the power
+    beta[k][j], chambers in `chamber_minors` order; None if a step fails."""
+    primes = _primes(n * n)
+    diagram = DoubleWiringDiagram(
+        tuple(l for l in scheme if l.kind != DIAG), n)
+    specs = chamber_minors(diagram)
+    values = minor_values(twist(product_map(scheme, primes, n)), specs)
+    exponents = [_prime_exponents(value, primes) for value in values]
+    if any(row is None for row in exponents):
+        return None
+    return _integer_inverse(exponents)
+
+
+def oracle_factor_scheme(x: Matrix, scheme: Word) -> tuple:
+    """Independent factor-scheme oracle, parameter transport: the staircase
+    parameters of x carried along a move path from the staircase scheme to
+    ``scheme``."""
+    n = x.n
+    start = staircase_scheme(n)
+    _, params = transport_params(start, factor_staircase(x),
+                                 move_path(start, scheme, n))
+    return params
 
 
 def fitted_staircase_exponents(n: int):
