@@ -39,8 +39,8 @@ from .matrices import (Matrix, MinorSpec, _integer_rows, _inverse_rows,
                        _ldu_rows, initial_family, initial_minor_spec,
                        initial_minor_specs, minor)
 from .words import (_ONE, DIAG, LOWER, Permutation, Word, WordError,
-                    _conjugate_slants, _encode, infer_n, is_full_scheme,
-                    product_map, staircase_scheme, validate_scheme)
+                    _encode, infer_n, is_full_scheme, product_map,
+                    staircase_scheme, validate_scheme)
 
 
 class NotTotallyPositiveError(ValueError):
@@ -330,6 +330,25 @@ def _monomial(up: Sequence[Fraction], down: Sequence[Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
+def _conjugate_slants(codes: list[int], values: list) -> None:
+    """Pass the diags back out of the slants, in place.  A held lower has
+    the diags on its left passed through it, a held upper those on its
+    right; slant i with held value t gets t H[i] / H[i+1], with H[k] the
+    product of the parameters of the diags @k passed."""
+    for kind, order in ((0, range(len(codes))),
+                        (1, range(len(codes) - 1, -1, -1))):
+        torus: dict[int, Fraction] = {}
+        for k in order:
+            code = codes[k]
+            i = code >> 2
+            if code & 3 == 2:
+                torus[i] = torus[i] * values[k] if i in torus else values[k]
+            elif code & 3 == kind:
+                num, den = torus.get(i, 1), torus.get(i + 1, 1)
+                if num != den:
+                    values[k] = values[k] * num / den
+
+
 def _chamber_ansatz(codes: list[int], levels: list[list[Fraction]]) \
         -> list[Fraction]:
     """The parameters of the scheme with letter codes ``codes`` whose
@@ -345,7 +364,8 @@ def _chamber_ansatz(codes: list[int], levels: list[list[Fraction]]) \
     they stand there, an upper the same in U, read from the right, and
     diag @h holds D[h] / D[h-1], with D[0] = 1 and D[h] = 1 / (c[h][0]
     U[h]), U[h] over all uppers.  Held values are the parameters with the
-    diags passed through the slants (`_conjugate_slants`), undone last."""
+    diags passed through the slants; `_conjugate_slants` passes them back
+    last."""
     n = len(levels)
     values: list = [None] * len(codes)
     for kind, order, step in ((0, range(len(codes)), 1),
@@ -373,7 +393,7 @@ def _chamber_ansatz(codes: list[int], levels: list[list[Fraction]]) \
             h = code >> 2
             values[p] = _monomial((firsts[h - 1], ratio[h - 1]),
                                   (firsts[h], ratio[h]))
-    _conjugate_slants(codes, values, undo=True)
+    _conjugate_slants(codes, values)
     return values
 
 

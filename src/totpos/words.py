@@ -20,23 +20,24 @@ subwords represent.
 
 Local moves rewrite a word while transporting parameters so that the
 matrix product is unchanged; all transport formulas are subtraction-free,
-so positive parameters stay positive.  One replay, `_replay`, applies
-move sequences in place to int-coded letters and their parameters:
-`transport_params` runs it on a sequence of `Move` values,
-`local_move_transport` on one move, and `apply_move_word` on one move at
-unit parameters, keeping the letters.  Three kinds exist:
+so positive parameters stay positive.  One kernel, `_transport`, applies
+moves one at a time, each by its local formula, to int-coded letters and
+their parameters: `transport_params` runs it on a sequence of `Move`
+values, `local_move_transport` on one move, and `apply_move_word` on one
+move at unit parameters, keeping the letters.  Three kinds exist:
 
 * ``swap``: two adjacent commuting letters trade places.  Slant letters of
   the same kind commute when their indices differ by >= 2, slant letters of
   opposite kinds when their indices differ; both keep parameters.  A diag
-  letter commutes with everything, rescaling the slant parameter it passes
-  by a monomial.
+  letter @d commutes with everything; passing slant i, it multiplies or
+  divides that slant's parameter by its own when d is i or i + 1.
 * ``braid``: ``(i, j, i) -> (j, i, j)`` on same-kind slants with |i-j| = 1,
   with (t1, t2, t3) -> (t2 t3 / T, T, t1 t2 / T), T = t1 + t3.
 * ``mixed``: the four-letter relation
   ``(upper i, diag i, diag i+1, lower i) -> (lower i, diag i, diag i+1,
   upper i)`` with (t1, t2, t3, t4) -> (t3 t4 / T, T, t2 t3 / T, t1 t3 / T),
-  T = t2 + t1 t3 t4, and its inverse in the other direction.
+  T = t2 + t1 t3 t4, and its inverse in the other direction,
+  (t1, t2, t3, t4) -> (t2 t4 / T, t2 t3 / T, T, t1 t2 / T), T = t3 + t1 t2 t4.
 
 Only the braid and mixed formulas are forced; the diag rescalings follow
 from 2x2 matrix algebra and are re-verified by the product-preservation
@@ -378,9 +379,9 @@ def is_full_scheme(word: Word, n: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # local moves and parameter transport
 #
-# The router and the replay run on int codes: a letter is 4 * index + kind
-# (0 lower, 1 upper, 2 diag) and a move is 4 * pos + kind (0 swap, 1 braid,
-# 2 mixed).  The router also logs a diag's passage from one position to
+# The router and `_transport` run on int letter codes, 4 * index + kind
+# (0 lower, 1 upper, 2 diag).  The router logs a move as 4 * pos + kind
+# (0 swap, 1 braid, 2 mixed), and a diag's passage from one position to
 # another as one run, 4 * (src * _SPAN + dst) + 3, which stands for the
 # swaps on the way.  `Letter` and `Move` values are built only at the public
 # edges.
@@ -476,125 +477,44 @@ def applicable_moves(word: Word) -> list[Move]:
     return moves
 
 
-def _conjugate_slants(word: list[int], values: list, undo: bool = False) \
-        -> None:
-    """Pass the diags through the slants, in place: a lower takes the diags
-    on its left across to its right, an upper those on its right across to
-    its left.  Either way slant i gets t H[i+1] / H[i], with H[k] the
-    product of the parameters of the diags @k passed; ``undo`` divides
-    instead.  `_replay` holds slants so, and `factor_scheme` reads held
-    values off the twist."""
-    for kind, order in ((0, range(len(word))),
-                        (1, range(len(word) - 1, -1, -1))):
-        torus: dict[int, Fraction] = {}
-        for k in order:
-            code = word[k]
-            i = code >> 2
-            if code & 3 == 2:
-                torus[i] = torus[i] * values[k] if i in torus else values[k]
-            elif code & 3 == kind:
-                num, den = torus.get(i + 1, 1), torus.get(i, 1)
-                if undo:
-                    num, den = den, num
-                if num != den:
-                    values[k] = values[k] * num / den
-
-
-def _mixed(word: list[int], values: list, p: int, torus: dict) -> None:
-    """The mixed move at p on held values (see `_replay`), with ``torus``
-    the product of all diag parameters by index.  Once @i and @i+1 are
-    taken out of the two slants that hold them (upper i first), each slant
-    holds its parameter times H[i+1] / H[i] of the diags on its far side,
-    and those two ratios multiply to the torus ratio without @i and @i+1.
-    So the product of the two parameters is known, and the move's formulas
-    give the new held values.  The new @i and @i+1 then rescale the lowers
-    of index i-1, i, i+1 on the right of the move and the uppers on its
-    left."""
-    t1, t2, t3, t4 = values[p:p + 4]
-    i = word[p] >> 2
-    forward = word[p] & 3 == 1
-    if forward:
-        t1, t4 = t1 * t2 / t3, t4 * t2 / t3
-    pair = t1 * t4 * torus[i] * t3 / (torus[i + 1] * t2)
-    total = t2 + t3 * pair if forward else t3 + t2 * pair
-    if total == 0:
-        raise WordError("mixed transport undefined at this parameter point")
-    if forward:
-        new = [t3 * t4 / total, total, t2 * t3 / total, t3 * t1 / total]
-    else:
-        new = [t2 * t4 / total, t2 * t3 / total, total, t2 * t1 / total]
-    if not forward:
-        new[0], new[3] = new[0] * new[2] / new[1], new[3] * new[2] / new[1]
-    values[p:p + 4] = new
-    word[p], word[p + 3] = word[p + 3], word[p]
-    change = {}
-    for k, old, now in ((i, t2, new[1]), (i + 1, t3, new[2])):
-        if now != old:
-            change[k] = now / old
-            torus[k] *= change[k]
-    scale = {j: change.get(j + 1, 1) / change.get(j, 1)
-             for j in {k + d for k in change for d in (-1, 0)}}
-    if not scale:
-        return
-    for kind, span in ((1, range(p)), (0, range(p + 4, len(word)))):
-        for q in span:
-            code = word[q]
-            if code & 3 == kind and code >> 2 in scale:
-                values[q] = values[q] * scale[code >> 2]
-
-
-def _replay(word: list[int], values: list, moves: Iterable[int],
-            offset: int = 0) -> None:
-    """Apply move codes to letter codes and their parameters, in place,
-    checking each move's pattern as it comes; the lists may be a stretch of
-    a longer word that starts at ``offset``, the start of the positions
-    named in errors.
-
-    The diag parameters stay with their letters; together they are one
-    torus element.  Each lower is held with the diags on its left passed
-    through it, each upper with those on its right (`_conjugate_slants`).
-    Those values do not change when a diag and a slant swap, so every swap,
-    and every run of a diag, only moves list entries.  The braid formula is
-    the same on these values, and a mixed move reads @i and @i+1 and the
-    torus (`_mixed`).  One final pass restores the slant parameters.
-
-    The diag parameters must be nonzero, as in `product_map`:
-    `transport_params` checks that, and the other callers pass unit or
-    positive parameters."""
+def _transport(letters: Word, values: list, moves: Iterable[Move]) -> Word:
+    """Apply moves to the letters, int-coded, and their parameters, in
+    place, each by its local formula, checking each move's pattern as it
+    comes; the new letters are returned.  A diag @d passing slant i scales
+    its parameter by the diag's, x: an upper moving left or a lower moving
+    right takes x at d = i and 1 / x at d = i + 1, the other two the
+    reverse.  The diag parameters must be nonzero, as in `product_map`:
+    `transport_params` checks that, and `apply_move_word` passes ones."""
+    word = _encode(letters)
+    decode = dict(zip(word, letters))
     size = len(word)
-    torus: dict[int, Fraction] = {}
-    for code, t in zip(word, values):
-        if code & 3 == 2:
-            i = code >> 2
-            torus[i] = torus[i] * t if i in torus else t
-    _conjugate_slants(word, values)
-    for code in moves:
-        p = code >> 2
-        kind = code & 3
-        if kind == 3:
-            src, dst = divmod(p, _SPAN)
-            if word[src] & 3 != 2:
-                raise WordError(f"no diag to move at position {src}")
-            word.insert(dst, word.pop(src))
-            values.insert(dst, values.pop(src))
-            continue
+    for move in moves:
+        p = move.pos
+        kind = _MOVE_CODES.get(move.kind)
+        if kind is None and 0 <= p < size:
+            raise WordError(f"unknown move kind {move.kind!r}")
+        if p < 0 or p + (kind == 0) >= size:
+            raise WordError(f"move position {p} out of range")
         if kind == 0:
-            if p < 0 or p + 1 >= size:
-                raise WordError(f"move position {p + offset} out of range")
-            a = word[p]
-            b = word[p + 1]
+            a, b = word[p], word[p + 1]
             if not _commutes(a, b):
                 raise WordError(
                     f"letters {_letter(a)} {_letter(b)} do not commute")
-            word[p] = b
-            word[p + 1] = a
+            word[p], word[p + 1] = b, a
             values[p], values[p + 1] = values[p + 1], values[p]
-            continue
-        if p < 0 or p >= size:
-            raise WordError(f"move position {p + offset} out of range")
-        if kind == 1:
+            if (a ^ b) & 2:  # one diag, one slant
+                first = a & 3 == 2
+                d, s, q = (a, b, p) if first else (b, a, p + 1)
+                gap = (d >> 2) - (s >> 2)
+                if gap == 0 or gap == 1:
+                    x = values[p + 1 if first else p]
+                    if (gap == 0) == ((s & 1) == first):
+                        values[q] *= x
+                    else:
+                        values[q] /= x
+        elif kind == 1:
             if not _braid_at(word, p):
-                raise WordError(f"no braid pattern at position {p + offset}")
+                raise WordError(f"no braid pattern at position {p}")
             t1, t2, t3 = values[p:p + 3]
             total = t1 + t3
             if total == 0:
@@ -605,52 +525,22 @@ def _replay(word: list[int], values: list, moves: Iterable[int],
         else:
             if not _mixed_at(word, p):
                 raise WordError(
-                    f"no mixed four-letter pattern at position {p + offset}")
-            _mixed(word, values, p, torus)
-    _conjugate_slants(word, values, undo=True)
-
-
-_MOVE_WIDTHS = {"swap": 2, "braid": 3, "mixed": 4}
-
-
-def _span(moves: Sequence[Move], size: int) -> tuple[int, int]:
-    """The stretch of a word of ``size`` letters that the moves can rewrite:
-    from the first to the last position any of them reaches, cut to the
-    word; (0, 0) if none reaches it."""
-    lo, hi = size, 0
-    for move in moves:
-        start = max(move.pos, 0)
-        stop = min(move.pos + _MOVE_WIDTHS.get(move.kind, 1), size)
-        if start < stop:
-            lo, hi = min(lo, start), max(hi, stop)
-    return (lo, hi) if lo < hi else (0, 0)
-
-
-def _move_codes(moves: Iterable[Move], size: int, offset: int):
-    """Move codes of `Move` values, positions counted from ``offset``, made
-    as `_replay` reaches each; a move of unknown kind raises there, after
-    the position check."""
-    for move in moves:
-        kind = _MOVE_CODES.get(move.kind)
-        if kind is None:
-            if 0 <= move.pos < size:
-                raise WordError(f"unknown move kind {move.kind!r}")
-            raise WordError(f"move position {move.pos} out of range")
-        yield (move.pos - offset) << 2 | kind
-
-
-def _replay_moves(letters: Word, values: list, moves: list[Move]) -> Word:
-    """`_replay` on the stretch of the word that the moves reach, whose
-    product each move preserves; the values change in place, and the new
-    letters are returned."""
-    lo, hi = _span(moves, len(letters))
-    stretch = letters[lo:hi]
-    codes = _encode(stretch)
-    decode = dict(zip(codes, stretch))
-    part = values[lo:hi]
-    _replay(codes, part, _move_codes(moves, len(letters), lo), lo)
-    values[lo:hi] = part
-    return letters[:lo] + tuple(decode[code] for code in codes) + letters[hi:]
+                    f"no mixed four-letter pattern at position {p}")
+            # u is the diag that becomes the total: @i from an upper first
+            t1, t2, t3, t4 = values[p:p + 4]
+            forward = word[p] & 3 == 1
+            u, w = (t2, t3) if forward else (t3, t2)
+            total = u + t1 * w * t4
+            if total == 0:
+                raise WordError(
+                    "mixed transport undefined at this parameter point")
+            other = u * w / total
+            values[p:p + 4] = [w * t4 / total,
+                               *((total, other) if forward
+                                 else (other, total)),
+                               t1 * w / total]
+            word[p], word[p + 3] = word[p + 3], word[p]
+    return tuple(decode[code] for code in word)
 
 
 def transport_params(word: Word, params: Sequence, moves: Iterable[Move]) \
@@ -668,7 +558,7 @@ def transport_params(word: Word, params: Sequence, moves: Iterable[Move]) \
         if letter.kind == DIAG and not t:
             raise WordError(
                 f"diag letter @{letter.index} is undefined at parameter 0")
-    return _replay_moves(letters, values, list(moves)), tuple(values)
+    return _transport(letters, values, moves), tuple(values)
 
 
 def local_move_transport(word: Word, params: Sequence, move: Move) \
@@ -683,7 +573,7 @@ def apply_move_word(word: Word, move: Move) -> Word:
     letters, a braid turns (a, b, a) into (b, a, b), and a mixed move
     exchanges the letters at pos and pos + 3.  Raises :class:`WordError`
     when the move does not apply at its position."""
-    return _replay_moves(tuple(word), [_ONE] * len(word), [move])
+    return _transport(tuple(word), [_ONE] * len(word), (move,))
 
 
 # ---------------------------------------------------------------------------

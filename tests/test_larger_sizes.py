@@ -18,10 +18,11 @@ from totpos.positivity import (bruhat_type, is_oscillatory,
 from totpos.positivity import test_initial_minors as initial_criterion
 from totpos.positivity import test_tnn_efficient as tnn_efficient_criterion
 from totpos.positivity import test_tnn_neville as tnn_neville_criterion
-from totpos.words import (DIAG, moves_to_staircase, product_map,
-                          staircase_scheme)
+from totpos.words import (DIAG, move_path, moves_to_staircase, product_map,
+                          staircase_scheme, transport_params)
 
-from util import (_prime_exponents, _primes, oracle_apply_move, rand_full_scheme, rand_matrix,
+from util import (_prime_exponents, _primes, oracle_apply_move,
+                  oracle_transport, rand_full_scheme, rand_matrix,
                   rand_positive, rand_tnn_invertible, rand_tp,
                   rand_typed_scheme, rand_walk_full_scheme)
 
@@ -105,6 +106,18 @@ def test_route_to_staircase_replays_at_n12():
     for move in moves_to_staircase(word, 12):
         word = oracle_apply_move(word, move)
     assert word == staircase_scheme(12)
+
+
+def test_transport_along_a_move_path_matches_the_oracle_at_n10():
+    rng = random.Random(213)
+    source = rand_walk_full_scheme(rng, 10)
+    target = rand_walk_full_scheme(rng, 10)
+    params = [rand_positive(rng) for _ in source]
+    moves = move_path(source, target, 10)
+    word, out = transport_params(source, params, moves)
+    assert (word, out) == oracle_transport(source, params, moves)
+    assert word == target
+    assert product_map(word, out, 10) == product_map(source, params, 10)
 
 
 def test_efficient_tnn_agrees_with_brute_force_at_n5_and_n6():

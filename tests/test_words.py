@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from totpos.matrices import Matrix
 from totpos.positivity import is_tp_bruteforce
-from totpos.words import (DIAG, Move, Permutation, WordError, _encode,
-                          _replay, _run, _run_swaps, apply_move_word,
-                          applicable_moves, diag, elementary_matrix,
-                          format_word, infer_n,
+from totpos.words import (DIAG, Move, Permutation, WordError,
+                          apply_move_word, applicable_moves, diag,
+                          elementary_matrix, format_word, infer_n,
                           is_reduced_word, is_reduced_word_for,
                           local_move_transport, lower, move_path,
                           moves_to_staircase, parse_word,
@@ -21,6 +20,7 @@ from totpos.words import (DIAG, Move, Permutation, WordError, _encode,
                           staircase_scheme, transport_params, upper,
                           validate_scheme)
 
+import util
 from util import (matrix_product_map, oracle_apply_move, oracle_reduced_words,
                   oracle_transport, rand_full_scheme, rand_positive,
                   rand_walk_full_scheme)
@@ -178,6 +178,15 @@ class TestReducedWords:
         words = reduced_words(Permutation.reversal(12))
         assert next(words) == tuple(i for top in range(11, 0, -1)
                                     for i in range(1, top + 1))
+
+    def test_full_list_scheme_sampler_refuses_n7_before_listing(
+            self, monkeypatch):
+        def refuse(w):
+            raise AssertionError("reduced words were listed")
+
+        monkeypatch.setattr(util, "reduced_words", refuse)
+        with pytest.raises(ValueError, match="rand_walk_full_scheme"):
+            rand_full_scheme(random.Random(7), 7)
 
 
 class TestLetters:
@@ -413,26 +422,6 @@ class TestTransportOracle:
                                                   "undefined at parameter 0"))
                 assert outcome(lambda: transport_params(word, params, moves)) \
                     == expected
-
-    @settings(deadline=None, max_examples=200)
-    @given(st.randoms(use_true_random=False), st.integers(2, 5),
-           st.data())
-    def test_a_diag_run_replays_as_its_swaps(self, rng, n, data):
-        scheme = rand_walk_full_scheme(rng, n)
-        params = [data.draw(DIAG_PARAMS if letter.kind == DIAG
-                            else SLANT_PARAMS) for letter in scheme]
-        src = data.draw(st.sampled_from(
-            [p for p, letter in enumerate(scheme) if letter.kind == DIAG]))
-        dst = data.draw(st.integers(0, len(scheme) - 1))
-        run = _run(src, dst)
-
-        def replay(codes):
-            word, values = _encode(scheme), list(params)
-            _replay(word, values, codes)
-            return word, values
-
-        assert outcome(lambda: replay([run])) \
-            == outcome(lambda: replay([q << 2 for q in _run_swaps(run)]))
 
 
 class TestApplyMoveWord:

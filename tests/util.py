@@ -52,7 +52,12 @@ def interleave(rng: random.Random, groups) -> tuple:
 
 
 def rand_full_scheme(rng: random.Random, n: int) -> Word:
-    """Random factorization scheme of full type."""
+    """Random factorization scheme of full type, its slant words drawn from
+    the full list of reduced words of the reversal; that list outgrows
+    memory at n = 7, so larger n raise before it is built."""
+    if n > 6:
+        raise ValueError(f"rand_full_scheme lists every reduced word; use "
+                         f"rand_walk_full_scheme at n = {n}")
     rev = Permutation.reversal(n)
     words = list(reduced_words(rev))
     lw = rng.choice(words)
