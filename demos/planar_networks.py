@@ -22,11 +22,13 @@ x = weight_matrix(net)
 print(x)
 
 print("\nIt is totally connected:", is_totally_connected(net))
+assert is_totally_connected(net)
 
 spec = MinorSpec((2, 3), (2, 3))
 print(f"\nMinor {spec} of the weight matrix:", minor(x, spec))
 print("Sum over vertex-disjoint path families:",
       disjoint_path_minor(net, spec))
+assert minor(x, spec) == disjoint_path_minor(net, spec)
 
 print("\nA staircase of falling slants with unit weights produces the")
 print("binomial coefficients (totally nonnegative, not totally positive):")

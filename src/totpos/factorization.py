@@ -8,9 +8,11 @@
   Laurent monomial in at most four initial minors, a Neville elimination
   multiplier or pivot (Gasca and Peña 1992; Koev 2007), stated once as a
   per-n table of (minor, exponent) entries, `_staircase_terms`, and
-  evaluated by `_staircase_params`.  The converse is a closed form too:
-  the initial minor with corner (r, c) is the product of the parameters
-  whose corners (a, b) have a <= r, b <= c and a - b between 0 and r - c.
+  evaluated on integer pairs by `_staircase_pairs`; reconstruction hands
+  the pairs straight to the product kernel, `words._product_columns`.
+  The converse is a closed form too: the initial minor with corner
+  (r, c) is the product of the parameters whose corners (a, b) have
+  a <= r, b <= c and a - b between 0 and r - c.
   `staircase_minor_exponents` writes both as exponent matrices, E and its
   inverse, and `staircase_edge_for_minor` maps each initial minor to the
   parameter owning its corner; neither is a step of factoring.
@@ -30,6 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
+from math import gcd
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -39,8 +42,8 @@ from .matrices import (Matrix, MinorSpec, _integer_rows, _inverse_rows,
                        _ldu_rows, initial_family, initial_minor_spec,
                        initial_minor_specs, minor)
 from .words import (_ONE, DIAG, LOWER, Permutation, Word, WordError,
-                    _encode, infer_n, is_full_scheme, product_map,
-                    staircase_scheme, validate_scheme)
+                    _encode, _product_columns, infer_n, is_full_scheme,
+                    product_map, staircase_scheme, validate_scheme)
 
 
 class NotTotallyPositiveError(ValueError):
@@ -67,11 +70,16 @@ def reconstruct_from_initial_minors(values: Mapping[MinorSpec, Fraction],
     """The unique matrix with the given nonzero initial minors.
 
     The initial minors of the staircase product are the monomials t^E of
-    its parameters, so the staircase product at ``_staircase_params`` of
-    the values has exactly these initial minors, whatever their signs.
+    its parameters, so the staircase product at the parameters of the
+    values (`_staircase_pairs`) has exactly these initial minors, whatever
+    their signs.  The first missing or zero minor in row-major corner
+    order is named.  The parameters go to the product kernel as integer
+    pairs, with the letter codes of `_staircase_plan`: no spec, letter or
+    parameter `Fraction` is built.
     """
-    vals = []
-    for spec in initial_minor_specs(n):
+    specs, codes = _staircase_plan(n)
+    ratios = []
+    for spec in specs:
         if spec not in values:
             raise ReconstructionError(f"missing initial minor {spec}")
         value = as_scalar(values[spec])
@@ -79,8 +87,20 @@ def reconstruct_from_initial_minors(values: Mapping[MinorSpec, Fraction],
             raise ReconstructionError(
                 f"initial minor {spec} is zero; reconstruction needs all "
                 f"initial minors nonzero")
-        vals.append(value)
-    return product_map(staircase_scheme(n), _staircase_params(vals, n), n)
+        ratios.append((value.numerator, value.denominator))
+    return _product_columns(codes, _staircase_pairs(ratios, n), n)
+
+
+@cache
+def _staircase_plan(n: int) -> tuple[tuple[MinorSpec, ...], tuple[int, ...]]:
+    """The initial minor specs in row-major corner order and the letter
+    codes of the staircase scheme, for reconstruction at size n; at n < 1
+    it raises the `ValueError` of `product_map`."""
+    specs = tuple(initial_minor_specs(n))
+    codes = tuple(_encode(staircase_scheme(n)))
+    if n < 1:
+        raise ValueError("matrix must be square and nonempty")
+    return specs, codes
 
 
 @cache
@@ -113,21 +133,29 @@ def _staircase_terms(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(table)
 
 
-def _staircase_params(values: Sequence[Fraction], n: int) \
-        -> tuple[Fraction, ...]:
+def _staircase_pairs(ratios: Sequence[tuple[int, int]], n: int) \
+        -> list[tuple[int, int]]:
     """The staircase parameters of the matrix x whose initial minors, in
-    `initial_minor_specs` order, are the nonzero ``values``: the monomials
-    of `_staircase_terms`, each one `Fraction` of integer products."""
-    ratios = [v.as_integer_ratio() for v in values]
-    params = []
+    `initial_minor_specs` order, are the nonzero ``ratios`` (p, q), q > 0:
+    the monomials of `_staircase_terms`, each a pair of integer products
+    in lowest terms with a positive second entry."""
+    pairs = []
     for terms in _staircase_terms(n):
         num = den = 1
         for j, s in terms:
             p, q = ratios[j] if s > 0 else ratios[j][::-1]
             num *= p
             den *= q
-        params.append(Fraction(num, den))
-    return tuple(params)
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        pairs.append((num // g, den // g))
+    return pairs
+
+
+def _staircase_params(values: Sequence[Fraction], n: int) \
+        -> tuple[Fraction, ...]:
+    """`_staircase_pairs` of nonzero ``values``, as `Fraction` values."""
+    return tuple(Fraction(p, q) for p, q in _staircase_pairs(
+        [v.as_integer_ratio() for v in values], n))
 
 
 _staircase_cache: dict[int, tuple[list[MinorSpec], list[list[int]],

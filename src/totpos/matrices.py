@@ -139,6 +139,16 @@ class Matrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", data)
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
+        """A matrix from a square, nonempty tuple of `Fraction` row tuples,
+        as the product kernel makes them, without coercing or checking them
+        again: the slots are set as ``__init__`` sets them."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "n", len(rows))
+        object.__setattr__(mat, "rows", rows)
+        return mat
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 

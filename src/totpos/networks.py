@@ -10,7 +10,11 @@ the rightmost column, numbered bottom-to-top.
 A `PlanarNetwork` checks all this when built.  A chip (n horizontals, at
 most one slant between adjacent levels) is planar by construction, and so
 is a network glued from valid networks by `concatenate`, which checks only
-its seams; neither is checked again.
+its seams; neither is checked again.  `chips_of_word` lays the chips of a
+word out in one pass, with the vertex ids, edge order and essential edges
+the gluing would give, and `chip` is its one-letter case; the standard
+network is built that way, and `concatenate` of one-letter chips is the
+oracle for the layout.
 
 The weight matrix entry (i, j) is the sum over directed paths from source
 i to sink j of the product of edge weights, computed by dynamic
@@ -27,7 +31,7 @@ from typing import Sequence
 from .exact import as_scalar
 from .matrices import Matrix, MinorSpec, all_minor_specs
 from .records import Record
-from .words import DIAG, UPPER, Letter, Word, staircase_scheme
+from .words import _ONE, DIAG, UPPER, Letter, Word, staircase_scheme
 
 Coord = tuple[int, int]
 
@@ -100,9 +104,9 @@ class PlanarNetwork(Record):
     @classmethod
     def _trusted(cls, n, vertices, edges, essential) -> "PlanarNetwork":
         """A network from int coordinates and exact weights known to make a
-        leveled planar network, as `chip` and `concatenate` make them, left
-        unchecked: the slots are set as ``__init__`` sets them, without its
-        checks."""
+        leveled planar network, as `chips_of_word` and `concatenate` make
+        them, left unchecked: the slots are set as ``__init__`` sets them,
+        without its checks."""
         net = object.__new__(cls)
         net._set(n, vertices, edges, essential)
         return net
@@ -300,27 +304,9 @@ def is_totally_connected(net: PlanarNetwork) -> bool:
 def chip(letter: Letter, t, n: int) -> PlanarNetwork:
     """One-column network whose weight matrix is the letter's elementary
     matrix: upper letters get a rising slant, lower letters a falling one,
-    diag letters a reweighted horizontal."""
-    if isinstance(t, (int, str)):
-        t = as_scalar(t)
-    i = letter.index
-    top = n if letter.kind == DIAG else n - 1
-    if not 1 <= i <= top:
-        raise NetworkError(f"letter {letter} out of range for n={n}")
-    if letter.kind == DIAG and t == 0:
-        raise NetworkError("diag chip requires a nonzero weight")
-    vertices = tuple((x, level) for x in (0, 1) for level in range(1, n + 1))
-    # vertex (x, level) has id x * n + level - 1; n horizontals and at most
-    # one slant between adjacent levels make a planar network
-    edges = [(k, n + k, Fraction(1)) for k in range(n)]
-    if letter.kind == DIAG:
-        special = i - 1
-        edges[special] = (i - 1, n + i - 1, t)
-    else:
-        special = n
-        edges.append((i - 1, n + i, t) if letter.kind == UPPER
-                     else (i, n + i - 1, t))
-    return PlanarNetwork._trusted(n, vertices, tuple(edges), (special,))
+    diag letters a reweighted horizontal.  The one-letter case of
+    `chips_of_word`."""
+    return chips_of_word((letter,), (t,), n)
 
 
 def concatenate(a: PlanarNetwork, *rest: PlanarNetwork) -> PlanarNetwork:
@@ -330,7 +316,9 @@ def concatenate(a: PlanarNetwork, *rest: PlanarNetwork) -> PlanarNetwork:
     the strips meet only on the seam lines, and an edge reaches a seam line
     only at its end on the boundary, which is identified with the vertex of
     the same level across.  So the result is planar, with the first
-    network's sources and the last one's sinks."""
+    network's sources and the last one's sinks.  `chips_of_word` lays its
+    chips out directly; the concatenation of their one-letter networks is
+    its oracle."""
     for left, right in zip((a,) + rest, rest):
         if right.n != a.n:
             raise NetworkError("cannot concatenate networks of different size")
@@ -355,15 +343,45 @@ def concatenate(a: PlanarNetwork, *rest: PlanarNetwork) -> PlanarNetwork:
 
 
 def chips_of_word(word: Word, params: Sequence, n: int) -> PlanarNetwork:
-    """Concatenation of the chips of a word; its weight matrix equals the
-    product map of the word."""
+    """The chips of a word glued left to right; its weight matrix equals
+    the product map of the word.  The empty word gives one neutral column.
+
+    Laid out in one pass, as `concatenate` would glue the one-letter
+    chips: chip x (from 0) spans columns x and x + 1, vertex (x, level)
+    has id x * n + level - 1, and each chip adds its n horizontals, bottom
+    up, then its slant, if any; its essential edge, the reweighted
+    horizontal or the slant, is offset by the edges before it.  n
+    horizontals and at most one slant between adjacent levels keep each
+    column planar.  The letters are checked in word order: an int or str
+    weight becomes a `Fraction`, then a letter out of range or a diag at
+    weight 0 raises :class:`NetworkError`.
+    """
     if len(word) != len(params):
         raise NetworkError("word/parameter length mismatch")
     if not word:
-        net = chip(Letter(DIAG, 1), 1, n)  # single neutral column
-        return net
-    return concatenate(*(chip(letter, t, n)
-                         for letter, t in zip(word, params)))
+        return chip(Letter(DIAG, 1), 1, n)  # single neutral column
+    edges: list[tuple[int, int, Fraction]] = []
+    essential = []
+    for x, (letter, t) in enumerate(zip(word, params)):
+        if isinstance(t, (int, str)):
+            t = as_scalar(t)
+        kind, i = letter.kind, letter.index
+        if not 1 <= i <= (n if kind == DIAG else n - 1):
+            raise NetworkError(f"letter {letter} out of range for n={n}")
+        if kind == DIAG and t == 0:
+            raise NetworkError("diag chip requires a nonzero weight")
+        base, offset = x * n, len(edges)
+        edges += [(k, n + k, _ONE) for k in range(base, base + n)]
+        if kind == DIAG:
+            essential.append(offset + i - 1)
+            edges[offset + i - 1] = (base + i - 1, base + n + i - 1, t)
+        else:
+            essential.append(offset + n)
+            edges.append((base + i - 1, base + n + i, t) if kind == UPPER
+                         else (base + i, base + n + i - 1, t))
+    vertices = tuple((x, level) for x in range(len(word) + 1)
+                     for level in range(1, n + 1))
+    return PlanarNetwork._trusted(n, vertices, tuple(edges), tuple(essential))
 
 
 def standard_network(n: int, weights: Sequence | None = None) -> PlanarNetwork:

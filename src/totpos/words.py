@@ -8,9 +8,11 @@ parameter t and an elementary matrix:
 * ``diag i``  (1 <= i <= n): identity with entry (i, i) replaced by t
   (t must be nonzero); written ``@i``
 
-`product_map` is the one place that says what a letter does: letters act
-on the running product as column operations, and `elementary_matrix` is
-the product of a one-letter word.
+One kernel, `_product_columns`, says what a letter does: letters act on
+the running product as column operations, on int letter codes and integer
+parameter ratios.  `product_map` checks a word once and feeds it the
+kernel, `elementary_matrix` is the product of a one-letter word, and the
+staircase reconstruction feeds the kernel directly.
 
 Words are whitespace-separated in the ASCII encoding, e.g.
 ``"2~ 1 @3 2 1~ @1 2~ 1 @2"``.  A *factorization scheme* is a word that
@@ -289,9 +291,10 @@ def product_map(word: Word, params: Sequence, n: int | None = None) -> Matrix:
     Diag letters require nonzero parameters; slant parameters may be any
     rational (zero included, for boundary factorizations).
 
-    Column j of the running product is held as integers over one
-    denominator, kept in lowest terms; the `Fraction` entries are built
-    once, at the end.
+    The letters are checked once, in word order, so the first bad one is
+    named, out of range or a diag at 0; then the int letter codes and
+    parameter ratios go to `_product_columns`, the kernel that
+    `reconstruct_from_initial_minors` feeds directly.
     """
     if n is None:
         n = infer_n(word)
@@ -300,21 +303,38 @@ def product_map(word: Word, params: Sequence, n: int | None = None) -> Matrix:
         raise WordError(f"{len(word)} letters but {len(params)} parameters")
     if n < 1:
         raise ValueError("matrix must be square and nonempty")
+    codes, pairs = [], []
+    for letter, t in zip(word, params):
+        kind, i = letter.kind, letter.index
+        if i > (n if kind == DIAG else n - 1):
+            raise WordError(f"letter {letter} out of range for n={n}")
+        if kind == DIAG and not t:
+            raise WordError(f"diag letter @{i} is undefined at parameter 0")
+        codes.append(i << 2 | _LETTER_CODES[kind])
+        pairs.append((t.numerator, t.denominator))
+    return _product_columns(codes, pairs, n)
+
+
+def _product_columns(codes: Sequence[int],
+                     pairs: Iterable[tuple[int, int]], n: int) -> Matrix:
+    """The product map on checked input: letter codes (4 * index + kind,
+    0 lower, 1 upper, 2 diag) in range for n >= 1, and each parameter as
+    integers (p, q) with q > 0 and p nonzero at a diag.
+
+    Column j of the running product is held as integers over one
+    denominator, kept in lowest terms; the `Fraction` entries are built
+    once, at the end.
+    """
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
     dens = [1] * n
-    for letter, t in zip(word, params):
-        validate_word((letter,), n)
-        i = letter.index - 1
-        p, q = t.numerator, t.denominator
-        if letter.kind == DIAG:
-            if p == 0:
-                raise WordError(
-                    f"diag letter @{i + 1} is undefined at parameter 0")
+    for code, (p, q) in zip(codes, pairs):
+        i = (code >> 2) - 1
+        if code & 3 == 2:
             target = i
             den = dens[i] * q
             col = [p * v for v in cols[i]]
         else:
-            source, target = (i, i + 1) if letter.kind == UPPER else (i + 1, i)
+            source, target = (i, i + 1) if code & 3 == 1 else (i + 1, i)
             # cols[target] / dens[target] + (p / q) * cols[source] / dens[source]
             scaled = dens[source] * q
             den = lcm(dens[target], scaled)
@@ -326,8 +346,9 @@ def product_map(word: Word, params: Sequence, n: int | None = None) -> Matrix:
             den //= common
             col = [v // common for v in col]
         cols[target], dens[target] = col, den
-    return Matrix([[Fraction(col[r], den) for col, den in zip(cols, dens)]
-                   for r in range(n)])
+    return Matrix._trusted(tuple(
+        tuple(Fraction(col[r], den) for col, den in zip(cols, dens))
+        for r in range(n)))
 
 
 def staircase_scheme(n: int) -> Word:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,23 @@ class TestReconstruction:
         values = initial_minors(Matrix.identity(2))
         with pytest.raises(ReconstructionError):
             reconstruct_from_initial_minors(values, 2)
+
+    def test_first_missing_or_zero_minor_is_named(self):
+        # corners in row-major order: (1, 3) comes before (2, 1)
+        specs = initial_minor_specs(3)
+        early, late = specs[2], specs[3]
+        values = dict(initial_minors(UNIT3))
+        values[early] = 0
+        del values[late]
+        with pytest.raises(ReconstructionError,
+                           match=re.escape(f"initial minor {early} is zero")):
+            reconstruct_from_initial_minors(values, 3)
+        values = dict(initial_minors(UNIT3))
+        del values[early]
+        values[late] = Fraction(0)
+        with pytest.raises(ReconstructionError,
+                           match=re.escape(f"missing initial minor {early}")):
+            reconstruct_from_initial_minors(values, 3)
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(1, 6), st.data())

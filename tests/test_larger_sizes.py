@@ -13,6 +13,7 @@ from totpos.factorization import (_staircase_params, factor_scheme,
 from totpos.matrices import (Matrix, MinorSpec, initial_family,
                              initial_minor_specs, minor, minor_family,
                              solid_family, solid_minor_specs)
+from totpos.networks import standard_network, weight_matrix
 from totpos.positivity import (bruhat_type, is_oscillatory,
                                is_tnn_bruteforce, is_tp_bruteforce)
 from totpos.positivity import test_initial_minors as initial_criterion
@@ -21,8 +22,9 @@ from totpos.positivity import test_tnn_neville as tnn_neville_criterion
 from totpos.words import (DIAG, move_path, moves_to_staircase, product_map,
                           staircase_scheme, transport_params)
 
-from util import (_prime_exponents, _primes, oracle_apply_move,
-                  oracle_transport, rand_full_scheme, rand_matrix,
+from util import (_prime_exponents, _primes, cofactor_det, gauss_det,
+                  oracle_apply_move, oracle_reconstruct, oracle_transport,
+                  rand_fraction, rand_full_scheme, rand_matrix,
                   rand_positive, rand_tnn_invertible, rand_tp,
                   rand_typed_scheme, rand_walk_full_scheme)
 
@@ -69,6 +71,33 @@ def test_staircase_factor_and_reconstruct_round_trip_at_n16():
     x = product_map(staircase_scheme(16), t, 16)
     assert factor_staircase(x) == t
     assert reconstruct_from_initial_minors(initial_minors(x), 16) == x
+
+
+def test_staircase_reconstruct_round_trips_at_n24():
+    rng = random.Random(214)
+    t = tuple(rand_positive(rng) for _ in range(24 * 24))
+    x = product_map(staircase_scheme(24), t, 24)
+    assert reconstruct_from_initial_minors(initial_minors(x), 24) == x
+
+
+def test_reconstruct_matches_the_corner_recursion_at_n10():
+    rng = random.Random(215)
+    for size in range(1, 7):
+        rows = [[rand_fraction(rng) for _ in range(size)]
+                for _ in range(size)]
+        assert gauss_det(rows) == cofactor_det(rows)
+    values = {spec: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                             rng.randint(1, 6))
+              for spec in initial_minor_specs(10)}
+    assert reconstruct_from_initial_minors(values, 10) \
+        == oracle_reconstruct(values, 10, det=gauss_det)
+
+
+def test_standard_network_weight_matrix_is_the_staircase_product_at_n8():
+    rng = random.Random(216)
+    t = [rand_positive(rng) for _ in range(8 * 8)]
+    assert weight_matrix(standard_network(8, t)) \
+        == product_map(staircase_scheme(8), t, 8)
 
 
 def cold_staircase_exponents(n):

@@ -18,8 +18,8 @@ from totpos.positivity import is_tnn_bruteforce, is_tp_bruteforce
 from totpos.words import (Letter, lower, parse_word, product_map,
                           staircase_scheme, upper, diag)
 
-from util import (enumerate_paths, oracle_validate_planarity, rand_network,
-                  rand_positive)
+from util import (enumerate_paths, oracle_chip, oracle_validate_planarity,
+                  rand_network, rand_positive)
 
 NAMES = tuple("abcdefghi")
 
@@ -188,7 +188,90 @@ class TestTotalConnectivity:
             assert is_tnn_bruteforce(weight_matrix(net))
 
 
+KINDS = ("upper", "lower", "diag")
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+WEIGHTS = st.one_of(st.integers(-9, 9), FRACTIONS, FRACTIONS.map(str))
+
+
+@st.composite
+def chip_words(draw, faulty=False):
+    """(word, params, n) on n = 1..5: letters of every kind n allows, int,
+    str and `Fraction` weights, diag weights nonzero.  With ``faulty``,
+    letters of every kind may lie one past their range and diag weights
+    may be zero."""
+    n = draw(st.integers(1, 5))
+    kinds = KINDS if n > 1 or faulty else ("diag",)
+    word, params = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        top = n if kind == "diag" else n - 1
+        word.append(Letter(kind, draw(st.integers(1, top + faulty))))
+        t = draw(WEIGHTS)
+        params.append(1 if kind == "diag" and not faulty and Fraction(t) == 0
+                      else t)
+    return tuple(word), params, n
+
+
+def layout_or_error(make):
+    """A network's fields with its weight types, or the `NetworkError`
+    raised instead."""
+    try:
+        net = make()
+    except NetworkError as exc:
+        return str(exc)
+    return (net.n, net.vertices, net.edges, net.essential,
+            [type(w) for *_, w in net.edges])
+
+
+def glued_chips(build, word, params, n):
+    """The chips of a word, each built by ``build``, glued by
+    `concatenate`; the neutral column for the empty word."""
+    if not word:
+        return build(diag(1), 1, n)
+    return concatenate(*(build(letter, t, n)
+                         for letter, t in zip(word, params)))
+
+
 class TestChips:
+    @settings(deadline=None, max_examples=200)
+    @given(chip_words())
+    def test_one_pass_layout_equals_glued_chips(self, case):
+        word, params, n = case
+        net = chips_of_word(word, params, n)
+        fields = layout_or_error(lambda: net)
+        assert fields == layout_or_error(
+            lambda: glued_chips(chip, word, params, n))
+        assert fields == layout_or_error(
+            lambda: glued_chips(oracle_chip, word, params, n))
+        assert PlanarNetwork(net.n, net.vertices, net.edges,
+                             net.essential) == net
+        if word:
+            assert weight_matrix(net) == product_map(word, params, n)
+
+    @settings(deadline=None, max_examples=200)
+    @given(chip_words(faulty=True))
+    def test_one_pass_layout_raises_as_glued_chips(self, case):
+        # the first bad letter in word order is named, out of range or a
+        # diag at weight 0
+        word, params, n = case
+        assert layout_or_error(lambda: chips_of_word(word, params, n)) \
+            == layout_or_error(lambda: glued_chips(chip, word, params, n))
+
+    def test_layout_error_messages(self):
+        for word, params, n, message in (
+                ((upper(5), diag(1)), [0], 3,
+                 "word/parameter length mismatch"),
+                ((upper(5), diag(1)), [1, 0], 3,
+                 "letter 5 out of range for n=3"),
+                ((diag(1), upper(5)), ["0", 1], 3,
+                 "diag chip requires a nonzero weight"),
+                ((upper(1), lower(3)), [1, 1], 3,
+                 "letter 3~ out of range for n=3"),
+                ((diag(4),), [0], 3, "letter @4 out of range for n=3"),
+                ((), [], 0, "letter @1 out of range for n=0")):
+            with pytest.raises(NetworkError, match=f"^{message}$"):
+                chips_of_word(word, params, n)
+
     def test_chip_matrices(self):
         assert weight_matrix(chip(upper(1), Fraction(7), 2)) \
             == Matrix([[1, 7], [0, 1]])

@@ -255,6 +255,15 @@ class TestProductMap:
                            match="diag letter @2 is undefined at parameter 0"):
             product_map((upper(1), diag(2), upper(5)), [1, 0, 1], 3)
 
+    def test_out_of_range_letter_before_a_later_zero_diag(self):
+        # the mirror of the case above: the first bad letter in word order
+        # is named, whichever kind of fault it has
+        with pytest.raises(WordError, match="letter 5 out of range for n=3"):
+            product_map((upper(5), diag(2)), [1, 0], 3)
+        # a diag letter out of range at 0 is named for its range
+        with pytest.raises(WordError, match="letter @4 out of range for n=3"):
+            product_map((diag(4),), [0], 3)
+
     def test_mixed_order_scheme_matches_its_chip_network(self):
         from totpos.networks import chips_of_word, weight_matrix
         word = parse_word("2~ 1 @3 2 1~ @1 2~ 1 @2")

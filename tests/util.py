@@ -147,6 +147,25 @@ def rand_network(rng: random.Random, n: int, cols: int) -> PlanarNetwork:
     return PlanarNetwork(n, tuple(vertices), tuple(edges))
 
 
+def oracle_chip(letter: Letter, t, n: int) -> PlanarNetwork:
+    """Independent one-letter chip, built by the validating constructor:
+    two columns of n vertices, vertex (x, level) with id x * n + level - 1,
+    the n unit horizontals bottom up, a diag letter reweighting its own,
+    and a slant letter's edge last, rising for upper and falling for
+    lower; the essential edge is the reweighted one or the slant."""
+    vertices = tuple((x, level) for x in (0, 1) for level in range(1, n + 1))
+    edges = [(k, n + k, Fraction(1)) for k in range(n)]
+    i = letter.index
+    if letter.kind == DIAG:
+        edges[i - 1] = (i - 1, n + i - 1, t)
+        essential = i - 1
+    else:
+        edges.append((i - 1, n + i, t) if letter.kind == UPPER
+                     else (i, n + i - 1, t))
+        essential = n
+    return PlanarNetwork(n, vertices, tuple(edges), (essential,))
+
+
 def cofactor_det(rows) -> Fraction:
     """Independent determinant oracle by first-row cofactor expansion."""
     size = len(rows)
@@ -160,6 +179,26 @@ def cofactor_det(rows) -> Fraction:
         term = Fraction(rows[0][j]) * cofactor_det(sub)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def gauss_det(rows) -> Fraction:
+    """Independent determinant oracle by Gaussian elimination on
+    `Fraction` rows, pivoting on the first nonzero entry of each column."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for r in range(k + 1, len(m)):
+            factor = m[r][k] / m[k][k]
+            if factor:
+                m[r] = [a - factor * b for a, b in zip(m[r], m[k])]
+    return det
 
 
 def oracle_bruhat_type(x: Matrix) -> tuple[Permutation, Permutation]:
@@ -221,12 +260,13 @@ def matrix_product_map(word: Word, params, n: int) -> Matrix:
     return result
 
 
-def oracle_reconstruct(values, n: int) -> Matrix:
+def oracle_reconstruct(values, n: int, det=cofactor_det) -> Matrix:
     """Independent reconstruction oracle, the corner recursion: entries in
     order of increasing i + j, the initial minor with corner (i, j) being
     linear in the entry (i, j) with the corner-(i-1, j-1) initial minor as
-    coefficient; determinants by cofactor expansion.  Needs every initial
-    minor nonzero."""
+    coefficient; determinants by ``det``, cofactor expansion by default,
+    whose cost grows factorially, so larger sizes pass `gauss_det`.  Needs
+    every initial minor nonzero."""
     vals = {(s.rows, s.cols): Fraction(values[s])
             for s in initial_minor_specs(n)}
 
@@ -244,7 +284,7 @@ def oracle_reconstruct(values, n: int) -> Matrix:
                 continue
             sub = [[(Fraction(0) if (r, c) == (i, j)
                      else entries[r - 1][c - 1]) for c in cols] for r in rows]
-            rest = cofactor_det(sub)
+            rest = det(sub)
             cofactor = vals[corner(i - 1, j - 1)]
             entries[i - 1][j - 1] = (vals[rows, cols] - rest) / cofactor
     return Matrix(entries)
