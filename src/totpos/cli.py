@@ -245,6 +245,9 @@ def _cmd_network(args) -> int:
 
 
 def _cmd_somos(args) -> int:
+    if args.seed is not None and args.symbolic:
+        raise InputError("--seed applies to numeric terms only, not with "
+                         "--symbolic")
     seed = [Fraction(1)] * 5
     if args.seed:
         try:
@@ -436,7 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--symbolic", action="store_true")
     p.add_argument("--seed", default=None,
-                   help="five comma-separated nonzero rationals")
+                   help="five comma-separated nonzero rationals "
+                        "(numeric terms only)")
     add_common(p)
     p.set_defaults(func=_cmd_somos)
 

@@ -420,53 +420,69 @@ def enumerate_move_graph(n: int, guard: int = 4) -> MoveGraph:
     witness of each edge is the first move found that joins its ends.
 
     The closure runs on int labels: a class is the sorted tuple of its
-    labels and its representative an int-coded word.  Each label is decoded
-    once at the end, and the witnesses are built only for the edges."""
+    labels and its representative an int-coded word.  A move found at a
+    class is skipped, before its target is built, when its exchange
+    (y, z) is that of an edge already found there: a repeat within the
+    class, or the reverse of an edge found from its other end.  So every
+    move handled is a new edge.  Each label is decoded and each word
+    spelled in letters once at the end, and the witnesses are built only
+    for the edges."""
     _check_guard(n, guard)
-    start = _codes(minimal_diagram(n).word, n)
-    start_key = tuple(sorted(label for run in _chamber_runs(start, n)
+    start = _start(n)
+    first = _codes(minimal_diagram(n).word, n)
+    first_key = tuple(sorted(label for run in _chamber_runs(first, n)
                              for _, label in run))
-    keys = [start_key]
-    index = {start_key: 0}
-    reps = [start]
-    edge_seen: set[tuple[int, int]] = set()
+    keys = [first_key]
+    index = {first_key: 0}
+    reps = [first]
+    # per class, the exchanges (y, z) of the edges found at it: a move
+    # exchanges exactly the chamber y for another chamber z, so (y, z)
+    # names the class it leads to, and the edge back is (z, y) there
+    seen: list[set[tuple[int, int]]] = [set()]
     found_edges: list[tuple[int, int, Candidate]] = []
     frontier = [0]
     while frontier:
         nxt = []
         for k in frontier:
-            key = keys[k]
-            for found in _class_moves(reps[k], n):
-                # a move exchanges exactly the chamber y for another chamber
-                # z, so a repeat of (y, z) reaches the same class again and
-                # its edge is already seen
-                y, z = found[3], found[4]
-                i = bisect_left(key, y)
-                bag = key[:i] + key[i + 1:]
-                j = bisect_left(bag, z)
-                target = bag[:j] + (z,) + bag[j:]
-                t = index.get(target)
-                fresh = t is None
-                if fresh:
-                    t = index[target] = len(keys)
-                    keys.append(target)
-                pair = (k, t) if k < t else (t, k)
-                if pair in edge_seen:
-                    continue
-                edge_seen.add(pair)
-                found_edges.append((k, t, found))
-                if fresh:
-                    reps.append(_result(found))
-                    nxt.append(t)
+            key, done = keys[k], seen[k]
+            for w in _commutation_class(reps[k], n):
+                for found in _word_moves(w, n, start):
+                    y, z = yz = found[3], found[4]
+                    if yz in done:
+                        continue
+                    done.add(yz)
+                    i = bisect_left(key, y)
+                    bag = key[:i] + key[i + 1:]
+                    j = bisect_left(bag, z)
+                    target = bag[:j] + (z,) + bag[j:]
+                    t = index.get(target)
+                    if t is None:
+                        t = index[target] = len(keys)
+                        keys.append(target)
+                        seen.append(set())
+                        reps.append(_result(found))
+                        nxt.append(t)
+                    seen[t].add((z, y))
+                    found_edges.append((k, t, found))
         frontier = nxt
     # every witness chamber is a chamber of a class reached
     pairs = {label: _unpack(label, n) for label in set().union(*keys)}
-    letters = _letters(n)
     specs = {label: MinorSpec.trusted(*pair) for label, pair in pairs.items()}
+    specs[None] = None
+    letters = _letters(n)
+    spelled: dict[tuple[int, ...], Word] = {}
+
+    def spell(word: tuple[int, ...]) -> Word:
+        if word not in spelled:
+            spelled[word] = tuple(map(letters.__getitem__, word))
+        return spelled[word]
+
     names = [tuple(sorted(map(pairs.__getitem__, key))) for key in keys]
-    return MoveGraph(
-        n, names,
-        {name: tuple(letters[x] for x in rep)
-         for name, rep in zip(names, reps)},
-        [(names[k], names[t], _move(found, letters, specs))
-         for k, t, found in found_edges])
+    edges = []
+    for k, t, found in found_edges:
+        word, p, kind, y, z, a, b, c, d = found
+        edges.append((names[k], names[t],
+                      DiagramMove(kind, spell(word), p, spell(_result(found)),
+                                  specs[y], specs[z], specs[a], specs[b],
+                                  specs[c], specs[d])))
+    return MoveGraph(n, names, dict(zip(names, map(spell, reps))), edges)

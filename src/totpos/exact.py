@@ -14,7 +14,11 @@ in a packed kernel: a monomial with nonnegative exponents e_1..e_k is one
 int of k + 1 fields of ``width`` bits, the total degree on top and e_1 down
 to e_k below it, so integer order is graded-lex order and multiplying
 monomials is adding ints.  The width comes from the operands' degrees and
-keeps the top (guard) bit of every field clear.
+keeps the top (guard) bit of every field clear.  A product can carry a
+packed monomial shift (a times b times x^e), so a caller that holds a
+polynomial as x^e times a packed part multiplies it without first
+building a shifted copy, and such a part is turned back into a
+`LaurentPoly` in one pass over its terms.
 """
 
 from __future__ import annotations
@@ -268,6 +272,22 @@ def _from_integer_terms(variables: tuple[str, ...], terms: Mapping,
     return poly
 
 
+def _from_packed(variables: tuple[str, ...], part: Mapping[int, int],
+                 shift: Sequence[int], width: int) -> LaurentPoly:
+    """The polynomial x^shift times the packed ``part``, whose coefficients
+    are ints, in one pass: each packed monomial with a nonzero coefficient
+    is read straight into the exponent vector of its term."""
+    mask = (1 << width) - 1
+    fields = [(width * i, s)
+              for i, s in zip(range(len(shift) - 1, -1, -1), shift)]
+    poly = object.__new__(LaurentPoly)
+    object.__setattr__(poly, "variables", variables)
+    object.__setattr__(poly, "terms", {
+        tuple([(m >> at & mask) + s for at, s in fields]): Fraction(c)
+        for m, c in part.items() if c})
+    return poly
+
+
 def _width(degree: int) -> int:
     """Field width for total degrees up to ``degree``, guard bit included."""
     return degree.bit_length() + 1
@@ -305,11 +325,16 @@ def _unpacked(part: Mapping[int, object], shift: Sequence[int],
 
 
 def _kmul(a: Mapping[int, int], b: Mapping[int, int],
-          out: dict[int, int] | None = None) -> dict[int, int]:
-    """``out`` plus the product a * b; zero coefficients may stay."""
+          out: dict[int, int] | None = None, shift: int = 0) \
+        -> dict[int, int]:
+    """``out`` plus the product a * b * x^e, where ``shift`` is the packed
+    monomial x^e (0, the default, packs 1): the same as the product with
+    each monomial of ``b`` shifted by x^e first, with no shifted copy
+    built.  Zero coefficients may stay."""
     out = {} if out is None else out
     get = out.get
     for m1, c1 in a.items():
+        m1 += shift
         for m2, c2 in b.items():
             m = m1 + m2
             out[m] = get(m, 0) + c1 * c2

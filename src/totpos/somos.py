@@ -12,12 +12,13 @@ coefficients is left to the caller (`laurent_has_nonnegative_coeffs`).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import add, sub
 from typing import Sequence
 
-from .exact import (LaurentDivisionError, LaurentPoly, _from_integer_terms,
-                    _kcontent, _kdivide, _kmul, _pack, _unpacked,
-                    _width, as_scalar)
+from .exact import (LaurentDivisionError, LaurentPoly, _from_packed,
+                    _kcontent, _kdivide, _kmul, _pack, _unpacked, _width,
+                    as_scalar)
 
 SEED_VARIABLES = ("a1", "a2", "a3", "a4", "a5")
 
@@ -56,14 +57,20 @@ def somos5_numeric(seed: Sequence, count: int) -> list[Fraction]:
         raise ValueError("seed terms must be nonzero")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    terms = values[:count]
-    while len(terms) < count:
-        k = len(terms) - 5  # 0-based index of the divisor term
-        if terms[k] == 0:
+    # the terms as pairs (p, q) of coprime ints, q > 0, so a step costs
+    # one gcd in place of four Fraction operations
+    pairs = [v.as_integer_ratio() for v in values[:count]]
+    while len(pairs) < count:
+        k = len(pairs) - 5  # 0-based index of the divisor term
+        (p0, q0), (p1, q1), (p2, q2), (p3, q3), (p4, q4) = pairs[k:]
+        if not p0:
             raise SomosPivotError(k + 1)
-        terms.append((terms[k + 1] * terms[k + 4]
-                      + terms[k + 2] * terms[k + 3]) / terms[k])
-    return terms
+        q14, q23 = q1 * q4, q2 * q3
+        num = (p1 * p4 * q23 + p2 * p3 * q14) * q0
+        den = q14 * q23 * p0
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        pairs.append((num // g, den // g))
+    return values[:count] + [Fraction(p, q) for p, q in pairs[5:]]
 
 
 def somos5_symbolic(count: int, limit: int = 12) -> list[LaurentPoly]:
@@ -106,16 +113,15 @@ def somos5_symbolic(count: int, limit: int = 12) -> list[LaurentPoly]:
             width = wider
             continue
         shift14, shift23 = _pack(up14, zero, width), _pack(up23, zero, width)
-        num = _kmul(p1, {m + shift14: c for m, c in p4.items()})
-        _kmul(p2, {m + shift23: c for m, c in p3.items()}, num)
+        num = _kmul(p1, p4, None, shift14)
+        _kmul(p2, p3, num, shift23)
         terms.append(_divide(len(terms) + 1, (low, num), (s0, p0), width))
     return [_poly(term, width) for term in terms]
 
 
 def _poly(term, width: int) -> LaurentPoly:
     shift, part = term
-    return _from_integer_terms(SEED_VARIABLES,
-                               _unpacked(part, shift, width), 1)
+    return _from_packed(SEED_VARIABLES, part, shift, width)
 
 
 def _divide(index: int, num, den, width: int):

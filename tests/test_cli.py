@@ -522,6 +522,7 @@ class TestErrors:
         (["diagrams", "--n", "1", "--word", ""], 0),
         (["diagrams", "--n", "3", "--word", ""], 2),
         (["test", "{pascal}", "--method", "fekete", "--diagram", "zz qq"], 2),
+        (["somos", "--terms", "6", "--symbolic", "--seed", "2,2,2,2,2"], 2),
     ])
     def test_edge_inputs_exit_codes(self, argv, code, tmp_path, capsys):
         files = {"singular": {"n": 2, "rows": [["1", "1"], ["1", "1"]]},

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totpos.exact import (LaurentDivisionError, LaurentPoly, _kcontent,
-                          _pack, _width, as_scalar, format_scalar,
+                          _kmul, _pack, _width, as_scalar, format_scalar,
                           laurent_divide_exact, laurent_has_nonnegative_coeffs,
                           sign)
 
@@ -256,6 +256,28 @@ class TestPackedKernel:
         width = _width(max(map(sum, terms)))
         part = {_pack(e, (0, 0, 0), width): c for e, c in terms.items()}
         assert _kcontent(part, 3, width) == tuple(map(min, zip(*nonzero)))
+
+    @settings(deadline=None, max_examples=100)
+    @given(*[st.dictionaries(st.tuples(*[st.integers(0, 100)] * 3),
+                             st.integers(-3, 3), max_size=5)] * 3,
+           st.tuples(*[st.integers(0, 100)] * 3), st.booleans())
+    def test_product_with_a_shift(self, a, b, out, shift, into):
+        # a * b * x^shift, with and without terms to add it to, is the
+        # product with b's monomials shifted first
+        degrees = [max(map(sum, t), default=0) for t in (a, b, out)]
+        width = _width(max(degrees[0] + degrees[1] + sum(shift), degrees[2]))
+
+        def packed(terms):
+            return {_pack(e, (0, 0, 0), width): c for e, c in terms.items()}
+
+        m = _pack(shift, (0, 0, 0), width)
+        start = packed(out) if into else None
+        got = _kmul(packed(a), packed(b), start, m)
+        want = _kmul(packed(a), {e + m: c for e, c in packed(b).items()},
+                     packed(out) if into else None)
+        assert got == want
+        if into:
+            assert got is start
 
 
 class TestNonnegativity:

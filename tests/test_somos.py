@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from totpos.exact import (LaurentPoly, _pack, _width,
                           laurent_has_nonnegative_coeffs)
@@ -11,7 +13,16 @@ from totpos.somos import (SEED_VARIABLES, SomosLaurentFalsification,
                           SomosPivotError, _divide, somos5_numeric,
                           somos5_symbolic)
 
-from util import oracle_laurent_divide, oracle_laurent_mul
+from util import (oracle_laurent_divide, oracle_laurent_mul,
+                  oracle_somos5_numeric)
+
+# signed rational seeds, and seeds of +-1 and +-2, about half of which
+# make a later term 0 and so a later divisor 0
+signed_rationals = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                             st.integers(1, 6))
+signed_seeds = st.one_of(
+    st.lists(signed_rationals, min_size=5, max_size=5),
+    st.lists(st.sampled_from([1, -1, 2, -2]), min_size=5, max_size=5))
 
 
 class TestNumeric:
@@ -34,6 +45,40 @@ class TestNumeric:
         for k in range(7):
             a.append((a[k + 1] * a[k + 4] + a[k + 2] * a[k + 3]) / a[k])
         assert terms == a
+
+    @settings(deadline=None, max_examples=300)
+    @given(signed_seeds, st.integers(0, 40))
+    @example([1, -1, 1, 1, 1], 11)
+    @example([1, -1, 1, 1, 1], 10)
+    def test_matches_the_fraction_oracle(self, seed, count):
+        try:
+            want = oracle_somos5_numeric(seed, count)
+        except SomosPivotError as exc:
+            with pytest.raises(SomosPivotError) as info:
+                somos5_numeric(seed, count)
+            assert info.value.index == exc.index
+            assert str(info.value) == str(exc)
+            return
+        got = somos5_numeric(seed, count)
+        assert got == want
+        assert all(type(term) is Fraction for term in got)
+
+    @pytest.mark.parametrize("seed, count", [
+        ([1, 1, 1, 1], 6),
+        ([1, 0, 1, 1], -1),
+        ([0, 1, 1, 1, 1], -1),
+        ([1, 1, 1, 1, 1, 1], 3),
+        ([1, 1, 1, 1, 1], -3),
+        (["1/2", "x", 1, 1, 1], 6),
+        ([1, "1/0", 1, 1], 6),
+        ([True, 1, 1, 1], 6),
+    ])
+    def test_errors_in_the_oracle_order(self, seed, count):
+        with pytest.raises(Exception) as want:
+            oracle_somos5_numeric(seed, count)
+        with pytest.raises(type(want.value)) as got:
+            somos5_numeric(seed, count)
+        assert str(got.value) == str(want.value)
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):

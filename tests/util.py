@@ -15,6 +15,7 @@ from totpos.matrices import (Matrix, MinorSpec, exact_rank,
 from totpos.networks import (NetworkError, PlanarNetwork, _cross,
                              _on_segment, _segments_conflict)
 from totpos.positivity import NotApplicableError
+from totpos.somos import SomosPivotError
 from totpos.words import (DIAG, LOWER, UPPER, Letter, Move, Permutation,
                           Word, WordError, diag, lower, move_path,
                           product_map, reduced_words, staircase_scheme,
@@ -786,3 +787,23 @@ def oracle_laurent_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(num.variables,
                        {tuple(a + b for a, b in zip(e, total)): c
                         for e, c in quotient.items()})
+
+
+def oracle_somos5_numeric(seed, count: int) -> list[Fraction]:
+    """The Somos-5 recurrence on `Fraction` terms, four operations per term,
+    with the checks and errors of `somos5_numeric` in the same order."""
+    values = [as_scalar(v) for v in seed]
+    if len(values) != 5:
+        raise ValueError("need exactly five seed terms")
+    if any(v == 0 for v in values):
+        raise ValueError("seed terms must be nonzero")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    terms = values[:count]
+    while len(terms) < count:
+        k = len(terms) - 5  # 0-based index of the divisor term
+        if terms[k] == 0:
+            raise SomosPivotError(k + 1)
+        terms.append((terms[k + 1] * terms[k + 4]
+                      + terms[k + 2] * terms[k + 3]) / terms[k])
+    return terms
