@@ -307,7 +307,9 @@ def _cmd_selfcheck(args) -> int:
         ok &= pv.test_initial_minors(x) == ref
         ok &= pv.test_fekete_solid(x) == ref
         if x.det():
-            ok &= pv.test_tnn_neville(x) == pv.is_tnn_bruteforce(x)
+            tnn = pv.is_tnn_bruteforce(x)
+            ok &= pv.test_tnn_neville(x) == tnn
+            ok &= pv.test_tnn_efficient(x)[0] == tnn
     results.append(("criterion-equivalence", ok))
 
     # disjoint-path oracle against the weight-matrix determinant route

@@ -25,20 +25,24 @@ the multipliers of its rows, so it has the true minor's sign and
 list of specs and follows their shapes and the length of the list:
 
 * solid minors (Fekete, initial, antiprincipal): Dodgson condensation,
-  level by level, O(1) per minor; a minor reached through a zero divisor
-  is evaluated by the kernel instead;
-* a list at least as long as all C(2n, n) - 1 minors, or a list of minors
-  on rows [1..k] or columns [1..k] at least as long as that family,
-  2^(n+1) - n - 2 (the efficient TNN test): Laplace expansion along the
-  last row, row sets depth first, O(k) per minor from its parent's;
+  level by level, O(1) per minor.  The minors reached through a zero
+  divisor are leading minors of blocks, so one elimination per top-left
+  corner gives them up to the block's first zero pivot; the kernel takes
+  only the sizes past it;
+* a list at least as long as all C(2n, n) - 1 minors: one Laplace walk
+  (:func:`_laplace_walk`), expansion along the last row, row sets depth
+  first, O(k) per minor from its parent's;
 * any other list: the kernel on each submatrix of the cleared rows.
 
 Every engine returns the same exact minors, so the choice needs no look
 at which minors are listed: a list that repeats specs only costs more.
 
-Three families take no spec list, so a verdict builds specs only for
-its witnesses and for minors behind a zero divisor.  :func:`initial_family`
-and :func:`solid_family` read the same condensation walk in spec order.
+Four families take no spec list, so a verdict builds specs only for its
+witnesses and for minors past a zero pivot.  :func:`initial_family` and
+:func:`solid_family` read the same condensation walk in spec order.
+:func:`chain_minors`, the minors on rows [1..k] and on columns [1..k]
+(the efficient TNN family), come from two chained Laplace walks, on the
+cleared rows and on their transpose, keyed by bit masks.
 Chamber minors have their own engine, :func:`_sweep_family`, behind
 :func:`totpos.diagrams.chamber_family`.  At each slice of a double wiring
 diagram the chambers are the leading minors in track order, and a
@@ -447,19 +451,7 @@ def minor_family(x: Matrix, specs: Sequence[MinorSpec],
         return _condense(m, mults, len(specs), cells, stop)
     values: list = [None] * len(specs)
     if len(specs) >= comb(2 * n, n) - 1:
-        done = _laplace(m, specs, range(len(specs)), values, stop,
-                        chain=False)
-    elif (len(specs) >= 2 ** (n + 1) - n - 2
-          and all(s.rows[-1] == len(s.rows) or s.cols[-1] == len(s.cols)
-                  for s in specs)):
-        # rows [1..k] on x, the rest (columns [1..k]) on its transpose
-        on_rows = [k for k, s in enumerate(specs)
-                   if s.rows[-1] == len(s.rows)]
-        on_cols = [k for k, s in enumerate(specs)
-                   if s.rows[-1] != len(s.rows)]
-        done = (_laplace(m, specs, on_rows, values, stop, chain=True)
-                and _laplace([list(c) for c in zip(*m)], specs, on_cols,
-                             values, stop, chain=True, transpose=True))
+        done = _laplace(m, specs, values, stop)
     else:
         done = _direct(m, enumerate(specs), values, stop)
     return (values, mults) if done else None
@@ -518,17 +510,36 @@ def _solid_levels(m):
 def _condense(m, mults, count, cells, stop):
     """``count`` solid minors of the integer rows m, as :func:`minor_family`
     returns them: ``cells`` lists those of size 1, 2, ... by (position, top
-    row, left column), 0-based; an unknown one gets a spec for the kernel."""
+    row, left column), 0-based.
+
+    The unknown ones are grouped by top-left corner: those sharing a corner
+    are leading minors of one block, so one elimination without swaps of
+    the largest gives them on its diagonal up to its first zero pivot, and
+    the minor at that pivot is 0.  Only the sizes past it get a spec for
+    the kernel."""
     values: list = [None] * count
-    unknown = []
+    unknown: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for size, (wanted, level) in enumerate(zip(cells, _solid_levels(m)), 1):
         for position, i, j in wanted:
             value = values[position] = level[i][j]
             if value is None:
-                unknown.append((position, _solid_spec(size, i, j)))
+                unknown.setdefault((i, j), []).append((position, size))
             elif stop is not None and stop(value):
                 return None
-    return (values, mults) if _direct(m, unknown, values, stop) else None
+    rest = []
+    for (i, j), wanted in unknown.items():
+        top = wanted[-1][1]  # cells list sizes in increasing order
+        block = [row[j:j + top] for row in m[i:i + top]]
+        reached = len(_eliminate(block, swaps=False)[0])
+        for position, size in wanted:
+            if size > reached + 1:
+                rest.append((position, _solid_spec(size, i, j)))
+                continue
+            value = values[position] = \
+                block[size - 1][size - 1] if size <= reached else 0
+            if stop is not None and stop(value):
+                return None
+    return (values, mults) if _direct(m, rest, values, stop) else None
 
 
 def initial_family(x: Matrix, stop: Callable[[int], bool] | None = None) \
@@ -682,35 +693,32 @@ class _Tableaux:
         return got
 
 
-def _laplace(m, specs, indices, values, stop, chain: bool,
-             transpose: bool = False) -> bool:
-    """Minors by Laplace expansion along the last row.
+def _column_sets(n: int, depth: int) -> list[list[tuple[int, tuple]]]:
+    """For each size 0..depth, the column sets of that size in
+    ``itertools.combinations`` order, as (mask, columns); column c
+    (1-based) is bit c."""
+    masks = {(): 0}
+    col_sets: list[list[tuple[int, tuple]]] = [[]]
+    for size in range(1, depth + 1):
+        level = []
+        for cols in itertools.combinations(range(1, n + 1), size):
+            mask = masks[cols] = masks[cols[:-1]] | 1 << cols[-1]
+            level.append((mask, cols))
+        col_sets.append(level)
+    return col_sets
+
+
+def _laplace_walk(m, col_sets, chain: bool):
+    """Minors of the integer rows ``m`` by Laplace expansion along the last
+    row: yields ``(rows, {column mask: minor})`` for each row set (1-based
+    tuple) up to the depth of ``col_sets`` (:func:`_column_sets`), with
+    one entry per column set of its size, in ``col_sets`` order.
 
     Row sets are visited depth first, each extended by a later row (only
-    the next row under ``chain``); at each, the minors on every column set
-    of its size come from the parent's, at O(k) per minor.  With
-    ``transpose``, ``m`` is the transposed array and a spec's columns act
-    as its rows.
+    the next row under ``chain``, so the row sets are [1..k]); the minors
+    of a row set come from its parent's, at O(k) per minor.
     """
-    n = len(m)
-    wanted: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for k in indices:
-        spec = specs[k]
-        rows, cols = ((spec.cols, spec.rows) if transpose
-                      else (spec.rows, spec.cols))
-        wanted.setdefault(rows, []).append((k, cols))
-    if not wanted:
-        return True
-    depth = max(map(len, wanted))
-    # each column set up to that size; column c (1-based) is bit c
-    mask_of = {(): 0}
-    col_sets: list[list[tuple[int, tuple[int, ...]]]] = [[]]
-    for size in range(1, depth + 1):
-        col_sets.append([])
-        for cols in itertools.combinations(range(1, n + 1), size):
-            mask = mask_of[cols[:-1]] | 1 << cols[-1]
-            mask_of[cols] = mask
-            col_sets[size].append((mask, cols))
+    n, depth = len(m), len(col_sets) - 1
     m = [[0] + row for row in m]
     stack: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {0: 1})]
     while stack:
@@ -731,13 +739,36 @@ def _laplace(m, specs, indices, values, stop, chain: bool,
                     negative = not negative
                 node[mask] = total
             child = rows + (r,)
-            for k, cols in wanted.get(child, ()):
-                values[k] = node[mask_of[cols]]
-                if stop is not None and stop(values[k]):
-                    return False
+            yield child, node
             if size < depth:
                 stack.append((child, node))
+
+
+def _laplace(m, specs, values, stop) -> bool:
+    """The minors on ``specs`` read off one :func:`_laplace_walk` over
+    every row set they use, as :func:`_direct` stores them."""
+    wanted: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    for k, spec in enumerate(specs):
+        wanted.setdefault(spec.rows, []).append((k, spec.cols))
+    col_sets = _column_sets(len(m), max(map(len, wanted)))
+    mask_of = {cols: mask for level in col_sets for mask, cols in level}
+    for rows, node in _laplace_walk(m, col_sets, chain=False):
+        for k, cols in wanted.get(rows, ()):
+            value = values[k] = node[mask_of[cols]]
+            if stop is not None and stop(value):
+                return False
     return True
+
+
+def chain_minors(m: list[list[int]]) \
+        -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """The minors of the integer rows ``m`` on rows [1..k] and on columns
+    [1..k], k = 1..n, from one :func:`_laplace_walk` on m and one on its
+    transpose: for each k a dict from column (row) mask, index c (1-based)
+    as bit c, to minor, in ``itertools.combinations`` order."""
+    col_sets = _column_sets(len(m), len(m))
+    return tuple([node for _, node in _laplace_walk(a, col_sets, chain=True)]
+                 for a in (m, [list(column) for column in zip(*m)]))
 
 
 # ---------------------------------------------------------------------------

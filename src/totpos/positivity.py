@@ -37,9 +37,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .diagrams import DoubleWiringDiagram, chamber_family, chamber_minors
-from .matrices import (Matrix, MinorSpec, _integer_rows, _neville,
-                       _solid_spec_at, all_minor_specs, column_rank_profile,
-                       initial_family, initial_minor_spec,
+from .matrices import (Matrix, MinorSpec, _eliminate, _integer_rows,
+                       _neville, _solid_spec_at, all_minor_specs,
+                       chain_minors, initial_family, initial_minor_spec,
                        is_block_triangular, minor, minor_family,
                        solid_family, unscale)
 from .words import Permutation
@@ -181,38 +181,62 @@ def test_tnn_efficient(x: Matrix, guard: int = 16) -> tuple[bool, int]:
 def tnn_efficient_report(x: Matrix, guard: int = 16) \
         -> tuple[bool, int, list[tuple[MinorSpec, Fraction]]]:
     """:func:`test_tnn_efficient`'s verdict and count, with its negative
-    minors in spec order as witnesses, else :func:`_sylvester_witness`."""
-    check_guard(x.n, guard, "the efficient TNN test")
-    specs = tnn_efficient_specs(x.n)
-    values, mults = minor_family(x, specs)
-    if values[-1] == 0:  # the last spec is [1..n|1..n], the determinant
-        raise NotApplicableError(_SINGULAR)
-    verdict = all(
-        value > 0 if spec.rows == spec.cols and spec.rows[-1] == spec.size
-        else value >= 0
-        for spec, value in zip(specs, values))
-    failures = _failures(specs.__getitem__, values, mults, _negative)
-    if not verdict and not failures:
-        failures = [_sylvester_witness(x, dict(zip(specs, values)))]
-    return verdict, len(specs), failures
+    minors in :func:`tnn_efficient_specs` order as witnesses, else
+    :func:`_sylvester_witness`.
 
-
-def _sylvester_witness(x: Matrix, values: dict[MinorSpec, int]) \
-        -> tuple[MinorSpec, Fraction]:
-    """The negative minor of an invertible x whose efficient family (by
-    spec, row-scaled) has a zero leading principal minor and no negative
-    one.  With D(k) the first zero one, invertibility makes some b_kj =
-    [1..k|1..k-1, j] and b_ik = [1..k-1, i|1..k] with i, j > k positive;
-    by Sylvester's identity the first such j and i give [1..k, i|1..k, j]
-    = -b_kj b_ik / D(k-1) < 0."""
+    The family is read off :func:`chain_minors` of the cleared rows, each
+    column or row set in combinations order, as the specs list them; a
+    spec is built only for a witness."""
     n = x.n
-    k = next(k for k in range(1, n)
-             if not values[MinorSpec.trusted(*[tuple(range(1, k + 1))] * 2)])
-    head, stem = tuple(range(1, k + 1)), tuple(range(1, k))
+    check_guard(n, guard, "the efficient TNN test")
+    m, mults = _integer_rows(x.rows)
+    on_rows, on_cols = chain_minors(m)
+    if not on_rows[-1][(2 << n) - 2]:  # [1..n|1..n], the determinant
+        raise NotApplicableError(_SINGULAR)
+    failures = []
+    for k, (row_minors, col_minors) in enumerate(zip(on_rows, on_cols), 1):
+        head = tuple(range(1, k + 1))
+        head_mask = (2 << k) - 2
+        for (mask, a), b in zip(row_minors.items(), col_minors.values()):
+            if a < 0:
+                failures.append(_witness(head, _indices(mask), a, mults))
+            if b < 0 and mask != head_mask:
+                failures.append(_witness(_indices(mask), head, b, mults))
+    verdict = not failures and all(
+        minors[(2 << k) - 2] > 0 for k, minors in enumerate(on_rows, 1))
+    if not verdict and not failures:
+        failures = [_sylvester_witness(x, on_rows, on_cols)]
+    return verdict, (2 << n) - n - 2, failures
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    """The 1-based indices whose bits are set in ``mask``."""
+    return tuple(c for c in range(1, mask.bit_length()) if mask >> c & 1)
+
+
+def _witness(rows: tuple[int, ...], cols: tuple[int, ...], value: int,
+             mults) -> tuple[MinorSpec, Fraction]:
+    spec = MinorSpec.trusted(rows, cols)
+    return spec, unscale(spec, value, mults)
+
+
+def _sylvester_witness(x: Matrix, on_rows: list[dict[int, int]],
+                       on_cols: list[dict[int, int]]) \
+        -> tuple[MinorSpec, Fraction]:
+    """The negative minor of an invertible x whose efficient family (the
+    :func:`chain_minors` of its rows and of its columns, row-scaled) has a
+    zero leading principal minor and no negative one.  With D(k) the first
+    zero one, invertibility makes some b_kj = [1..k|1..k-1, j] and b_ik =
+    [1..k-1, i|1..k] with i, j > k positive; by Sylvester's identity the
+    first such j and i give [1..k, i|1..k, j] = -b_kj b_ik / D(k-1) < 0."""
+    n = x.n
+    k = next(k for k in range(1, n) if not on_rows[k - 1][(2 << k) - 2])
+    stem = (1 << k) - 2
     j = next(j for j in range(k + 1, n + 1)
-             if values[MinorSpec.trusted(head, stem + (j,))] > 0)
+             if on_rows[k - 1][stem | 1 << j] > 0)
     i = next(i for i in range(k + 1, n + 1)
-             if values[MinorSpec.trusted(stem + (i,), head)] > 0)
+             if on_cols[k - 1][stem | 1 << i] > 0)
+    head = tuple(range(1, k + 1))
     spec = MinorSpec.trusted(head + (i,), head + (j,))
     return spec, minor(x, spec)
 
@@ -355,22 +379,24 @@ def bruhat_type(x: Matrix) -> tuple[Permutation, Permutation]:
     1..i, columns j..n), preserved by lower triangular multiplication.
     Column j raises the rank of rows i..n exactly when it is a pivot
     column of their elimination, so u(j) is the last i for which it is,
-    and each row range costs one elimination (the column rank profile);
-    v likewise, with rows 1..i and the columns reversed.  The elimination
-    of all rows tells whether x is invertible.  For a totally nonnegative
-    x, (u, v) is its factorization type.
+    and each row range costs one elimination (the column rank profile) of
+    a copy of x's rows, cleared once (a positive row scaling keeps every
+    rank); v likewise, with rows 1..i and the columns reversed.  The
+    elimination of all rows tells whether x is invertible.  For a totally
+    nonnegative x, (u, v) is its factorization type.
     """
     n = x.n
+    rows, _ = _integer_rows(x.rows)
     u_images = [0] * n
     v_images = [0] * n
     for i in range(1, n + 1):
-        pivots = column_rank_profile(x.rows[i - 1:])
+        pivots, _ = _eliminate([row[:] for row in rows[i - 1:]])
         if i == 1 and len(pivots) < n:
             raise NotApplicableError("Bruhat type is computed for invertible "
                                      "matrices only")
         for c in pivots:
             u_images[c] = i
     for i in range(n, 0, -1):
-        for c in column_rank_profile([row[::-1] for row in x.rows[:i]]):
+        for c in _eliminate([row[::-1] for row in rows[:i]])[0]:
             v_images[n - 1 - c] = i
     return Permutation(tuple(u_images)), Permutation(tuple(v_images))

@@ -402,16 +402,13 @@ def is_full_scheme(word: Word, n: int | None = None) -> bool:
 #
 # The router and `_transport` run on int letter codes, 4 * index + kind
 # (0 lower, 1 upper, 2 diag).  The router logs a move as 4 * pos + kind
-# (0 swap, 1 braid, 2 mixed), and a diag's passage from one position to
-# another as one run, 4 * (src * _SPAN + dst) + 3, which stands for the
-# swaps on the way.  `Letter` and `Move` values are built only at the public
-# edges.
+# (0 swap, 1 braid, 2 mixed).  `Letter` and `Move` values are built only at
+# the public edges.
 
 _LETTER_KINDS = (LOWER, UPPER, DIAG)
 _LETTER_CODES = {LOWER: 0, UPPER: 1, DIAG: 2}
 _MOVE_KINDS = ("swap", "braid", "mixed")
 _MOVE_CODES = {"swap": 0, "braid": 1, "mixed": 2}
-_SPAN = 1 << 20  # positions in a run code stay below it (n < 1024)
 _ONE = Fraction(1)
 
 
@@ -432,29 +429,15 @@ def _letter(code: int) -> Letter:
     return Letter(_LETTER_KINDS[code & 3], code >> 2)
 
 
-def _run(src: int, dst: int) -> int:
-    return (src * _SPAN + dst) << 2 | 3
-
-
-def _run_swaps(code: int) -> range:
-    """The positions of the swaps a run stands for, in order."""
-    src, dst = divmod(code >> 2, _SPAN)
-    return range(src, dst) if src < dst else range(src - 1, dst - 1, -1)
-
-
 def _moves(codes: Iterable[int]) -> list[Move]:
-    """`Move` values for move codes, runs spelled out as swaps; one shared
-    value per move."""
+    """`Move` values for move codes; one shared value per move."""
     made: dict[int, Move] = {}
     out = []
     for code in codes:
-        steps = [q << 2 for q in _run_swaps(code)] if code & 3 == 3 \
-            else (code,)
-        for step in steps:
-            move = made.get(step)
-            if move is None:
-                move = made[step] = Move(_MOVE_KINDS[step & 3], step >> 2)
-            out.append(move)
+        move = made.get(code)
+        if move is None:
+            move = made[code] = Move(_MOVE_KINDS[code & 3], code >> 2)
+        out.append(move)
     return out
 
 
@@ -628,7 +611,7 @@ class _Rewriter:
         is at most ``len(word) - p`` deep.  That reaches the word length, past
         Python's frame limit from n = 32 on, so it runs on a stack of pending
         fetches (pairs) and move codes, at most three per level.  A diag's
-        passage is logged as one run."""
+        passage is logged as the swaps on its way."""
         word, log = self.word, self.log
         todo: list = [(letter, p)]
         while todo:
@@ -651,10 +634,10 @@ class _Rewriter:
             if letter & 3 == 2:
                 q = word.index(letter, p)
                 word.insert(p, word.pop(q))
-                log.append(_run(q, p))
+                log += [i << 2 for i in range(q - 1, p - 1, -1)]
             elif here & 3 == 2:
                 word.append(word.pop(p))
-                log.append(_run(p, len(word) - 1))
+                log += [i << 2 for i in range(p, len(word) - 1)]
                 todo.append(task)
             elif _commutes(here, letter):
                 todo += [p << 2, (letter, p + 1)]

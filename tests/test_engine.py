@@ -320,6 +320,120 @@ class TestChamberFamily:
                     == [minor(x, s) for s in specs]
 
 
+@st.composite
+def sparse_matrices(draw):
+    """n = 1..9 with 30-70 % of the entries zero (rounded to a count), the
+    rest nonzero, all positive or of mixed signs: many condensation
+    divisors and leading minors of corner blocks vanish."""
+    n = draw(st.integers(1, 9))
+    zeros = draw(st.integers(round(0.3 * n * n), round(0.7 * n * n)))
+    at_zero = set(draw(st.permutations(range(n * n)))[:zeros])
+    numerators = (st.integers(1, 3) if draw(st.booleans())
+                  else st.integers(-3, 3).filter(bool))
+    return Matrix([[Fraction(0) if i * n + j in at_zero
+                    else Fraction(draw(numerators), draw(st.integers(1, 2)))
+                    for j in range(n)] for i in range(n)])
+
+
+def exact_minors(x, specs, values, mults):
+    """The unscaled values, checked against `minor` and, up to size 4,
+    against cofactor expansion."""
+    exact = [unscale(s, v, mults) for s, v in zip(specs, values)]
+    assert exact == [minor(x, s) for s in specs]
+    assert all(value == cofactor_det(x.submatrix_rows(s.rows, s.cols))
+               for s, value in zip(specs, exact) if s.size <= 4)
+    return exact
+
+
+class TestSparseInputs:
+    """The families on matrices with many zero entries, where condensation
+    reaches minors through zero divisors and falls back to one elimination
+    per top-left corner."""
+
+    @pytest.mark.parametrize("family, specs_of", SOLID_FAMILIES,
+                             ids=SOLID_IDS)
+    @settings(deadline=None, max_examples=100)
+    @given(x=sparse_matrices())
+    def test_solid_families(self, family, specs_of, x):
+        specs = specs_of(x.n)
+        exact = exact_minors(x, specs, *family(x))
+        assert (family(x, stop=lambda v: v <= 0) is None) \
+            == any(v <= 0 for v in exact)
+
+    @pytest.mark.parametrize("specs_of", [solid_minor_specs,
+                                          pv.antiprincipal_specs],
+                             ids=["solid", "antiprincipal"])
+    @settings(deadline=None, max_examples=100)
+    @given(x=sparse_matrices())
+    def test_minor_family_on_solid_lists(self, specs_of, x):
+        specs = specs_of(x.n)
+        exact_minors(x, specs, *minor_family(x, specs))
+
+    @settings(deadline=None, max_examples=100)
+    @given(x=sparse_matrices())
+    def test_tnn_efficient_report(self, x):
+        specs = pv.tnn_efficient_specs(x.n)
+        if minor(x, specs[-1]) == 0:
+            with pytest.raises(pv.NotApplicableError):
+                pv.tnn_efficient_report(x)
+            return
+        values = [minor(x, s) for s in specs]
+        assert all(value == cofactor_det(x.submatrix_rows(s.rows, s.cols))
+                   for s, value in zip(specs, values) if s.size <= 4)
+        negative = [(s, v) for s, v in zip(specs, values) if v < 0]
+        leading = all(v > 0 for s, v in zip(specs, values)
+                      if s.rows == s.cols and s.rows[-1] == s.size)
+        verdict, checked, witnesses = pv.tnn_efficient_report(x)
+        assert checked == len(specs)
+        assert verdict == (not negative and leading)
+        if negative or verdict:
+            assert witnesses == negative
+        else:  # the Sylvester witness, off the family
+            [(spec, value)] = witnesses
+            assert value == minor(x, spec) < 0
+        if x.n <= 6:
+            assert verdict == pv.is_tnn_bruteforce(x)
+
+    def test_zero_pivot_partway_down_a_corner(self, monkeypatch):
+        # the entry (2, 2) = 0 divides [1..3|1..3], so it and [1..4|1..4]
+        # are unknown to condensation.  The block at corner (1, 1)
+        # eliminates to pivots 1, -1 and then 0: [1..3|1..3] is that zero
+        # pivot, and only [1..4|1..4], past it, goes to the kernel.
+        x = Matrix([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, -1, 1], [0, 0, 1, 2]])
+        direct = mx._direct
+        kernel = []
+
+        def logged(m, pairs, values, stop):
+            pairs = list(pairs)
+            kernel.extend(spec for _, spec in pairs)
+            return direct(m, pairs, values, stop)
+
+        monkeypatch.setattr(mx, "_direct", logged)
+        specs = initial_minor_specs(4)
+        values = exact_minors(x, specs, *mx.initial_family(x))
+        assert kernel == [MinorSpec((1, 2, 3, 4), (1, 2, 3, 4))]
+        assert [values[specs.index(MinorSpec.of(range(1, k + 1),
+                                                range(1, k + 1)))]
+                for k in range(1, 5)] == [1, -1, 0, 1]
+        kernel.clear()
+        assert mx.initial_family(x, stop=lambda v: v == 0) is None
+        assert kernel == []  # the zero pivot stops before the kernel runs
+
+    def test_tp_efficient_verdict_builds_no_spec(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spec was built")
+
+        monkeypatch.setattr(MinorSpec, "trusted", refuse)
+        monkeypatch.setattr(MinorSpec, "__init__", refuse)
+        monkeypatch.setattr(pv, "tnn_efficient_specs", refuse)
+        rng = random.Random(26)
+        for n in range(1, 9):
+            assert pv.test_tnn_efficient(rand_tp(rng, n)) \
+                == (True, 2 ** (n + 1) - n - 2)
+        with pytest.raises(AssertionError, match="a spec was built"):
+            pv.tnn_efficient_report(Matrix([[1, 2], [3, 1]]))
+
+
 class TestCriteriaOnDegenerateInputs:
     """Each criterion against its definition evaluated minor by minor."""
 
