@@ -17,8 +17,7 @@ monomials is adding ints.  The width comes from the operands' degrees and
 keeps the top (guard) bit of every field clear.  A product can carry a
 packed monomial shift (a times b times x^e), so a caller that holds a
 polynomial as x^e times a packed part multiplies it without first
-building a shifted copy, and such a part is turned back into a
-`LaurentPoly` in one pass over its terms.
+building a shifted copy.
 """
 
 from __future__ import annotations
@@ -269,22 +268,6 @@ def _from_integer_terms(variables: tuple[str, ...], terms: Mapping,
     poly = object.__new__(LaurentPoly)
     object.__setattr__(poly, "variables", variables)
     object.__setattr__(poly, "terms", clean)
-    return poly
-
-
-def _from_packed(variables: tuple[str, ...], part: Mapping[int, int],
-                 shift: Sequence[int], width: int) -> LaurentPoly:
-    """The polynomial x^shift times the packed ``part``, whose coefficients
-    are ints, in one pass: each packed monomial with a nonzero coefficient
-    is read straight into the exponent vector of its term."""
-    mask = (1 << width) - 1
-    fields = [(width * i, s)
-              for i, s in zip(range(len(shift) - 1, -1, -1), shift)]
-    poly = object.__new__(LaurentPoly)
-    object.__setattr__(poly, "variables", variables)
-    object.__setattr__(poly, "terms", {
-        tuple([(m >> at & mask) + s for at, s in fields]): Fraction(c)
-        for m, c in part.items() if c})
     return poly
 
 

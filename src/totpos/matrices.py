@@ -22,26 +22,26 @@ Families of minors are evaluated once per matrix: the row denominators
 are cleared once, and each minor comes back scaled, the true minor times
 the multipliers of its rows, so it has the true minor's sign and
 :func:`unscale` gives the exact value.  :func:`minor_family` takes a
-list of specs and follows their shapes and the length of the list:
+list of specs and follows their shapes only:
 
 * solid minors (Fekete, initial, antiprincipal): Dodgson condensation,
   level by level, O(1) per minor.  The minors reached through a zero
   divisor are leading minors of blocks, so one elimination per top-left
   corner gives them up to the block's first zero pivot; the kernel takes
   only the sizes past it;
-* a list at least as long as all C(2n, n) - 1 minors: one Laplace walk
-  (:func:`_laplace_walk`), expansion along the last row, row sets depth
-  first, O(k) per minor from its parent's;
 * any other list: the kernel on each submatrix of the cleared rows.
 
-Every engine returns the same exact minors, so the choice needs no look
-at which minors are listed: a list that repeats specs only costs more.
+Every engine returns the same exact minors, so a list that repeats specs
+only costs more.
 
-Four families take no spec list, so a verdict builds specs only for its
+Five families take no spec list, so a verdict builds specs only for its
 witnesses and for minors past a zero pivot.  :func:`initial_family` and
 :func:`solid_family` read the same condensation walk in spec order.
-:func:`chain_minors`, the minors on rows [1..k] and on columns [1..k]
-(the efficient TNN family), come from two chained Laplace walks, on the
+Every minor (brute force) comes from one Laplace walk,
+:func:`_laplace_walk`: expansion along the last row, row sets size by
+size, O(k) per minor from its parent's, in :func:`all_minor_specs`
+order.  :func:`chain_minors`, the minors on rows [1..k] and on columns
+[1..k] (the efficient TNN family), come from two chained walks, on the
 cleared rows and on their transpose, keyed by bit masks.
 Chamber minors have their own engine, :func:`_sweep_family`, behind
 :func:`totpos.diagrams.chamber_family`.  At each slice of a double wiring
@@ -434,9 +434,9 @@ def minor_family(x: Matrix, specs: Sequence[MinorSpec],
     and both have the same sign.  With ``stop``, returns None as soon as
     some value satisfies it (the specs are then visited in no fixed order).
 
-    The engine is picked by the specs' shapes and the list's length, not
-    by which minors are listed: building a whole family by Laplace costs
-    no more than evaluating a list at least as long one minor at a time.
+    The engine is picked by the specs' shapes only: condensation when
+    every spec is solid, else one kernel elimination per spec.  Brute
+    force reads every minor off :func:`_laplace_walk` instead.
     """
     n = x.n
     for spec in specs:
@@ -450,11 +450,8 @@ def minor_family(x: Matrix, specs: Sequence[MinorSpec],
             cells[len(s.rows) - 1].append((k, s.rows[0] - 1, s.cols[0] - 1))
         return _condense(m, mults, len(specs), cells, stop)
     values: list = [None] * len(specs)
-    if len(specs) >= comb(2 * n, n) - 1:
-        done = _laplace(m, specs, values, stop)
-    else:
-        done = _direct(m, enumerate(specs), values, stop)
-    return (values, mults) if done else None
+    return (values, mults) if _direct(m, enumerate(specs), values, stop) \
+        else None
 
 
 def unscale(spec: MinorSpec, value: int, mults: Sequence[int]) -> Fraction:
@@ -714,58 +711,43 @@ def _laplace_walk(m, col_sets, chain: bool):
     tuple) up to the depth of ``col_sets`` (:func:`_column_sets`), with
     one entry per column set of its size, in ``col_sets`` order.
 
-    Row sets are visited depth first, each extended by a later row (only
-    the next row under ``chain``, so the row sets are [1..k]); the minors
-    of a row set come from its parent's, at O(k) per minor.
+    Row sets are visited size by size: each row set of the size before,
+    in order, extended by each later row (only the next row under
+    ``chain``, so the row sets are [1..k]).  So each size comes in
+    ``itertools.combinations`` order, and without ``chain`` the minors in
+    :func:`all_minor_specs` order.  The minors of a row set come from its
+    parent's, at O(k) per minor.
     """
     n, depth = len(m), len(col_sets) - 1
     m = [[0] + row for row in m]
-    stack: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {0: 1})]
-    while stack:
-        rows, parent = stack.pop()
-        size = len(rows) + 1
-        first = rows[-1] + 1 if rows else 1
-        for r in range(first, (first if chain else n) + 1):
-            row = m[r - 1]
-            node = {}
-            for mask, cols in col_sets[size]:
-                total = 0
-                negative = size % 2 == 0
-                for c in cols:
-                    v = row[c]
-                    if v:
-                        term = v * parent[mask ^ 1 << c]
-                        total = total - term if negative else total + term
-                    negative = not negative
-                node[mask] = total
-            child = rows + (r,)
-            yield child, node
-            if size < depth:
-                stack.append((child, node))
-
-
-def _laplace(m, specs, values, stop) -> bool:
-    """The minors on ``specs`` read off one :func:`_laplace_walk` over
-    every row set they use, as :func:`_direct` stores them."""
-    wanted: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for k, spec in enumerate(specs):
-        wanted.setdefault(spec.rows, []).append((k, spec.cols))
-    col_sets = _column_sets(len(m), max(map(len, wanted)))
-    mask_of = {cols: mask for level in col_sets for mask, cols in level}
-    for rows, node in _laplace_walk(m, col_sets, chain=False):
-        for k, cols in wanted.get(rows, ()):
-            value = values[k] = node[mask_of[cols]]
-            if stop is not None and stop(value):
-                return False
-    return True
+    level: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {0: 1})]
+    for size in range(1, depth + 1):
+        parents, level = level, []
+        for rows, parent in parents:
+            first = rows[-1] + 1 if rows else 1
+            for r in range(first, (first if chain else n) + 1):
+                row = m[r - 1]
+                node = {}
+                for mask, cols in col_sets[size]:
+                    total = 0
+                    negative = size % 2 == 0
+                    for c in cols:
+                        v = row[c]
+                        if v:
+                            term = v * parent[mask ^ 1 << c]
+                            total = total - term if negative else total + term
+                        negative = not negative
+                    node[mask] = total
+                level.append((rows + (r,), node))
+                yield level[-1]
 
 
 def chain_minors(m: list[list[int]]) \
         -> tuple[list[dict[int, int]], list[dict[int, int]]]:
     """The minors of the integer rows ``m`` on rows [1..k] and on columns
-    [1..k], k = 1..n, from one :func:`_laplace_walk` on m and one on its
-    transpose: for each k a dict from column (row) mask, index c (1-based)
-    as bit c, to minor, in ``itertools.combinations`` order."""
+    [1..k], k = 1..n, from one chained :func:`_laplace_walk` on m and one
+    on its transpose: for each k a dict from column (row) mask, index c
+    (1-based) as bit c, to minor, in ``itertools.combinations`` order."""
     col_sets = _column_sets(len(m), len(m))
     return tuple([node for _, node in _laplace_walk(a, col_sets, chain=True)]
                  for a in (m, [list(column) for column in zip(*m)]))

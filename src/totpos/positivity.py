@@ -37,8 +37,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .diagrams import DoubleWiringDiagram, chamber_family, chamber_minors
-from .matrices import (Matrix, MinorSpec, _eliminate, _integer_rows,
-                       _neville, _solid_spec_at, all_minor_specs,
+from .matrices import (Matrix, MinorSpec, _column_sets, _eliminate,
+                       _integer_rows, _laplace_walk, _neville, _solid_spec_at,
                        chain_minors, initial_family, initial_minor_spec,
                        is_block_triangular, minor, minor_family,
                        solid_family, unscale)
@@ -87,14 +87,33 @@ def failing_minors(x: Matrix, specs: Iterable[MinorSpec], *,
 
 def is_tp_bruteforce(x: Matrix, guard: int = 6) -> bool:
     """Every one of the C(2n, n) - 1 minors is positive."""
-    check_guard(x.n, guard)
-    return minor_family(x, all_minor_specs(x.n), _nonpositive) is not None
+    return not any(_all_minor_failures(x, _nonpositive, guard))
 
 
 def is_tnn_bruteforce(x: Matrix, guard: int = 6) -> bool:
     """Every minor is nonnegative."""
+    return not any(_all_minor_failures(x, _negative, guard))
+
+
+def failing_all_minors(x: Matrix, *, strict: bool, guard: int = 6) \
+        -> list[tuple[MinorSpec, Fraction]]:
+    """The minors that fail the sign requirement (> 0, or >= 0), in
+    :func:`all_minor_specs` order."""
+    return list(_all_minor_failures(x, _nonpositive if strict else _negative,
+                                    guard))
+
+
+def _all_minor_failures(x: Matrix, fails, guard: int):
+    """The minors of x whose row-scaled values ``fails`` picks, with their
+    specs, in :func:`all_minor_specs` order off one :func:`_laplace_walk`;
+    no other spec is built.  n above ``guard`` raises GuardExceeded."""
     check_guard(x.n, guard)
-    return minor_family(x, all_minor_specs(x.n), _negative) is not None
+    m, mults = _integer_rows(x.rows)
+    col_sets = _column_sets(x.n, x.n)
+    for rows, node in _laplace_walk(m, col_sets, chain=False):
+        for (_, cols), value in zip(col_sets[len(rows)], node.values()):
+            if fails(value):
+                yield _witness(rows, cols, value, mults)
 
 
 def test_initial_minors(x: Matrix) -> bool:

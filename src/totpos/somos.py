@@ -16,7 +16,7 @@ from math import gcd
 from operator import add, sub
 from typing import Sequence
 
-from .exact import (LaurentDivisionError, LaurentPoly, _from_packed,
+from .exact import (LaurentDivisionError, LaurentPoly, _from_integer_terms,
                     _kcontent, _kdivide, _kmul, _pack, _unpacked, _width,
                     as_scalar)
 
@@ -121,7 +121,8 @@ def somos5_symbolic(count: int, limit: int = 12) -> list[LaurentPoly]:
 
 def _poly(term, width: int) -> LaurentPoly:
     shift, part = term
-    return _from_packed(SEED_VARIABLES, part, shift, width)
+    return _from_integer_terms(SEED_VARIABLES, _unpacked(part, shift, width),
+                               1)
 
 
 def _divide(index: int, num, den, width: int):

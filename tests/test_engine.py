@@ -70,8 +70,8 @@ FAMILIES = {
 @st.composite
 def spec_lists(draw, n):
     """A named family of size n, the same followed by a sample of its own
-    specs (the engine is picked by length, repeats included), or random
-    specs (repeats allowed)."""
+    specs (the engine is picked by shape, so repeats only cost more), or
+    random specs (repeats allowed)."""
     name = draw(st.sampled_from(sorted(FAMILIES) + ["repeats", "random"]))
     if name == "repeats":
         family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))](n)
@@ -191,11 +191,15 @@ class TestSolidFamilies:
         monkeypatch.setattr(MinorSpec, "__init__", refuse)
         monkeypatch.setattr(mx, "initial_minor_specs", refuse)
         monkeypatch.setattr(mx, "solid_minor_specs", refuse)
+        monkeypatch.setattr(mx, "all_minor_specs", refuse)
         rng = random.Random(20)
         for n in range(1, 9):
             x = rand_tp(rng, n)
             assert pv.test_initial_minors(x)
             assert pv.test_fekete_solid(x)
+            if n <= 6:
+                assert pv.is_tp_bruteforce(x)
+                assert pv.is_tnn_bruteforce(x)
         with pytest.raises(AssertionError, match="a spec was built"):
             pv.failing_solid_minors(Matrix([[1, 2], [3, 1]]))
 
@@ -476,6 +480,51 @@ class TestCriteriaOnDegenerateInputs:
             expected = [(s, minor(x, s)) for s in specs
                         if (minor(x, s) <= 0 if strict else minor(x, s) < 0)]
             assert pv.failing_minors(x, specs, strict=strict) == expected
+
+    @settings(deadline=None, max_examples=100)
+    @given(matrices(), st.sampled_from([True, False]))
+    def test_brute_force_against_the_kernel(self, x, strict):
+        # brute force reads the Laplace walk; the full spec list runs one
+        # kernel elimination per minor, an independent path
+        failures = pv.failing_all_minors(x, strict=strict)
+        assert failures == pv.failing_minors(x, all_minor_specs(x.n),
+                                             strict=strict)
+        brute = pv.is_tp_bruteforce if strict else pv.is_tnn_bruteforce
+        assert brute(x) == (not failures)
+
+    def test_laplace_walk_in_all_minor_specs_order(self):
+        for n in range(1, 7):
+            m = [[i + j for j in range(n)] for i in range(n)]
+            specs = all_minor_specs(n)
+            for depth in range(1, n + 1):
+                col_sets = mx._column_sets(n, depth)
+                walk = list(mx._laplace_walk(m, col_sets, chain=False))
+                assert [rows for rows, _ in walk] == list(dict.fromkeys(
+                    s.rows for s in specs if s.size <= depth))
+                assert all([cols for _, cols in col_sets[len(rows)]]
+                           == [s.cols for s in specs if s.rows == rows]
+                           for rows, _ in walk)
+            chained = mx._laplace_walk(m, mx._column_sets(n, n), chain=True)
+            assert [rows for rows, _ in chained] \
+                == [tuple(range(1, k + 1)) for k in range(1, n + 1)]
+
+    def test_brute_force_stops_at_the_first_failing_row_set(self,
+                                                           monkeypatch):
+        walk, seen = mx._laplace_walk, []
+
+        def logged(*args, **kwargs):
+            for rows, node in walk(*args, **kwargs):
+                seen.append(rows)
+                yield rows, node
+
+        monkeypatch.setattr(pv, "_laplace_walk", logged)
+        x = Matrix([[1, 2, 3], [1, -1, 1], [1, 1, 1]])
+        for brute in (pv.is_tp_bruteforce, pv.is_tnn_bruteforce):
+            seen.clear()
+            assert not brute(x)
+            assert seen == [(1,), (2,)]
+        with pytest.raises(pv.GuardExceeded):
+            pv.failing_all_minors(x, strict=True, guard=2)
 
 
 @st.composite
