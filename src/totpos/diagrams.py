@@ -32,10 +32,12 @@ Each move exchanges exactly one chamber minor Y for a new one Z; the five
 surrounding chambers satisfy A*C + B*D = Y*Z (with the label of the
 bottom region read as the empty minor 1).
 
-One move finder serves :func:`moves_from_word`, :func:`local_moves` and
+One move finder, `_word_moves` over the words of `_commutation_class`,
+serves :func:`moves_from_word`, :func:`local_moves` and
 :func:`enumerate_move_graph`.  It runs on plain integers: a word is a
-tuple of letter codes (lower h -> h, upper h -> n + h, which sort as the
-letters do) and a chamber label is one int, ``rows_mask << n | cols_mask``.
+tuple of letter codes, those of a scheme's slants in :mod:`totpos.words`
+(lower h -> h, upper h -> n + h, sorting as the letters do), and a chamber
+label is one int, ``rows_mask << n | cols_mask``.
 The walk along a word keeps the label of each level and flips it with one
 XOR per crossing, as a crossing at height h changes only level h.  Labels
 are decoded to increasing (rows, cols) tuples, valid by construction, and
@@ -47,11 +49,11 @@ label within a call.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterator
+from typing import Callable
 
 from .matrices import Matrix, MinorSpec, _sweep_family
 from .records import Record
-from .words import (LOWER, UPPER, Letter, Word, format_word,
+from .words import (LOWER, UPPER, Letter, Word, _encode, format_word,
                     is_reduced_word, lower, parse_word, upper)
 
 
@@ -109,22 +111,19 @@ Label = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _codes(word: Word, n: int) -> tuple[int, ...]:
-    """The crossings of ``word`` coded lower h -> h and upper h -> n + h, so
-    codes sort as the letters' (kind, index) pairs do."""
-    codes = []
+    """The letter codes (`totpos.words._encode`) of the crossings of
+    ``word``: lower h -> h and upper h -> n + h."""
     for letter in word:
         if letter.kind not in (UPPER, LOWER) or not 1 <= letter.index < n:
             raise DiagramError(f"letter {letter} is not a crossing of a "
                                f"diagram with n={n}")
-        codes.append(letter.index if letter.kind == LOWER
-                     else n + letter.index)
-    return tuple(codes)
+    return tuple(_encode(word, n))
 
 
 def _letters(n: int) -> dict[int, Letter]:
     """One letter object per code."""
-    return {code: lower(code) if code < n else upper(code - n)
-            for code in [*range(1, n), *range(n + 1, 2 * n)]}
+    letters = [*map(lower, range(1, n)), *map(upper, range(1, n))]
+    return dict(zip(_encode(letters, n), letters))
 
 
 def _start(n: int) -> tuple[list[int], list[int]]:
@@ -322,15 +321,6 @@ def _word_moves(word: tuple[int, ...], n: int,
     return braids + mixed
 
 
-def _class_moves(word: tuple[int, ...], n: int) -> Iterator[Candidate]:
-    """The move finder: the moves of every word in the commutation class of
-    ``word``, word by word in sorted order, so that crossings that bound a
-    common chamber become literally adjacent."""
-    start = _start(n)
-    for w in _commutation_class(word, n):
-        yield from _word_moves(w, n, start)
-
-
 def _result(found: Candidate) -> tuple[int, ...]:
     """The int-coded word a candidate move leads to."""
     word, p = found[0], found[1]
@@ -373,11 +363,14 @@ def _check_guard(n: int, guard: int) -> None:
 
 def local_moves(d: DoubleWiringDiagram, guard: int = 4) -> list[DiagramMove]:
     """All local moves available anywhere in the isotopy class of d, word
-    by word through its commutation class in sorted order.  A class at
-    n = 5 can hold millions of words, so above ``guard`` this raises
-    before the walk."""
+    by word through its commutation class in sorted order, so that
+    crossings that bound a common chamber become literally adjacent.  A
+    class at n = 5 can hold millions of words, so above ``guard`` this
+    raises before the walk."""
     _check_guard(d.n, guard)
-    found = list(_class_moves(_codes(d.word, d.n), d.n))
+    start = _start(d.n)
+    found = [f for w in _commutation_class(_codes(d.word, d.n), d.n)
+             for f in _word_moves(w, d.n, start)]
     letters, specs = _letters(d.n), _specs(found, d.n)
     return [_move(f, letters, specs) for f in found]
 

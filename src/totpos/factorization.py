@@ -97,7 +97,7 @@ def _staircase_plan(n: int) -> tuple[tuple[MinorSpec, ...], tuple[int, ...]]:
     codes of the staircase scheme, for reconstruction at size n; at n < 1
     it raises the `ValueError` of `product_map`."""
     specs = tuple(initial_minor_specs(n))
-    codes = tuple(_encode(staircase_scheme(n)))
+    codes = tuple(_encode(staircase_scheme(n), n))
     if n < 1:
         raise ValueError("matrix must be square and nonempty")
     return specs, codes
@@ -271,7 +271,7 @@ def factor_scheme(x: Matrix, scheme: Word) -> tuple[Fraction, ...]:
                         "(both slant subwords reduced for the reversal)")
     _positive_initial_values(x)
     levels = _twisted_chambers(x, scheme, n)
-    return tuple(_chamber_ansatz(_encode(scheme), levels))
+    return tuple(_chamber_ansatz(_encode(scheme, n), levels))
 
 
 def parameter_sum_formula(x: Matrix) -> Fraction:
@@ -358,7 +358,7 @@ def _monomial(up: Sequence[Fraction], down: Sequence[Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
-def _conjugate_slants(codes: list[int], values: list) -> None:
+def _conjugate_slants(codes: list[int], values: list, n: int) -> None:
     """Pass the diags back out of the slants, in place.  A held lower has
     the diags on its left passed through it, a held upper those on its
     right; slant i with held value t gets t H[i] / H[i+1], with H[k] the
@@ -367,11 +367,10 @@ def _conjugate_slants(codes: list[int], values: list) -> None:
                         (1, range(len(codes) - 1, -1, -1))):
         torus: dict[int, Fraction] = {}
         for k in order:
-            code = codes[k]
-            i = code >> 2
-            if code & 3 == 2:
+            code_kind, i = divmod(codes[k] - 1, n)
+            if code_kind == 2:
                 torus[i] = torus[i] * values[k] if i in torus else values[k]
-            elif code & 3 == kind:
+            elif code_kind == kind:
                 num, den = torus.get(i, 1), torus.get(i + 1, 1)
                 if num != den:
                     values[k] = values[k] * num / den
@@ -401,13 +400,13 @@ def _chamber_ansatz(codes: list[int], levels: list[list[Fraction]]) \
         ratio = [_ONE] * (n + 1)
         at = [0] * n if step > 0 else [len(row) - 1 for row in levels]
         for p in order:
-            code = codes[p]
-            h = code >> 2
-            if code & 3 == 2:
+            code_kind, i = divmod(codes[p] - 1, n)
+            if code_kind == 2:
                 continue
-            j = at[h - 1]
-            at[h - 1] = j + step
-            if code & 3 == kind:
+            h = i + 1
+            j = at[i]
+            at[i] = j + step
+            if code_kind == kind:
                 row = levels[h - 1]
                 now = _monomial((ratio[h], row[j]), (row[j + step],))
                 values[p] = _monomial((ratio[h], now),
@@ -417,11 +416,11 @@ def _chamber_ansatz(codes: list[int], levels: list[list[Fraction]]) \
     # @h holds c[h-1][0] U[h-1] / (c[h][0] U[h])
     firsts = [_ONE] + [row[0] for row in levels]
     for p, code in enumerate(codes):
-        if code & 3 == 2:
-            h = code >> 2
-            values[p] = _monomial((firsts[h - 1], ratio[h - 1]),
-                                  (firsts[h], ratio[h]))
-    _conjugate_slants(codes, values)
+        code_kind, i = divmod(code - 1, n)
+        if code_kind == 2:
+            values[p] = _monomial((firsts[i], ratio[i]),
+                                  (firsts[i + 1], ratio[i + 1]))
+    _conjugate_slants(codes, values, n)
     return values
 
 
@@ -440,7 +439,7 @@ def verify_twist_monomial(scheme: Word, n: int | None = None,
     if not is_full_scheme(scheme, n):
         raise WordError("monomial verification needs a full-type scheme")
     rng = rng or random.Random(20240)
-    codes = _encode(scheme)
+    codes = _encode(scheme, n)
     for _ in range(samples):
         params = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                   for _ in range(n * n)]

@@ -51,6 +51,14 @@ constructive proof of Tits' word property, with a mixed move where an
 upper and a lower letter of one index meet.  `move_path` joins two routes.
 The router, `_Rewriter`, rewrites one mutable list and logs move codes;
 `Move` values are built from the log only for these public lists.
+
+One code, `_encode`, turns letters into ints, and the double wiring
+diagrams share it: kind k (0 lower, 1 upper, 2 diag) and index i give
+k * n + i, so lower i -> i, upper i -> n + i, diag i -> 2n + i, and
+``divmod(code - 1, n)`` is (k, i - 1).  On it the move rules are
+arithmetic: a code above 2n is a diag, which commutes with everything; two
+slants commute iff their codes differ by 2 or more and not by n; a braid
+is (a, a +- 1, a) on slants; and a mixed move's slants differ by n.
 """
 
 from __future__ import annotations
@@ -292,8 +300,8 @@ def product_map(word: Word, params: Sequence, n: int | None = None) -> Matrix:
     rational (zero included, for boundary factorizations).
 
     The letters are checked once, in word order, so the first bad one is
-    named, out of range or a diag at 0; then the int letter codes and
-    parameter ratios go to `_product_columns`, the kernel that
+    named, out of range or a diag at 0; then the letter codes (`_encode`)
+    and parameter ratios go to `_product_columns`, the kernel that
     `reconstruct_from_initial_minors` feeds directly.
     """
     if n is None:
@@ -303,23 +311,22 @@ def product_map(word: Word, params: Sequence, n: int | None = None) -> Matrix:
         raise WordError(f"{len(word)} letters but {len(params)} parameters")
     if n < 1:
         raise ValueError("matrix must be square and nonempty")
-    codes, pairs = [], []
+    pairs = []
     for letter, t in zip(word, params):
         kind, i = letter.kind, letter.index
         if i > (n if kind == DIAG else n - 1):
             raise WordError(f"letter {letter} out of range for n={n}")
         if kind == DIAG and not t:
             raise WordError(f"diag letter @{i} is undefined at parameter 0")
-        codes.append(i << 2 | _LETTER_CODES[kind])
         pairs.append((t.numerator, t.denominator))
-    return _product_columns(codes, pairs, n)
+    return _product_columns(_encode(word, n), pairs, n)
 
 
 def _product_columns(codes: Sequence[int],
                      pairs: Iterable[tuple[int, int]], n: int) -> Matrix:
-    """The product map on checked input: letter codes (4 * index + kind,
-    0 lower, 1 upper, 2 diag) in range for n >= 1, and each parameter as
-    integers (p, q) with q > 0 and p nonzero at a diag.
+    """The product map on checked input: letter codes (`_encode`) of
+    letters in range for n >= 1, and each parameter as integers (p, q) with
+    q > 0 and p nonzero at a diag.
 
     Column j of the running product is held as integers over one
     denominator, kept in lowest terms; the `Fraction` entries are built
@@ -328,13 +335,13 @@ def _product_columns(codes: Sequence[int],
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
     dens = [1] * n
     for code, (p, q) in zip(codes, pairs):
-        i = (code >> 2) - 1
-        if code & 3 == 2:
+        kind, i = divmod(code - 1, n)
+        if kind == 2:
             target = i
             den = dens[i] * q
             col = [p * v for v in cols[i]]
         else:
-            source, target = (i, i + 1) if code & 3 == 1 else (i + 1, i)
+            source, target = (i, i + 1) if kind == 1 else (i + 1, i)
             # cols[target] / dens[target] + (p / q) * cols[source] / dens[source]
             scaled = dens[source] * q
             den = lcm(dens[target], scaled)
@@ -400,13 +407,11 @@ def is_full_scheme(word: Word, n: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # local moves and parameter transport
 #
-# The router and `_transport` run on int letter codes, 4 * index + kind
-# (0 lower, 1 upper, 2 diag).  The router logs a move as 4 * pos + kind
-# (0 swap, 1 braid, 2 mixed).  `Letter` and `Move` values are built only at
-# the public edges.
+# The router and `_transport` run on letter codes at the n of `infer_n`;
+# the router logs a move as 4 * pos + kind (0 swap, 1 braid, 2 mixed).
+# `Letter` and `Move` values are built only at the public edges.
 
-_LETTER_KINDS = (LOWER, UPPER, DIAG)
-_LETTER_CODES = {LOWER: 0, UPPER: 1, DIAG: 2}
+_KINDS = {LOWER: 0, UPPER: 1, DIAG: 2}
 _MOVE_KINDS = ("swap", "braid", "mixed")
 _MOVE_CODES = {"swap": 0, "braid": 1, "mixed": 2}
 _ONE = Fraction(1)
@@ -421,12 +426,9 @@ class Move(Record):
         object.__setattr__(self, "pos", pos)
 
 
-def _encode(word: Iterable[Letter]) -> list[int]:
-    return [letter.index << 2 | _LETTER_CODES[letter.kind] for letter in word]
-
-
-def _letter(code: int) -> Letter:
-    return Letter(_LETTER_KINDS[code & 3], code >> 2)
+def _encode(word: Iterable[Letter], n: int) -> list[int]:
+    """The codes kind * n + index of letters in range for n, in order."""
+    return [_KINDS[letter.kind] * n + letter.index for letter in word]
 
 
 def _moves(codes: Iterable[int]) -> list[Move]:
@@ -441,44 +443,57 @@ def _moves(codes: Iterable[int]) -> list[Move]:
     return out
 
 
-def _commutes(a: int, b: int) -> bool:
+def _commutes(a: int, b: int, n: int) -> bool:
     """A diag commutes with every letter, slants of one kind when their
     indices differ by at least 2, slants of opposite kinds when their
-    indices differ."""
-    if a & 3 == 2 or b & 3 == 2:
-        return True
-    gap = abs((a >> 2) - (b >> 2))
-    return gap >= 2 or (gap == 1 and a & 3 != b & 3)
+    indices differ: codes 2 or more apart, and not n apart."""
+    gap = abs(a - b)
+    return a > 2 * n or b > 2 * n or (gap >= 2 and gap != n)
 
 
-def _braid_at(word: list[int], p: int) -> bool:
+def _braid_at(word: list[int], p: int, n: int) -> bool:
     """(i, j, i) on slants of one kind with |i - j| = 1."""
     if p + 2 >= len(word):
         return False
     a = word[p]
-    return a & 3 != 2 and a == word[p + 2] and abs(a - word[p + 1]) == 4
+    return a < 2 * n and a == word[p + 2] and abs(a - word[p + 1]) == 1
 
 
-def _mixed_at(word: list[int], p: int) -> bool:
+def _mixed_at(word: list[int], p: int, n: int) -> bool:
     """(upper i, diag i, diag i+1, lower i), or the same with the two slant
     kinds exchanged."""
     if p + 3 >= len(word):
         return False
     a, b, c, d = word[p:p + 4]
-    return a & 3 != 2 and b == (a & ~3) + 2 and c == b + 4 and d == a ^ 1
+    return (a < 2 * n and b == 2 * n + (a - 1) % n + 1 and c == b + 1
+            and d == (a - n if a > n else a + n))
 
 
 def applicable_moves(word: Word) -> list[Move]:
     """All moves legal at their positions in this word."""
-    codes = _encode(word)
+    n = infer_n(word)
+    codes = _encode(word, n)
     size = len(codes)
     moves = [Move("swap", p) for p in range(size - 1)
-             if _commutes(codes[p], codes[p + 1])]
+             if _commutes(codes[p], codes[p + 1], n)]
     moves += [Move("braid", p) for p in range(size - 2)
-              if _braid_at(codes, p)]
+              if _braid_at(codes, p, n)]
     moves += [Move("mixed", p) for p in range(size - 3)
-              if _mixed_at(codes, p)]
+              if _mixed_at(codes, p, n)]
     return moves
+
+
+def _rewrite(word: list[int], move: int) -> None:
+    """Rewrite the letters in place by a move code, 4 * pos + kind: a swap
+    exchanges two letters, a braid turns (a, b, a) into (b, a, b), and a
+    mixed move exchanges the letters at pos and pos + 3."""
+    p, kind = move >> 2, move & 3
+    if kind == 0:
+        word[p], word[p + 1] = word[p + 1], word[p]
+    elif kind == 1:
+        word[p], word[p + 1], word[p + 2] = word[p + 1], word[p], word[p + 1]
+    else:
+        word[p], word[p + 3] = word[p + 3], word[p]
 
 
 def _transport(letters: Word, values: list, moves: Iterable[Move]) -> Word:
@@ -489,7 +504,8 @@ def _transport(letters: Word, values: list, moves: Iterable[Move]) -> Word:
     right takes x at d = i and 1 / x at d = i + 1, the other two the
     reverse.  The diag parameters must be nonzero, as in `product_map`:
     `transport_params` checks that, and `apply_move_word` passes ones."""
-    word = _encode(letters)
+    n = infer_n(letters)
+    word = _encode(letters, n)
     decode = dict(zip(word, letters))
     size = len(word)
     for move in moves:
@@ -501,38 +517,35 @@ def _transport(letters: Word, values: list, moves: Iterable[Move]) -> Word:
             raise WordError(f"move position {p} out of range")
         if kind == 0:
             a, b = word[p], word[p + 1]
-            if not _commutes(a, b):
+            if not _commutes(a, b, n):
                 raise WordError(
-                    f"letters {_letter(a)} {_letter(b)} do not commute")
-            word[p], word[p + 1] = b, a
+                    f"letters {decode[a]} {decode[b]} do not commute")
             values[p], values[p + 1] = values[p + 1], values[p]
-            if (a ^ b) & 2:  # one diag, one slant
-                first = a & 3 == 2
+            first = a > 2 * n
+            if first != (b > 2 * n):  # one diag, one slant
                 d, s, q = (a, b, p) if first else (b, a, p + 1)
-                gap = (d >> 2) - (s >> 2)
+                gap = (d - 1) % n - (s - 1) % n
                 if gap == 0 or gap == 1:
                     x = values[p + 1 if first else p]
-                    if (gap == 0) == ((s & 1) == first):
+                    if (gap == 0) == ((s > n) == first):
                         values[q] *= x
                     else:
                         values[q] /= x
         elif kind == 1:
-            if not _braid_at(word, p):
+            if not _braid_at(word, p, n):
                 raise WordError(f"no braid pattern at position {p}")
             t1, t2, t3 = values[p:p + 3]
             total = t1 + t3
             if total == 0:
                 raise WordError("braid transport undefined: t1 + t3 = 0")
             values[p:p + 3] = [t2 * t3 / total, total, t1 * t2 / total]
-            word[p], word[p + 1], word[p + 2] = \
-                word[p + 1], word[p], word[p + 1]
         else:
-            if not _mixed_at(word, p):
+            if not _mixed_at(word, p, n):
                 raise WordError(
                     f"no mixed four-letter pattern at position {p}")
             # u is the diag that becomes the total: @i from an upper first
             t1, t2, t3, t4 = values[p:p + 4]
-            forward = word[p] & 3 == 1
+            forward = word[p] > n
             u, w = (t2, t3) if forward else (t3, t2)
             total = u + t1 * w * t4
             if total == 0:
@@ -543,7 +556,7 @@ def _transport(letters: Word, values: list, moves: Iterable[Move]) -> Word:
                                *((total, other) if forward
                                  else (other, total)),
                                t1 * w / total]
-            word[p], word[p + 3] = word[p + 3], word[p]
+        _rewrite(word, p << 2 | kind)
     return tuple(decode[code] for code in word)
 
 
@@ -585,11 +598,12 @@ def apply_move_word(word: Word, move: Move) -> Word:
 
 
 class _Rewriter:
-    """A word as a mutable list of letter codes, with a log of move codes;
-    `bring` rewrites it letter by letter."""
+    """A word as a mutable list of letter codes at size n, with a log of
+    move codes; `bring` rewrites it letter by letter."""
 
-    def __init__(self, word: list[int]):
+    def __init__(self, word: list[int], n: int):
         self.word = word
+        self.n = n
         self.log: list[int] = []
 
     def bring(self, letter: int, p: int) -> None:
@@ -612,40 +626,33 @@ class _Rewriter:
         Python's frame limit from n = 32 on, so it runs on a stack of pending
         fetches (pairs) and move codes, at most three per level.  A diag's
         passage is logged as the swaps on its way."""
-        word, log = self.word, self.log
+        word, log, n = self.word, self.log, self.n
         todo: list = [(letter, p)]
         while todo:
             task = todo.pop()
             if task.__class__ is int:
-                q = task >> 2
-                if task & 3 == 0:
-                    word[q], word[q + 1] = word[q + 1], word[q]
-                elif task & 3 == 1:
-                    word[q], word[q + 1], word[q + 2] = \
-                        word[q + 1], word[q], word[q + 1]
-                else:
-                    word[q], word[q + 3] = word[q + 3], word[q]
+                _rewrite(word, task)
                 log.append(task)
                 continue
             letter, p = task
             here = word[p]
             if here == letter:
                 continue
-            if letter & 3 == 2:
+            if letter > 2 * n:
                 q = word.index(letter, p)
                 word.insert(p, word.pop(q))
                 log += [i << 2 for i in range(q - 1, p - 1, -1)]
-            elif here & 3 == 2:
+            elif here > 2 * n:
                 word.append(word.pop(p))
                 log += [i << 2 for i in range(p, len(word) - 1)]
                 todo.append(task)
-            elif _commutes(here, letter):
+            elif _commutes(here, letter, n):
                 todo += [p << 2, (letter, p + 1)]
-            elif here & 3 == letter & 3:
+            elif (here > n) == (letter > n):
                 todo += [p << 2 | 1, (here, p + 2), (letter, p + 1)]
             else:
-                at = (here & ~3) + 2  # @i
-                todo += [p << 2 | 2, (at + 4, p + 2), (at, p + 1),
+                at = 2 * n + (here - 1) % n + 1  # @i
+                todo += [p << 2 | 2, (at + 1, p + 2), (at, p + 1),
                          (letter, p + 1)]
 
 
@@ -653,8 +660,8 @@ def _route(word: Word, n: int) -> list[int]:
     """Move codes rewriting a full-type scheme into the staircase scheme:
     its letters are fetched one by one, from the left, by
     `_Rewriter.bring`."""
-    target = _encode(staircase_scheme(n))
-    rw = _Rewriter(_encode(word))
+    target = _encode(staircase_scheme(n), n)
+    rw = _Rewriter(_encode(word, n), n)
     for p, letter in enumerate(target):
         rw.bring(letter, p)
     if rw.word != target:

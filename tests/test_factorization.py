@@ -400,7 +400,7 @@ class TestChamberAnsatz:
                 levels = [[] for _ in range(n)]
                 for chamber, p in zip(chamber_layout(diagram), primes):
                     levels[chamber.level - 1].append(Fraction(p))
-                params = _chamber_ansatz(_encode(scheme), levels)
+                params = _chamber_ansatz(_encode(scheme, n), levels)
                 assert [_prime_exponents(t, primes) for t in params] \
                     == fitted_twist_exponents(scheme, n)
                 count += 1

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from totpos.matrices import Matrix
 from totpos.positivity import is_tp_bruteforce
-from totpos.words import (DIAG, Move, Permutation, WordError,
+from totpos.words import (DIAG, Move, Permutation, WordError, _braid_at,
+                          _commutes, _encode, _mixed_at,
                           apply_move_word, applicable_moves, diag,
                           elementary_matrix, format_word, infer_n,
                           is_reduced_word, is_reduced_word_for,
@@ -198,6 +199,47 @@ class TestLetters:
         assert infer_n(parse_word("@1")) == 1
         assert infer_n(parse_word("3")) == 4
         assert infer_n(parse_word("@4 1")) == 4
+
+
+class TestLetterCodes:
+    """The letter code and the move rules on it, exhaustively over every
+    letter of each size n, against the Letter-based oracles in `util`."""
+
+    @staticmethod
+    def alphabet(n):
+        return ([lower(h) for h in range(1, n)]
+                + [upper(h) for h in range(1, n)]
+                + [diag(h) for h in range(1, n + 1)])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_encode_is_the_diagram_code(self, n):
+        letters = self.alphabet(n)
+        codes = _encode(letters, n)
+        assert len(set(codes)) == len(letters)
+        assert _encode([lower(h) for h in range(1, n)], n) \
+            == list(range(1, n))
+        assert _encode([upper(h) for h in range(1, n)], n) \
+            == [n + h for h in range(1, n)]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_swap_and_braid_rules(self, n):
+        letters = self.alphabet(n)
+        code = dict(zip(letters, _encode(letters, n)))
+        for a, b in itertools.product(letters, repeat=2):
+            assert _commutes(code[a], code[b], n) \
+                == util._oracle_swap_ok(a, b), (a, b)
+        for word in itertools.product(letters, repeat=3):
+            assert _braid_at([code[x] for x in word], 0, n) \
+                == util._oracle_braid_ok(word, 0), word
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_mixed_rule(self, n):
+        # covers (upper i, @i, @i+1, @i), whose last code is upper i + n
+        letters = self.alphabet(n)
+        code = dict(zip(letters, _encode(letters, n)))
+        for word in itertools.product(letters, repeat=4):
+            assert _mixed_at([code[x] for x in word], 0, n) \
+                == util._oracle_mixed_ok(word, 0), word
 
 
 class TestElementaryMatrices:
