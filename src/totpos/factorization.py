@@ -17,8 +17,10 @@
   inverse, and `staircase_edge_for_minor` maps each initial minor to the
   parameter owning its corner; neither is a step of factoring.
 * `twist` is the birational map assembled from the LDU factors of the
-  transposed matrix against the order-reversing permutation, computed on
-  integer rows from one elimination per factor; it sends the
+  transposed matrix against the order-reversing permutation w.  With
+  x^T w = L1 D1 U1 its first factor, U1, cancels against the inverse of
+  x^T, so twist(x) = D1^(-1) L1^(-1) w [w x^T]_-, read off integer rows
+  from one elimination of [x^T w | diag] and one of x w; it sends the
   totally positive matrices onto themselves, and the factorization
   parameters of any scheme become Laurent monomials in the chamber minors
   of the twisted matrix.  That is the Chamber Ansatz (Berenstein, Fomin
@@ -38,7 +40,7 @@ from typing import Mapping, Sequence
 
 from .diagrams import DoubleWiringDiagram, chamber_family
 from .exact import as_scalar
-from .matrices import (Matrix, MinorSpec, _integer_rows, _inverse_rows,
+from .matrices import (Matrix, MinorSpec, _augmented, _integer_rows,
                        _ldu_rows, initial_family, initial_minor_spec,
                        initial_minor_specs, minor)
 from .words import (_ONE, DIAG, LOWER, Permutation, Word, WordError,
@@ -302,24 +304,28 @@ def twist(x: Matrix) -> Matrix:
     Defined whenever the two LDU decompositions exist (always, for totally
     positive x); maps totally positive matrices onto themselves.
 
-    On integers: a row scaling keeps the U of an LDU and a column scaling
-    its L, so [x^T w]_+ is the U of the cleared rows of x^T w and [w x^T]_-
-    the transposed U of x w; with R = d (x^T)^(-1) from Gauss-Jordan, each
-    entry is one `Fraction` over a pivot of each U times d.  A singular x
-    already fails the first LDU (its order-n leading minor is +-det x).
+    The first factor cancels: with x^T w = L1 D1 U1, w (x^T)^(-1) w is
+    (x^T w)^(-1) w = U1^(-1) D1^(-1) L1^(-1) w, so twist(x) =
+    D1^(-1) L1^(-1) w [w x^T]_-, and no inverse is formed.  On integers,
+    one elimination of the cleared rows of x^T w, augmented by the
+    diagonal of their multipliers, leaves in row i of the right half
+    (Sylvester's identity) the leading (i + 1)-minor times row i of
+    D1^(-1) L1^(-1); [w x^T]_- is the transposed U of x w, which a row
+    scaling keeps.  So each entry is one triangular sum over two pivots,
+    and one `Fraction`.  A singular x already fails the first
+    elimination (its order-n leading minor is +-det x), which is checked
+    first.
     """
     n = x.n
     cols, col_mults = _integer_rows(zip(*x.rows))  # the rows of x^T
-    upper = [row[::-1] for row in cols]  # x^T w
-    _ldu_rows(upper)
+    left = _augmented([row[::-1] for row in cols], col_mults)
+    _ldu_rows(left)  # [x^T w | diag(col_mults)]
     lower = [row[::-1] for row in _integer_rows(x.rows)[0]]  # x w
     _ldu_rows(lower)
-    inverse, d = _inverse_rows(cols, col_mults)
-    middle = [col[::-1] for col in zip(*inverse)][::-1]  # columns of w R w
-    left = [[sum(map(mul, upper[i][i:], middle[l][i:])) for l in range(n)]
-            for i in range(n)]
-    return Matrix([[Fraction(sum(map(mul, left[i][j:], lower[j][j:])),
-                             upper[i][i] * d * lower[j][j])
+    # column j of w [w x^T]_- times lower[j][j], down to its last nonzero
+    tails = [row[:j - 1 if j else None:-1] for j, row in enumerate(lower)]
+    return Matrix([[Fraction(sum(map(mul, left[i][n:n + i + 1], tails[j])),
+                             left[i][i] * lower[j][j])
                     for j in range(n)] for i in range(n)])
 
 

@@ -9,11 +9,11 @@ Conventions:
   need it (deleted minors of a 2x2 matrix, recursion bases).
 
 One fraction-free (Bareiss) elimination kernel serves determinants,
-minors, rank and column rank profiles, inverse and LDU.  It works on
-integer rows after each row's denominators are cleared; the row
-multipliers are positive, so signs survive.  Its k-th pivot is a leading
-k-minor and every entry it stores is a minor bordering it, so every
-division is exact and intermediate values stay small.  Beside it,
+minors, rank, inverse and LDU.  It works on integer rows after each
+row's denominators are cleared; the row multipliers are positive, so
+signs survive.  Its k-th pivot is a leading k-minor and every entry it
+stores is a minor bordering it, so every division is exact and
+intermediate values stay small.  Beside it,
 :func:`_neville` eliminates each row by its upper neighbour instead of
 the pivot row (Neville elimination), on the same cleared rows; the
 polynomial TP and TNN verdicts read the signs of its pivots.
@@ -211,9 +211,16 @@ class Matrix:
         return Matrix(list(zip(*self.rows)))
 
     def inverse(self) -> "Matrix":
-        """Exact inverse, from :func:`_inverse_rows`."""
-        rows, d = _inverse_rows(*_integer_rows(self.rows))
-        return Matrix([[Fraction(v, d) for v in row] for row in rows])
+        """Exact inverse: fraction-free Gauss-Jordan elimination of the
+        :func:`_augmented` cleared rows leaves the last pivot d on the left
+        and d times the inverse on the right."""
+        n = self.n
+        m = _augmented(*_integer_rows(self.rows))
+        pivots, _ = _eliminate(m, jordan=True)
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        d = m[-1][n - 1]
+        return Matrix([[Fraction(v, d) for v in row[n:]] for row in m])
 
     def submatrix_rows(self, rows: Sequence[int], cols: Sequence[int]):
         """0-based-free helper: 1-based index lists -> list-of-lists."""
@@ -363,18 +370,14 @@ def _neville(m: list[list[int]]) -> tuple[int, int] | None:
     return None
 
 
-def _inverse_rows(m: list[list[int]], mults: Sequence[int]) \
-        -> tuple[list[list[int]], int]:
-    """(d * y^(-1), d) on integers, y having cleared rows ``m`` with
-    ``mults``: fraction-free Gauss-Jordan elimination of [m | diag(mults)]
-    leaves the last pivot d on the left and d * y^(-1) on the right."""
+def _augmented(m: list[list[int]], mults: Sequence[int]) \
+        -> list[list[int]]:
+    """The cleared rows ``m`` beside the diagonal of their multipliers,
+    [m | diag(mults)]: eliminating it carries the row operations, scaled
+    back to the rows as given, into the right half."""
     n = len(m)
-    m = [row + [mult if j == i else 0 for j in range(n)]
-         for i, (row, mult) in enumerate(zip(m, mults))]
-    pivots, _ = _eliminate(m, jordan=True)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in m], m[-1][n - 1]
+    return [row + [mult if j == i else 0 for j in range(n)]
+            for i, (row, mult) in enumerate(zip(m, mults))]
 
 
 def _ldu_rows(m: list[list[int]]) -> None:
@@ -406,18 +409,10 @@ def det(x: Matrix) -> Fraction:
     return x.det()
 
 
-def column_rank_profile(rows: Sequence[Sequence[Fraction]]) -> list[int]:
-    """The pivot columns (0-based) of a rectangular array of rationals:
-    each column whose rank is not that of the columns before it.  So the
-    columns left of column j have rank equal to the number of pivots
-    below j (Dumas, Pernet and Sultan 2017)."""
-    m, _ = _integer_rows(rows)
-    return _eliminate(m)[0]
-
-
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a rectangular array of rationals."""
-    return len(column_rank_profile(rows))
+    m, _ = _integer_rows(rows)
+    return len(_eliminate(m)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .diagrams import DoubleWiringDiagram, chamber_family, chamber_minors
-from .matrices import (Matrix, MinorSpec, _column_sets, _eliminate,
-                       _integer_rows, _laplace_walk, _neville, _solid_spec_at,
+from .matrices import (Matrix, MinorSpec, _column_sets, _integer_rows,
+                       _laplace_walk, _neville, _solid_spec_at,
                        chain_minors, initial_family, initial_minor_spec,
                        is_block_triangular, minor, minor_family,
                        solid_family, unscale)
@@ -396,26 +397,50 @@ def bruhat_type(x: Matrix) -> tuple[Permutation, Permutation]:
     i..n, columns 1..j), which left/right multiplication by upper
     triangular matrices preserves; v off the northeast submatrices (rows
     1..i, columns j..n), preserved by lower triangular multiplication.
-    Column j raises the rank of rows i..n exactly when it is a pivot
-    column of their elimination, so u(j) is the last i for which it is,
-    and each row range costs one elimination (the column rank profile) of
-    a copy of x's rows, cleared once (a positive row scaling keeps every
-    rank); v likewise, with rows 1..i and the columns reversed.  The
-    elimination of all rows tells whether x is invertible.  For a totally
-    nonnegative x, (u, v) is its factorization type.
+    Adding a row to a block of rows adds at most one pivot column to its
+    column rank profile: the first column where the row, reduced against
+    the block, is nonzero.  So u(j) is the row that brings column j in as
+    the rows are added from n up to 1, and one pass of `_entering_pivots`
+    over x's rows, cleared once (a positive row scaling keeps every rank),
+    reads all of u; v likewise, adding rows 1..n with the columns
+    reversed.  A row that reduces to zero shows x singular, before the v
+    pass.  For a totally nonnegative x, (u, v) is its factorization type.
     """
     n = x.n
     rows, _ = _integer_rows(x.rows)
     u_images = [0] * n
     v_images = [0] * n
-    for i in range(1, n + 1):
-        pivots, _ = _eliminate([row[:] for row in rows[i - 1:]])
-        if i == 1 and len(pivots) < n:
+    for i, c in zip(range(n, 0, -1), _entering_pivots(rows[::-1])):
+        u_images[c] = i
+    for i, c in enumerate(_entering_pivots([row[::-1] for row in rows]), 1):
+        v_images[n - 1 - c] = i
+    return Permutation(tuple(u_images)), Permutation(tuple(v_images))
+
+
+def _entering_pivots(rows: list[list[int]]) -> list[int]:
+    """The column (0-based) each of the integer ``rows``, in turn, adds to
+    the column rank profile of those before it, raising
+    :class:`NotApplicableError` when one adds none.
+
+    Each kept row is zero left of its pivot column and at the pivot
+    columns kept before it.  So a new row, reduced against them in the
+    order kept, fraction-free and divided by its content, ends zero at
+    every pivot column, and its first nonzero column is the first whose
+    prefix it lifts out of the span of the kept rows.
+    """
+    kept: dict[int, list[int]] = {}
+    for row in rows:
+        for p, pivot_row in kept.items():
+            head = row[p]
+            if head:
+                pivot = pivot_row[p]
+                row = [a * pivot - head * b for a, b in zip(row, pivot_row)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [a // g for a in row]
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is None:
             raise NotApplicableError("Bruhat type is computed for invertible "
                                      "matrices only")
-        for c in pivots:
-            u_images[c] = i
-    for i in range(n, 0, -1):
-        for c in _eliminate([row[::-1] for row in rows[:i]])[0]:
-            v_images[n - 1 - c] = i
-    return Permutation(tuple(u_images)), Permutation(tuple(v_images))
+        kept[c] = row
+    return list(kept)

@@ -4,13 +4,16 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from totpos import factorization
 from totpos.factorization import (_staircase_params, factor_scheme,
                                   factor_staircase, initial_minors,
                                   reconstruct_from_initial_minors,
                                   staircase_minor_exponents, twist,
                                   verify_twist_monomial)
-from totpos.matrices import (Matrix, MinorSpec, initial_family,
+from totpos.matrices import (Matrix, MinorSpec, SingularLeadingMinorError,
+                             initial_family,
                              initial_minor_specs, minor, minor_family,
                              solid_family, solid_minor_specs)
 from totpos.networks import standard_network, weight_matrix
@@ -19,11 +22,13 @@ from totpos.positivity import (bruhat_type, is_oscillatory,
 from totpos.positivity import test_initial_minors as initial_criterion
 from totpos.positivity import test_tnn_efficient as tnn_efficient_criterion
 from totpos.positivity import test_tnn_neville as tnn_neville_criterion
-from totpos.words import (DIAG, move_path, moves_to_staircase, product_map,
-                          staircase_scheme, transport_params)
+from totpos.words import (DIAG, diag, lower, move_path, moves_to_staircase,
+                          product_map, staircase_scheme, transport_params,
+                          upper)
 
 from util import (_prime_exponents, _primes, cofactor_det, gauss_det,
-                  oracle_apply_move, oracle_reconstruct, oracle_transport,
+                  oracle_apply_move, oracle_bruhat_type, oracle_reconstruct,
+                  oracle_transport, oracle_twist,
                   rand_fraction, rand_full_scheme, rand_matrix,
                   rand_positive, rand_tnn_invertible, rand_tp,
                   rand_typed_scheme, rand_walk_full_scheme)
@@ -222,3 +227,57 @@ def test_twist_preserves_total_positivity_at_n5():
     rng = random.Random(206)
     for _ in range(3):
         assert is_tp_bruteforce(twist(rand_tp(rng, 5)), guard=6)
+
+
+def test_twist_matches_the_oracle_at_n8_and_n10():
+    rng = random.Random(207)
+    for n in (8, 10):
+        mixed = rand_matrix(rng, n)
+        assert {v > 0 for row in mixed.rows for v in row} == {True, False}
+        for x in (rand_tp(rng, n), mixed):
+            assert twist(x) == oracle_twist(x)
+
+
+def _low_rank_corner(rng, n: int, size: int, southwest: bool) -> Matrix:
+    """A random integer matrix whose southwest (or northeast) size x size
+    corner is a product of size x (size - 1) and (size - 1) x size
+    blocks, so it is singular while its smaller corners are not."""
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    left = [[rng.randint(1, 9) for _ in range(size - 1)] for _ in range(size)]
+    right = [[rng.randint(1, 9) for _ in range(size)]
+             for _ in range(size - 1)]
+    top, first = (n - size, 0) if southwest else (0, n - size)
+    for a in range(size):
+        for b in range(size):
+            rows[top + a][first + b] = sum(left[a][k] * right[k][b]
+                                           for k in range(size - 1))
+    return Matrix(rows)
+
+
+def test_twist_names_the_vanishing_leading_minor_at_n8():
+    # a leading k-minor of x^T w is x's southwest k-corner, one of w x^T
+    # its northeast k-corner
+    rng = random.Random(208)
+    for size, southwest in ((3, True), (5, False)):
+        x = _low_rank_corner(rng, 8, size, southwest)
+        with pytest.raises(SingularLeadingMinorError) as raised:
+            twist(x)
+        with pytest.raises(SingularLeadingMinorError) as expected:
+            oracle_twist(x)
+        assert raised.value.k == expected.value.k == size
+        assert str(raised.value) == str(expected.value)
+
+
+def test_cell_type_matches_the_oracle_at_n10():
+    rng = random.Random(209)
+    n, cut = 10, 4
+    word = ([lower(i) for i in range(1, n) if i != cut]
+            + [diag(i) for i in range(1, n + 1)]
+            + [upper(i) for i in range(n - 1, 0, -1) if i != cut])
+    tridiagonal = product_map(tuple(word), [rand_positive(rng) for _ in word],
+                              n)
+    images = rng.sample(range(n), n)
+    permutation = Matrix([[int(images[i] == j) for j in range(n)]
+                          for i in range(n)])
+    for x in (rand_tp(rng, n), tridiagonal, permutation):
+        assert bruhat_type(x) == oracle_bruhat_type(x)

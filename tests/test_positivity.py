@@ -288,6 +288,53 @@ class TestOscillatory:
             is_oscillatory(Matrix([[1, -1], [0, 1]]), "b")
 
 
+@st.composite
+def degenerate_matrices(draw):
+    """Square integer matrices, n = 1..6, of a degenerate kind: entries in
+    0/+-1, a permutation matrix, a block-diagonal matrix, a southwest or
+    northeast corner of rank below full, or a singular matrix."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["signs", "permutation", "blocks", "corner",
+                                 "singular"]))
+
+    def grid(height, width, entries=st.integers(-2, 2)):
+        return [[draw(entries) for _ in range(width)] for _ in range(height)]
+
+    if kind == "signs":
+        rows = grid(n, n, st.integers(-1, 1))
+    elif kind == "permutation":
+        images = draw(st.permutations(range(n)))
+        rows = [[int(images[i] == j) for j in range(n)] for i in range(n)]
+    elif kind == "blocks":
+        rows = [[0] * n for _ in range(n)]
+        start = 0
+        while start < n:
+            size = draw(st.integers(1, n - start))
+            for a, block_row in enumerate(grid(size, size,
+                                               st.integers(-1, 1))):
+                rows[start + a][start:start + size] = block_row
+            start += size
+    elif kind == "corner":
+        rows = grid(n, n)
+        height, width = draw(st.integers(1, n)), draw(st.integers(1, n))
+        rank = draw(st.integers(0, min(height, width) - 1))
+        left, right = grid(height, rank), grid(rank, width)
+        southwest = draw(st.booleans())
+        top, first = (n - height, 0) if southwest else (0, n - width)
+        for a in range(height):
+            for b in range(width):
+                rows[top + a][first + b] = sum(left[a][k] * right[k][b]
+                                               for k in range(rank))
+    else:
+        rows = grid(n, n)
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        scale = draw(st.integers(-2, 2))
+        rows[i] = [scale * v for v in rows[j]] if i != j else [0] * n
+        if draw(st.booleans()):
+            rows = [list(col) for col in zip(*rows)]
+    return Matrix(rows)
+
+
 class TestBruhatType:
     def test_tp_has_full_type(self):
         u, v = bruhat_type(UNIT3)
@@ -338,3 +385,14 @@ class TestBruhatType:
                     cases.append(x)
         for x in cases:
             assert bruhat_type(x) == oracle_bruhat_type(x)
+
+    @settings(deadline=None, max_examples=300)
+    @given(degenerate_matrices())
+    def test_degenerate_inputs_match_oracle(self, x):
+        def outcome(bruhat):
+            try:
+                return bruhat(x)
+            except NotApplicableError as raised:
+                return "raised", str(raised)
+
+        assert outcome(bruhat_type) == outcome(oracle_bruhat_type)
