@@ -10,8 +10,9 @@ parameter t and an elementary matrix:
 
 One kernel, `_product_columns`, says what a letter does: letters act on
 the running product as column operations, on int letter codes and integer
-parameter ratios.  `product_map` checks a word once and feeds it the
-kernel, `elementary_matrix` is the product of a one-letter word, and the
+parameter ratios, over column denominators reduced only as they grow.
+`product_map` checks a word once and feeds it the kernel,
+`elementary_matrix` is the product of a one-letter word, and the
 staircase reconstruction feeds the kernel directly.
 
 Words are whitespace-separated in the ASCII encoding, e.g.
@@ -269,10 +270,8 @@ def format_word(word: Iterable[Letter]) -> str:
 
 def infer_n(word: Word) -> int:
     """Smallest ambient size compatible with the letters."""
-    n = 1
-    for letter in word:
-        n = max(n, letter.index + (0 if letter.kind == DIAG else 1))
-    return n
+    return max((letter.index + (letter.kind != DIAG) for letter in word),
+               default=1)
 
 
 def validate_word(word: Word, n: int) -> None:
@@ -301,8 +300,8 @@ def product_map(word: Word, params: Sequence, n: int | None = None) -> Matrix:
 
     The letters are checked once, in word order, so the first bad one is
     named, out of range or a diag at 0; then the letter codes (`_encode`)
-    and parameter ratios go to `_product_columns`, the kernel that
-    `reconstruct_from_initial_minors` feeds directly.
+    and parameter ratios go to the kernel, `_product_columns`, which
+    reduces a column only when its denominator has doubled in size.
     """
     if n is None:
         n = infer_n(word)
@@ -311,15 +310,14 @@ def product_map(word: Word, params: Sequence, n: int | None = None) -> Matrix:
         raise WordError(f"{len(word)} letters but {len(params)} parameters")
     if n < 1:
         raise ValueError("matrix must be square and nonempty")
-    pairs = []
     for letter, t in zip(word, params):
         kind, i = letter.kind, letter.index
         if i > (n if kind == DIAG else n - 1):
             raise WordError(f"letter {letter} out of range for n={n}")
         if kind == DIAG and not t:
             raise WordError(f"diag letter @{i} is undefined at parameter 0")
-        pairs.append((t.numerator, t.denominator))
-    return _product_columns(_encode(word, n), pairs, n)
+    return _product_columns(_encode(word, n),
+                            [t.as_integer_ratio() for t in params], n)
 
 
 def _product_columns(codes: Sequence[int],
@@ -328,17 +326,18 @@ def _product_columns(codes: Sequence[int],
     letters in range for n >= 1, and each parameter as integers (p, q) with
     q > 0 and p nonzero at a diag.
 
-    Column j of the running product is held as integers over one
-    denominator, kept in lowest terms; the `Fraction` entries are built
-    once, at the end.
+    Column j of the running product is held as integers over one positive
+    denominator: a slant takes the lcm of two, a diag multiplies by q.  A
+    gcd reduces it only past 2b + 128 bits, b its size after the last one,
+    and the final `Fraction`s reduce each entry: a gcd per letter cost more
+    than it saved, and none let mixed-sign reconstructions grow unbounded.
     """
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
-    dens = [1] * n
+    dens, limits = [1] * n, [128] * n
     for code, (p, q) in zip(codes, pairs):
         kind, i = divmod(code - 1, n)
         if kind == 2:
-            target = i
-            den = dens[i] * q
+            target, den = i, dens[i] * q
             col = [p * v for v in cols[i]]
         else:
             source, target = (i, i + 1) if kind == 1 else (i + 1, i)
@@ -348,10 +347,11 @@ def _product_columns(codes: Sequence[int],
             keep, add = den // dens[target], p * (den // scaled)
             col = [a * keep + b * add
                    for a, b in zip(cols[target], cols[source])]
-        common = gcd(den, *col)
-        if common > 1:
+        if den.bit_length() > limits[target]:
+            common = gcd(den, *col)
             den //= common
             col = [v // common for v in col]
+            limits[target] = 2 * den.bit_length() + 128
         cols[target], dens[target] = col, den
     return Matrix._trusted(tuple(
         tuple(Fraction(col[r], den) for col, den in zip(cols, dens))

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,23 @@ class TestReconstruction:
         values[late] = Fraction(0)
         with pytest.raises(ReconstructionError,
                            match=re.escape(f"missing initial minor {early}")):
+            reconstruct_from_initial_minors(values, 3)
+
+    def test_defaultdict_is_read_not_filled(self):
+        # the factory does not fill the missing minor in; it is named
+        specs = initial_minor_specs(3)
+        values = defaultdict(lambda: Fraction(1), initial_minors(UNIT3))
+        del values[specs[4]]
+        missing = re.escape(f"missing initial minor {specs[4]}")
+        with pytest.raises(ReconstructionError, match=missing):
+            reconstruct_from_initial_minors(values, 3)
+        assert specs[4] not in values and len(values) == 8
+
+    def test_none_value_is_not_a_scalar(self):
+        specs = initial_minor_specs(3)
+        values = dict(initial_minors(UNIT3))
+        values[specs[4]] = None
+        with pytest.raises(TypeError, match="cannot interpret None"):
             reconstruct_from_initial_minors(values, 3)
 
     @settings(deadline=None, max_examples=150)

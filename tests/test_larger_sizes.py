@@ -85,6 +85,21 @@ def test_staircase_reconstruct_round_trips_at_n24():
     assert reconstruct_from_initial_minors(initial_minors(x), 24) == x
 
 
+def test_mixed_sign_reconstruction_round_trips_at_n32():
+    # the product kernel reduces a column once its denominator has doubled
+    # in bits; left unreduced, this reconstruction's columns grew to tens
+    # of thousands of bits, and it ran about 150 times as long
+    rng = random.Random(216)
+    x = Matrix([[Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                          rng.randint(1, 9)) for _ in range(32)]
+                for _ in range(32)])
+    values = initial_minors(x)
+    assert all(values.values())
+    started = time.monotonic()
+    assert reconstruct_from_initial_minors(values, 32) == x
+    assert time.monotonic() - started < 1.0
+
+
 def test_reconstruct_matches_the_corner_recursion_at_n10():
     rng = random.Random(215)
     for size in range(1, 7):

@@ -105,6 +105,35 @@ def words_with_params(draw):
     return tuple(word), params, n
 
 
+# ratios over many distinct denominators, so the product kernel's columns
+# sit over unequal, unreduced denominators
+WIDE_PARAMS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60))
+
+
+@st.composite
+def long_words_with_params(draw):
+    """(word, params, n) for n = 2..5 and 50-150 letters; a slant may be
+    followed by its inverse, the same letter at -t, which cancels it."""
+    n = draw(st.integers(2, 5))
+    size = draw(st.integers(50, 150))
+    word, params = [], []
+    while len(word) < size:
+        kind = draw(st.sampled_from(["diag", "upper", "lower"]))
+        if kind == "diag":
+            word.append(diag(draw(st.integers(1, n))))
+            params.append(draw(WIDE_PARAMS.filter(bool)))
+            continue
+        letter = (upper if kind == "upper" else lower)(
+            draw(st.integers(1, n - 1)))
+        t = draw(WIDE_PARAMS)
+        word.append(letter)
+        params.append(t)
+        if draw(st.booleans()):
+            word.append(letter)
+            params.append(-t)
+    return tuple(word), params, n
+
+
 class TestPermutations:
     def test_reversal_length(self):
         for n in (1, 2, 3, 4, 5):
@@ -282,6 +311,17 @@ class TestProductMap:
     @settings(deadline=None)
     @given(words_with_params())
     def test_matches_matrix_product_oracle(self, case):
+        word, params, n = case
+        assert product_map(word, params, n) \
+            == matrix_product_map(word, params, n)
+
+    @settings(deadline=None, max_examples=60)
+    @given(long_words_with_params())
+    def test_long_words_match_matrix_product_oracle(self, case):
+        # the kernel reduces a column only once its denominator has grown,
+        # so long words over many denominators, and slants undone by their
+        # inverses, check the columns' common denominators and the final
+        # reduction
         word, params, n = case
         assert product_map(word, params, n) \
             == matrix_product_map(word, params, n)
