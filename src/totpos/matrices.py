@@ -13,10 +13,12 @@ minors, rank, inverse and LDU.  It works on integer rows after each
 row's denominators are cleared; the row multipliers are positive, so
 signs survive.  Its k-th pivot is a leading k-minor and every entry it
 stores is a minor bordering it, so every division is exact and
-intermediate values stay small.  Beside it,
-:func:`_neville` eliminates each row by its upper neighbour instead of
-the pivot row (Neville elimination), on the same cleared rows; the
-polynomial TP and TNN verdicts read the signs of its pivots.
+intermediate values stay small.  The rule: a pass that reads a minor's
+value divides exactly, as the kernel does; a pass that reads only signs
+or ranks divides each combined row by its content (:func:`_cancel`).
+:func:`_neville`, Neville elimination (each row eliminated by its upper
+neighbour), is such a pass: the polynomial TNN verdict reads the signs
+of its pivots.
 
 Families of minors are evaluated once per matrix: the row denominators
 are cleared once, and each minor comes back scaled, the true minor times
@@ -318,6 +320,19 @@ def _eliminate(m: list[list[int]], swaps: bool = True,
     return pivots, sign
 
 
+def _cancel(row: Sequence[int], pivot_row: Sequence[int], pivot: int,
+            head: int) -> list[int]:
+    """``pivot * row - head * pivot_row``, divided by its content (the gcd
+    of its entries).  The gcd is positive, so the result is a positive
+    multiple of the combination: it has the combination's zeros, so every
+    rank read off it, and with ``pivot > 0`` every sign of the row it
+    stands for.  An all-zero combination has gcd 0 and is returned as it
+    is."""
+    new = [pivot * a - head * b for a, b in zip(row, pivot_row)]
+    g = gcd(*new)
+    return [v // g for v in new] if g > 1 else new
+
+
 def _neville(m: list[list[int]]) -> tuple[int, int] | None:
     """Fraction-free Neville elimination of the integer rows ``m``, in
     place, checking each column's pivots before it is eliminated; returns
@@ -326,25 +341,18 @@ def _neville(m: list[list[int]]) -> tuple[int, int] | None:
 
     Column k is cleared from the bottom up, each row i > k by its upper
     neighbour: with P = m[i - 1][k] > 0 and h = m[i][k], row i becomes
-    P * row i - h * row (i - 1) over a positive divisor.  Every stored row
-    is then a positive multiple of the true Neville row, so each pivot and
+    :func:`_cancel` of P * row i - h * row (i - 1).  Every stored row is
+    then a positive multiple of the true Neville row, so each pivot and
     each multiplier (a ratio of adjacent pivots) has the sign of its
-    stored value.  A row whose upper neighbour's pivot is 0 is kept (its
-    multiplier is 0).
-
-    While row i is ``exact``, it holds the minors on rows i - k..i,
-    columns 0..k - 1 and one more column, so ``m[i][k]`` is the initial
-    minor with corner (i, k), and the divisor is m[i - 1][k - 1], the
-    previous pivot of the row above (Desnanot's identity makes the
-    division exact).  A kept row, or one eliminated by a row that is not
-    exact, is divided by its content instead and stops being exact.
+    stored value; the checks read signs only, so no stored value needs to
+    be a minor.  A row whose upper neighbour's pivot is 0 is left as it is
+    (its multiplier is 0).
 
     The checks, for the invertible totally nonnegative test (Gasca and
     Peña 1992): the diagonal pivot is > 0, no pivot is negative, and a
     pivot below a zero pivot is 0 (no row exchange is needed).
     """
     n = len(m)
-    exact = [True] * n
     for k in range(n):
         for i in range(k, n):
             v = m[i][k]
@@ -353,20 +361,8 @@ def _neville(m: list[list[int]]) -> tuple[int, int] | None:
                 return i, k
         for i in range(n - 1, k, -1):
             row, up = m[i], m[i - 1]
-            pivot, head = up[k], row[k]
-            if not pivot:
-                exact[i] = False
-                continue
-            new = [a * pivot - head * b
-                   for a, b in zip(row[k + 1:], up[k + 1:])]
-            if exact[i] and exact[i - 1]:
-                divisor = up[k - 1] if k else 1
-            else:
-                divisor = gcd(*new)
-                exact[i] = False
-            if divisor > 1:
-                new = [v // divisor for v in new]
-            row[k + 1:] = new
+            if up[k]:
+                row[k + 1:] = _cancel(row[k + 1:], up[k + 1:], up[k], row[k])
     return None
 
 

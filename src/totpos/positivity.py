@@ -34,15 +34,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
 from typing import Iterable
 
 from .diagrams import DoubleWiringDiagram, chamber_family, chamber_minors
-from .matrices import (Matrix, MinorSpec, _column_sets, _integer_rows,
-                       _laplace_walk, _neville, _solid_spec_at,
-                       chain_minors, initial_family, initial_minor_spec,
-                       is_block_triangular, minor, minor_family,
-                       solid_family, unscale)
+from .matrices import (Matrix, MinorSpec, _cancel, _column_sets,
+                       _integer_rows, _laplace_walk, _neville,
+                       _solid_spec_at, chain_minors, initial_family,
+                       initial_minor_spec, is_block_triangular, minor,
+                       minor_family, solid_family, unscale)
 from .words import Permutation
 
 
@@ -299,9 +298,10 @@ def tnn_neville_report(x: Matrix, guard: int = 16) \
     whose ratios are the pivots as the count, and witnesses.
 
     The witness is the failing pivot's initial minor when :func:`minor`
-    finds it negative.  Otherwise (a zero pivot, or a pivot past a kept
-    row) the witnesses are those of :func:`tnn_efficient_report`, so n
-    above ``guard`` raises :class:`GuardExceeded` there.
+    finds it negative.  Otherwise (the pivot is zero, or nonzero below a
+    zero one, or past a row that a zero pivot left as it was) the
+    witnesses are those of :func:`tnn_efficient_report`, so n above
+    ``guard`` raises :class:`GuardExceeded` there.
     """
     n = x.n
     spec = _neville_failure(x)
@@ -424,20 +424,16 @@ def _entering_pivots(rows: list[list[int]]) -> list[int]:
 
     Each kept row is zero left of its pivot column and at the pivot
     columns kept before it.  So a new row, reduced against them in the
-    order kept, fraction-free and divided by its content, ends zero at
-    every pivot column, and its first nonzero column is the first whose
-    prefix it lifts out of the span of the kept rows.
+    order kept by :func:`~totpos.matrices._cancel` (fraction-free, divided
+    by its content), ends zero at every pivot column, and its first
+    nonzero column is the first whose prefix it lifts out of the span of
+    the kept rows.
     """
     kept: dict[int, list[int]] = {}
     for row in rows:
         for p, pivot_row in kept.items():
-            head = row[p]
-            if head:
-                pivot = pivot_row[p]
-                row = [a * pivot - head * b for a, b in zip(row, pivot_row)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [a // g for a in row]
+            if row[p]:
+                row = _cancel(row, pivot_row, pivot_row[p], row[p])
         c = next((j for j, a in enumerate(row) if a), None)
         if c is None:
             raise NotApplicableError("Bruhat type is computed for invertible "

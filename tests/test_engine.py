@@ -2,6 +2,7 @@
 cofactor expansion, on the degenerate inputs where condensation and the
 chamber sweep divide by zero."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from totpos.matrices import (Matrix, MinorSpec, all_minor_specs,
                              minor_values, solid_minor_specs, unscale)
 from totpos.words import DIAG, product_map, staircase_scheme
 from util import (cofactor_det, rand_positive, rand_tnn_invertible, rand_tp,
-                  rand_walk_full_scheme)
+                  rand_walk_full_scheme, rand_walk_tnn_invertible)
 
 ENTRIES = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
                     st.builds(Fraction, st.integers(-9, 9),
@@ -527,16 +528,19 @@ class TestCriteriaOnDegenerateInputs:
             pv.failing_all_minors(x, strict=True, guard=2)
 
 
+NEVILLE_KINDS = ["zero slant", "perturbed", "tnn", "sparse", "mixed",
+                 "zero row", "singular"]
+
+
 @st.composite
-def neville_inputs(draw):
-    """Square matrices for the Neville tests, n = 1..6: staircase products
-    with zero slant parameters (totally nonnegative, not totally
-    positive), their perturbations, random-type products, sparse small
-    integers (many zero minors), mixed signs, zero rows and singular
-    ones."""
-    n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["zero slant", "perturbed", "tnn", "sparse",
-                                 "mixed", "zero row", "singular"]))
+def neville_inputs(draw, sizes=st.integers(1, 6), kinds=NEVILLE_KINDS):
+    """Square matrices for the Neville tests, n = 1..6 unless ``sizes``
+    says otherwise: staircase products with zero slant parameters (totally
+    nonnegative, not totally positive), their perturbations, random-type
+    products, sparse small integers (many zero minors), mixed signs, zero
+    rows and singular ones."""
+    n = draw(sizes)
+    kind = draw(st.sampled_from(kinds))
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
     if kind in ("zero slant", "perturbed"):
         word = staircase_scheme(n)
@@ -546,7 +550,8 @@ def neville_inputs(draw):
         if kind == "perturbed":
             rows[rng.randrange(n)][rng.randrange(n)] += draw(ENTRIES)
     elif kind == "tnn":
-        rows = [list(row) for row in rand_tnn_invertible(rng, n).rows]
+        tnn = rand_tnn_invertible if n <= 6 else rand_walk_tnn_invertible
+        rows = [list(row) for row in tnn(rng, n).rows]
     elif kind == "sparse":
         rows = [[Fraction(draw(st.sampled_from([0, 0, 0, 1, 2, -1])))
                  for _ in range(n)] for _ in range(n)]
@@ -586,6 +591,38 @@ class TestNeville:
         elif len(witnesses) != 1:
             # no single named witness: the efficient family's negatives
             assert witnesses == pv.tnn_efficient_report(x)[2]
+
+    @settings(deadline=None, max_examples=60)
+    @given(neville_inputs(st.integers(7, 12),
+                          ["zero slant", "perturbed", "tnn", "sparse"]))
+    def test_verdicts_against_the_efficient_family_at_mid_sizes(self, x):
+        # above brute force's guard; the efficient family reads minors off
+        # Laplace walks, with no elimination
+        if x.det() == 0:
+            for test in (pv.test_tnn_neville, pv.test_tnn_efficient):
+                with pytest.raises(pv.NotApplicableError):
+                    test(x)
+            return
+        assert pv.test_tnn_neville(x) == pv.test_tnn_efficient(x)[0]
+
+    @given(st.data())
+    def test_cancel_divides_by_the_content(self, data):
+        n = data.draw(st.integers(1, 6))
+        scale = data.draw(st.integers(1, 12))
+        ints = st.lists(st.integers(-9, 9).map(scale.__mul__), min_size=n,
+                        max_size=n)
+        row, pivot_row = data.draw(ints), data.draw(ints)
+        pivot = data.draw(st.integers(-9, 9).filter(bool))
+        head = data.draw(st.integers(-9, 9))
+        combined = [pivot * a - head * b for a, b in zip(row, pivot_row)]
+        content = math.gcd(*combined)
+        got = mx._cancel(row, pivot_row, pivot, head)
+        if content:
+            assert [content * v for v in got] == combined
+        else:
+            assert got == combined == [0] * n
+        assert math.gcd(*got) <= 1
+        assert mx._cancel([2, -4], [1, -2], 1, 2) == [0, 0]
 
     def test_named_witness_and_fallback(self):
         # the transposed pass finds [1|2] = -1 after the pass of x finds

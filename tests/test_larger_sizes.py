@@ -202,6 +202,21 @@ def test_neville_agrees_with_initial_minors_at_n32():
         assert not tnn_neville_criterion(reversed_rows)
 
 
+def test_neville_verdict_at_n48_within_half_a_second():
+    # the pass divides each eliminated row by its content; with no
+    # division the rows of this product double in bits per column, and
+    # the call had not returned after ten minutes
+    rng = random.Random(217)
+    word = staircase_scheme(48)
+    t = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in word]
+    x = product_map(word, t, 48)
+    started = time.monotonic()
+    assert tnn_neville_criterion(x)
+    assert time.monotonic() - started < 0.5
+    # untimed: the singular check, x.det(), dominates a negative verdict
+    assert not tnn_neville_criterion(Matrix(x.rows[::-1]))
+
+
 def test_solid_families_match_spec_lists_at_n32():
     # a staircase product (totally positive) and a near miss: its last
     # entry lowered until the determinant, the last initial and the last

@@ -125,6 +125,17 @@ def rand_tnn_invertible(rng: random.Random, n: int) -> Matrix:
     return product_map(word, [rand_positive(rng) for _ in word], n)
 
 
+def rand_walk_tnn_invertible(rng: random.Random, n: int) -> Matrix:
+    """`rand_tnn_invertible` at any n: the type is two shuffles and its
+    reduced words descent walks, so nothing is enumerated."""
+    u, v = (Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            for _ in range(2))
+    word = interleave(rng, [[lower(i) for i in rand_reduced_word(rng, u)],
+                            [upper(i) for i in rand_reduced_word(rng, v)],
+                            [diag(i) for i in range(1, n + 1)]])
+    return product_map(word, [rand_positive(rng) for _ in word], n)
+
+
 def rand_network(rng: random.Random, n: int, cols: int) -> PlanarNetwork:
     """Random leveled network on a full grid with one slant direction per
     column step (keeps the embedding planar)."""
