@@ -17,21 +17,27 @@ network is built that way, and `concatenate` of one-letter chips is the
 oracle for the layout.
 
 The weight matrix entry (i, j) is the sum over directed paths from source
-i to sink j of the product of edge weights, computed by dynamic
-programming; `disjoint_path_minor` is the independent brute-force oracle
-summing over vertex-disjoint path families instead.
+i to sink j of the product of edge weights.  `weight_matrix` computes it
+for exact scalar weights in one sweep over the vertices, each carrying its
+path sums from all sources as integers over one denominator;
+`weight_matrix_raw`, one pass per source in the weights' own ring, is the
+path for symbolic weights and the reference the sweep is tested against.
+`disjoint_path_minor` is the independent brute-force oracle summing over
+vertex-disjoint path families instead.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exact import as_scalar
 from .matrices import Matrix, MinorSpec, all_minor_specs
 from .records import Record
-from .words import _ONE, DIAG, UPPER, Letter, Word, staircase_scheme
+from .words import (_FLOOR, _ONE, DIAG, UPPER, Letter, Word, _reduce,
+                    staircase_scheme)
 
 Coord = tuple[int, int]
 
@@ -201,9 +207,12 @@ class PlanarNetwork(Record):
 
 
 def weight_matrix_raw(net: PlanarNetwork) -> list[list]:
-    """Path-sum matrix as a plain list of lists.
+    """Path-sum matrix as a plain list of lists, one dynamic-programming
+    pass per source over the vertices in (x, level) order.
 
-    Ring-generic: weights only need + and *, so symbolic weights work."""
+    Ring-generic: weights only need + and *, so this is the path for
+    symbolic (`LaurentPoly`) weights, and the reference `weight_matrix`
+    is tested against."""
     order = sorted(range(len(net.vertices)),
                    key=lambda i: net.vertices[i])
     # a unit weight (None here) passes the path sum on unmultiplied
@@ -225,7 +234,53 @@ def weight_matrix_raw(net: PlanarNetwork) -> list[list]:
 
 
 def weight_matrix(net: PlanarNetwork) -> Matrix:
-    return Matrix(weight_matrix_raw(net))
+    """The path-sum matrix of exact scalar weights, from one sweep over the
+    vertices in (x, level) order.
+
+    Each vertex reached carries the integer vector of its path sums from
+    all n sources over one positive denominator.  A unit edge passes the
+    vector on as it is (no vector is changed in place once made); an edge
+    of weight p/q multiplies it by p and its denominator by q; where paths
+    meet, the vectors add over the lcm of their denominators.  A vector is
+    reduced by its gcd only past the limit of `words._reduce`.  A weight is
+    coerced when its edge is used, so a weight that is not an exact scalar
+    on a path from a source raises :class:`TypeError`, as ``Matrix`` does
+    on `weight_matrix_raw`.
+    """
+    n, verts = net.n, net.vertices
+    out = net.out_edges()
+    # the n sources come first in this order and the n sinks last, each
+    # bottom to top
+    order = sorted(range(len(verts)), key=verts.__getitem__)
+    # per vertex: (path sums from each source, denominator, reduce limit)
+    carried: list = [None] * len(verts)
+    for k, source in enumerate(order[:n]):
+        carried[source] = ([int(i == k) for i in range(n)], 1, _FLOOR)
+    for u in order:
+        if (here := carried[u]) is None:
+            continue
+        sums, den, limit = here
+        if den.bit_length() > limit:
+            den, sums, limit = _reduce(den, sums)
+        for v, w in out[u]:
+            if w is _ONE or w == 1:
+                add, scale = sums, den
+            else:
+                p, q = as_scalar(w).as_integer_ratio()
+                add, scale = [p * a for a in sums], den * q
+            if (there := carried[v]) is None:
+                carried[v] = (add, scale, limit)
+                continue
+            old, d, lim = there
+            common = lcm(d, scale)
+            a, b = common // d, common // scale
+            carried[v] = ([x * a + y * b for x, y in zip(old, add)], common,
+                          lim if lim > limit else limit)
+    zero = (Fraction(0),) * n
+    cols = [zero if carried[t] is None else
+            [Fraction(a, carried[t][1]) for a in carried[t][0]]
+            for t in order[-n:]]
+    return Matrix._trusted(tuple(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------

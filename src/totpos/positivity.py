@@ -287,7 +287,7 @@ def test_tnn_neville(x: Matrix) -> bool:
     negative multiplier, positive diagonal pivots.  O(n^3); raises
     :class:`NotApplicableError` on singular input."""
     failed = _neville_failure(x) is not None
-    if failed and x.det() == 0:
+    if failed and _singular(x):
         raise NotApplicableError(_SINGULAR)
     return not failed
 
@@ -307,7 +307,7 @@ def tnn_neville_report(x: Matrix, guard: int = 16) \
     spec = _neville_failure(x)
     if spec is None:
         return True, n * n, []
-    if x.det() == 0:
+    if _singular(x):
         raise NotApplicableError(_SINGULAR)
     value = minor(x, spec)
     if value < 0:
@@ -366,7 +366,7 @@ def oscillation_criteria(x: Matrix, guard: int = 6) -> dict[str, bool]:
 
 def _check_oscillation_input(x: Matrix, guard: int) -> None:
     tnn = _neville_failure(x) is None
-    if not tnn and x.det() == 0:
+    if not tnn and _singular(x):
         raise NotApplicableError("oscillation is defined for invertible "
                                  "totally nonnegative matrices")
     check_guard(x.n, guard)
@@ -419,8 +419,26 @@ def bruhat_type(x: Matrix) -> tuple[Permutation, Permutation]:
 
 def _entering_pivots(rows: list[list[int]]) -> list[int]:
     """The column (0-based) each of the integer ``rows``, in turn, adds to
-    the column rank profile of those before it, raising
-    :class:`NotApplicableError` when one adds none.
+    the column rank profile of those before it (:func:`_pivot_columns`),
+    raising :class:`NotApplicableError` when one adds none."""
+    columns = list(_pivot_columns(rows))
+    if None in columns:
+        raise NotApplicableError("Bruhat type is computed for invertible "
+                                 "matrices only")
+    return columns
+
+
+def _singular(x: Matrix) -> bool:
+    """Whether x is singular: some row of it adds no column to the rank
+    profile of the rows before it.  A rank pass, not ``x.det()``."""
+    rows, _ = _integer_rows(x.rows)
+    return None in _pivot_columns(rows)
+
+
+def _pivot_columns(rows: list[list[int]]):
+    """Yield the column (0-based) each of the integer ``rows``, in turn,
+    adds to the column rank profile of those before it, or None when it
+    adds none.
 
     Each kept row is zero left of its pivot column and at the pivot
     columns kept before it.  So a new row, reduced against them in the
@@ -435,8 +453,6 @@ def _entering_pivots(rows: list[list[int]]) -> list[int]:
             if row[p]:
                 row = _cancel(row, pivot_row, pivot_row[p], row[p])
         c = next((j for j, a in enumerate(row) if a), None)
-        if c is None:
-            raise NotApplicableError("Bruhat type is computed for invertible "
-                                     "matrices only")
-        kept[c] = row
-    return list(kept)
+        yield c
+        if c is not None:
+            kept[c] = row

@@ -320,6 +320,20 @@ def product_map(word: Word, params: Sequence, n: int | None = None) -> Matrix:
                             [t.as_integer_ratio() for t in params], n)
 
 
+_FLOOR = 128  # bits a denominator may reach before its first gcd
+
+
+def _reduce(den: int, col: list[int]) -> tuple[int, list[int], int]:
+    """``col / den`` divided by its gcd, and the size past which it is
+    reduced again: 2b + 128 bits, b the bit length of the new denominator.
+    The one reduction rule of the integer column sweeps, this kernel and
+    `networks.weight_matrix`; each calls it only once a denominator has
+    passed its limit."""
+    common = gcd(den, *col)
+    den //= common
+    return den, [v // common for v in col], 2 * den.bit_length() + _FLOOR
+
+
 def _product_columns(codes: Sequence[int],
                      pairs: Iterable[tuple[int, int]], n: int) -> Matrix:
     """The product map on checked input: letter codes (`_encode`) of
@@ -333,7 +347,7 @@ def _product_columns(codes: Sequence[int],
     than it saved, and none let mixed-sign reconstructions grow unbounded.
     """
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
-    dens, limits = [1] * n, [128] * n
+    dens, limits = [1] * n, [_FLOOR] * n
     for code, (p, q) in zip(codes, pairs):
         kind, i = divmod(code - 1, n)
         if kind == 2:
@@ -348,10 +362,7 @@ def _product_columns(codes: Sequence[int],
             col = [a * keep + b * add
                    for a, b in zip(cols[target], cols[source])]
         if den.bit_length() > limits[target]:
-            common = gcd(den, *col)
-            den //= common
-            col = [v // common for v in col]
-            limits[target] = 2 * den.bit_length() + 128
+            den, col, limits[target] = _reduce(den, col)
         cols[target], dens[target] = col, den
     return Matrix._trusted(tuple(
         tuple(Fraction(col[r], den) for col, den in zip(cols, dens))

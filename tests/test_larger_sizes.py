@@ -100,6 +100,22 @@ def test_mixed_sign_reconstruction_round_trips_at_n32():
     assert time.monotonic() - started < 1.0
 
 
+def test_mixed_sign_standard_network_sweep_at_n32():
+    # the staircase parameters of the mixed-sign matrix above on the
+    # standard network; the sweep reduces a vector once its denominator
+    # has doubled in bits, and left unreduced it ran about 45 times as long
+    rng = random.Random(216)
+    x = Matrix([[Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                          rng.randint(1, 9)) for _ in range(32)]
+                for _ in range(32)])
+    values = initial_minors(x)
+    net = standard_network(32, _staircase_params(
+        [values[spec] for spec in initial_minor_specs(32)], 32))
+    started = time.monotonic()
+    assert weight_matrix(net) == x
+    assert time.monotonic() - started < 0.5
+
+
 def test_reconstruct_matches_the_corner_recursion_at_n10():
     rng = random.Random(215)
     for size in range(1, 7):
@@ -213,8 +229,11 @@ def test_neville_verdict_at_n48_within_half_a_second():
     started = time.monotonic()
     assert tnn_neville_criterion(x)
     assert time.monotonic() - started < 0.5
-    # untimed: the singular check, x.det(), dominates a negative verdict
+    # a failed pass tells singular input apart by a rank pass, not by
+    # x.det(), which took over a second here
+    started = time.monotonic()
     assert not tnn_neville_criterion(Matrix(x.rows[::-1]))
+    assert time.monotonic() - started < 0.5
 
 
 def test_solid_families_match_spec_lists_at_n32():

@@ -30,6 +30,38 @@ def symbolic_standard_3():
                                           for v in NAMES}
 
 
+SWEEP_WEIGHTS = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1))),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.builds(Fraction, st.integers(-2 ** 20, 2 ** 20),
+              st.integers(1, 2 ** 20)))
+
+
+@st.composite
+def sweep_networks(draw):
+    """Networks on n = 1..5: random grid networks (`rand_network`) with
+    some edges dropped, so a sink may be unreachable, and the chips of
+    random words whose weights mix signs, zero and unit slants and
+    denominators large enough to pass the sweep's reduction limit."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        net = rand_network(draw(st.randoms(use_true_random=False)), n,
+                           draw(st.integers(0, 4)))
+        keep = draw(st.lists(st.booleans(), min_size=len(net.edges),
+                             max_size=len(net.edges)))
+        return PlanarNetwork(n, net.vertices,
+                             tuple(e for e, k in zip(net.edges, keep) if k))
+    kinds = ("upper", "lower", "diag") if n > 1 else ("diag",)
+    word, params = [], []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        word.append(Letter(kind, draw(st.integers(1, n if kind == "diag"
+                                                  else n - 1))))
+        t = draw(SWEEP_WEIGHTS)
+        params.append(t if t or kind != "diag" else Fraction(-1))
+    return chips_of_word(tuple(word), params, n)
+
+
 class TestWeightMatrix:
     def test_standard_3_symbolic_display(self):
         net, v = symbolic_standard_3()
@@ -95,6 +127,28 @@ class TestWeightMatrix:
         net = standard_network(2, [Fraction(1, 2), 3, 4, 5])
         again = PlanarNetwork.from_json(net.to_json())
         assert weight_matrix(again) == weight_matrix(net)
+
+    @settings(deadline=None, max_examples=300)
+    @given(sweep_networks())
+    def test_sweep_equals_the_per_source_pass(self, net):
+        assert weight_matrix(net) == Matrix(weight_matrix_raw(net))
+
+    def test_symbolic_weights_raise_type_error(self):
+        net, _ = symbolic_standard_3()
+        with pytest.raises(TypeError):
+            Matrix(weight_matrix_raw(net))
+        with pytest.raises(TypeError):
+            weight_matrix(net)
+
+    def test_weight_on_no_path_from_a_source_is_never_read(self):
+        # vertex (1, 2) has no in-edge, so its symbolic out-edge is on no
+        # path and sink 2 is reached by none
+        vertices = ((0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2))
+        edges = ((0, 2, Fraction(3)), (2, 4, Fraction(1, 2)),
+                 (3, 5, LaurentPoly.variable(NAMES, "a")))
+        net = PlanarNetwork(2, vertices, edges)
+        assert weight_matrix(net) == Matrix(weight_matrix_raw(net)) \
+            == Matrix([[Fraction(3, 2), 0], [0, 0]])
 
 
 class TestDisjointPathOracle:

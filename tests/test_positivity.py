@@ -110,8 +110,12 @@ class TestEfficientTnn:
             assert checked == 2 ** (n + 1) - n - 2
 
     def test_negative_entry_fails(self):
-        verdict, _ = tnn_efficient_criterion(Matrix([[1, 0], [0, -1]]))
-        assert not verdict
+        # in the last two the negative entry, below the first row in the
+        # first column, is the family's only negative minor
+        for x in (Matrix([[1, 0], [0, -1]]), Matrix([[1, 0], [-1, 1]]),
+                  Matrix([[1, 0, 0], [0, 1, 0], [-1, 0, 1]])):
+            verdict, _ = tnn_efficient_criterion(x)
+            assert not verdict
 
     def test_agreement_with_brute_force(self):
         rng = random.Random(63)
@@ -286,6 +290,21 @@ class TestOscillatory:
     def test_rejects_non_tnn(self):
         with pytest.raises(NotApplicableError):
             is_oscillatory(Matrix([[1, -1], [0, 1]]), "b")
+
+    def test_singular_input_without_a_determinant(self, monkeypatch):
+        # a failed Neville pass tells singular input apart by a rank pass
+        monkeypatch.setattr(Matrix, "det", None)
+        for x, message in ((Matrix([[1, 1], [1, 1]]), "for invertible"),
+                           (Matrix([[1, -2], [-2, 4]]), "for invertible"),
+                           (Matrix([[1, -1], [0, 1]]), "not totally")):
+            with pytest.raises(NotApplicableError, match=message):
+                is_oscillatory(x, "b")
+        for x in (Matrix([[1, 1], [1, 1]]), Matrix([[1, 2, 3], [0, 0, 0],
+                                                    [3, 2, 1]])):
+            with pytest.raises(NotApplicableError, match="singular"):
+                pv.test_tnn_neville(x)
+            with pytest.raises(NotApplicableError, match="singular"):
+                tnn_neville_report(x)
 
 
 @st.composite

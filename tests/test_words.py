@@ -24,7 +24,7 @@ from totpos.words import (DIAG, Move, Permutation, WordError, _braid_at,
 import util
 from util import (matrix_product_map, oracle_apply_move, oracle_reduced_words,
                   oracle_transport, rand_full_scheme, rand_positive,
-                  rand_walk_full_scheme)
+                  rand_typed_scheme, rand_walk_full_scheme)
 
 SLANT_PARAMS = st.one_of(st.just(Fraction(0)),
                          st.integers(-3, 3).map(Fraction),
@@ -217,6 +217,18 @@ class TestReducedWords:
         monkeypatch.setattr(util, "reduced_words", refuse)
         with pytest.raises(ValueError, match="rand_walk_full_scheme"):
             rand_full_scheme(random.Random(7), 7)
+
+    def test_typed_scheme_sampler_refuses_n7_before_any_draw(
+            self, monkeypatch):
+        def refuse(w):
+            raise AssertionError("reduced words were listed")
+
+        monkeypatch.setattr(util, "reduced_words", refuse)
+        rng = random.Random(7)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="rand_walk_tnn_invertible"):
+            rand_typed_scheme(rng, 7)
+        assert rng.getstate() == state
 
 
 class TestLetters:

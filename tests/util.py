@@ -107,7 +107,12 @@ def rand_walk_full_scheme(rng: random.Random, n: int) -> Word:
 
 def rand_typed_scheme(rng: random.Random, n: int) \
         -> tuple[Word, Permutation, Permutation]:
-    """Random scheme of a random type (u, v), returned with its type."""
+    """Random scheme of a random type (u, v), returned with its type.  It
+    lists all n! permutations and every reduced word of u and v, which
+    outgrows memory above n = 6, so larger n raise before any draw."""
+    if n > 6:
+        raise ValueError(f"rand_typed_scheme lists every permutation; use "
+                         f"rand_walk_tnn_invertible at n = {n}")
     perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
     u, v = rng.choice(perms), rng.choice(perms)
     lw = rng.choice(list(reduced_words(u)))
