@@ -178,11 +178,11 @@ def staircase_minor_exponents(n: int) \
     parameter.  The row of E for the initial minor with corner (r, c) has
     a 1 at each parameter whose corner (a, b) has a <= r, b <= c and
     min(0, r - c) <= a - b <= max(0, r - c): the weights its path family
-    passes.  Checked on the way: E_inverse E = I.  Factoring evaluates the
-    table on values and never builds these matrices.  They are memoized:
-    at n = 8 `_staircase_params` took 77-117 us on the built table, 163-221
-    us rebuilding it per call and 114-187 us as per-call closures (three
-    runs of best of 7, 2-core VM, Python 3.11).
+    passes.  Checked on the way: E_inverse E = I.  Factoring evaluates
+    `_staircase_terms` (memoized by its own ``@cache``) on values and never
+    builds these matrices.  They are memoized in the plain dict
+    `_staircase_cache` rather than by ``@cache`` because the benchmark's
+    tracer reads it to tell a cold call from a warm one.
     """
     if n in _staircase_cache:
         return _staircase_cache[n]

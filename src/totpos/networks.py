@@ -22,8 +22,13 @@ for exact scalar weights in one sweep over the vertices, each carrying its
 path sums from all sources as integers over one denominator;
 `weight_matrix_raw`, one pass per source in the weights' own ring, is the
 path for symbolic weights and the reference the sweep is tested against.
+Both read the boundary off the (x, level) order: the first n vertices are
+the sources and the last n the sinks.
+
 `disjoint_path_minor` is the independent brute-force oracle summing over
-vertex-disjoint path families instead.
+vertex-disjoint path families instead (Lindström's lemma), sharing only
+the boundary order with the sweeps: each path is a backtracking walk on
+one set of used vertices, and path r + 1 starts each time path r is found.
 """
 
 from __future__ import annotations
@@ -119,13 +124,10 @@ class PlanarNetwork(Record):
 
     def _validate_boundary(self) -> None:
         xs = [x for x, _ in self.vertices]
-        lo, hi = min(xs), max(xs)
-        left = sorted(level for x, level in self.vertices if x == lo)
-        right = sorted(level for x, level in self.vertices if x == hi)
-        if len(left) != self.n or len(right) != self.n:
-            raise NetworkError(
-                f"expected {self.n} sources and sinks, found "
-                f"{len(left)} / {len(right)}")
+        left, right = xs.count(min(xs)), xs.count(max(xs))
+        if left != self.n or right != self.n:
+            raise NetworkError(f"expected {self.n} sources and sinks, found "
+                               f"{left} / {right}")
 
     def _validate_planarity(self) -> None:
         """Edges are compared in pairs whose x-ranges overlap in more than
@@ -138,7 +140,7 @@ class PlanarNetwork(Record):
         ids, else the smallest vertex id and then edge id."""
         segs = [(self.vertices[u], self.vertices[v]) for u, v, _ in self.edges]
         ys = [(a[1], b[1]) if a[1] <= b[1] else (b[1], a[1]) for a, b in segs]
-        order = sorted(range(len(segs)), key=lambda e: segs[e][0][0])
+        order = sorted(range(len(segs)), key=segs.__getitem__)
         lefts = [segs[e][0][0] for e in order]
         crossing = None
         for rank, e in enumerate(order):
@@ -153,8 +155,7 @@ class PlanarNetwork(Record):
         if crossing is not None:
             (a, b), (c, d) = segs[crossing[0]], segs[crossing[1]]
             raise NetworkError(f"edges {a}-{b} and {c}-{d} cross")
-        by_x = sorted(range(len(self.vertices)),
-                      key=lambda k: self.vertices[k][0])
+        by_x = self._order()
         xs = [self.vertices[k][0] for k in by_x]
         inside = None
         for e, (a, b) in enumerate(segs):
@@ -169,18 +170,20 @@ class PlanarNetwork(Record):
 
     # -- derived structure ---------------------------------------------
 
+    def _order(self) -> list[int]:
+        """Vertex ids in (x, level) order.  `_validate_boundary` admits n
+        vertices in each end column, so the first n are the sources and
+        the last n the sinks, each bottom to top."""
+        return sorted(range(len(self.vertices)), key=self.vertices.__getitem__)
+
     @property
     def sources(self) -> tuple[int, ...]:
         """Vertex ids of the sources, numbered bottom-to-top."""
-        lo = min(x for x, _ in self.vertices)
-        ids = [i for i, (x, _) in enumerate(self.vertices) if x == lo]
-        return tuple(sorted(ids, key=lambda i: self.vertices[i][1]))
+        return tuple(self._order()[:self.n])
 
     @property
     def sinks(self) -> tuple[int, ...]:
-        hi = max(x for x, _ in self.vertices)
-        ids = [i for i, (x, _) in enumerate(self.vertices) if x == hi]
-        return tuple(sorted(ids, key=lambda i: self.vertices[i][1]))
+        return tuple(self._order()[-self.n:])
 
     def out_edges(self) -> list[list[tuple[int, Fraction]]]:
         table: list[list[tuple[int, Fraction]]] = [[] for _ in self.vertices]
@@ -213,14 +216,13 @@ def weight_matrix_raw(net: PlanarNetwork) -> list[list]:
     Ring-generic: weights only need + and *, so this is the path for
     symbolic (`LaurentPoly`) weights, and the reference `weight_matrix`
     is tested against."""
-    order = sorted(range(len(net.vertices)),
-                   key=lambda i: net.vertices[i])
+    order = net._order()
     # a unit weight (None here) passes the path sum on unmultiplied
     out = [[(v, None if w == 1 else w) for v, w in edges]
            for edges in net.out_edges()]
-    sinks = net.sinks
+    sinks = order[-net.n:]
     rows = []
-    for source in net.sources:
+    for source in order[:net.n]:
         sums: dict[int, object] = {source: Fraction(1)}
         for u in order:
             if u not in sums:
@@ -249,9 +251,7 @@ def weight_matrix(net: PlanarNetwork) -> Matrix:
     """
     n, verts = net.n, net.vertices
     out = net.out_edges()
-    # the n sources come first in this order and the n sinks last, each
-    # bottom to top
-    order = sorted(range(len(verts)), key=verts.__getitem__)
+    order = net._order()  # the n sources first, the n sinks last
     # per vertex: (path sums from each source, denominator, reduce limit)
     carried: list = [None] * len(verts)
     for k, source in enumerate(order[:n]):
@@ -287,69 +287,74 @@ def weight_matrix(net: PlanarNetwork) -> Matrix:
 # vertex-disjoint path enumeration (the Lindstrom oracle)
 
 
-def _paths_avoiding(net, out, start: int, goal: int, banned: set[int]):
-    """Yield (vertex set, weight) over paths start -> goal avoiding banned
-    vertices.  Endpoints themselves must not be banned."""
-    path_weight: list = [1]
-    visiting: list[int] = [start]
-
-    def walk(u: int):
-        if u == goal:
-            yield frozenset(visiting), path_weight[0]
-            return
-        for v, w in out[u]:
-            if v in banned:
-                continue
-            visiting.append(v)
-            keep = path_weight[0]
-            path_weight[0] = keep * w
-            yield from walk(v)
-            path_weight[0] = keep
-            visiting.pop()
-
-    if start not in banned and goal not in banned:
-        yield from walk(start)
+def _paths(out, u: int, goal: int, used: set[int], weight):
+    """Yield ``weight`` times the weight of each path u -> goal stepping
+    onto no vertex in ``used``.  A vertex joins ``used`` as the walk steps
+    onto it and leaves as the walk backs out, so while a path is yielded
+    its vertices are banned for every later path."""
+    if u == goal:
+        yield weight
+        return
+    for v, w in out[u]:
+        if v not in used:
+            used.add(v)
+            yield from _paths(out, v, goal, used, weight * w)
+            used.remove(v)
 
 
-def _disjoint_families(net: PlanarNetwork, rows: Sequence[int],
-                       cols: Sequence[int]):
+def _families(out, sources, sinks, r: int, used: set[int], weight):
+    """Yield ``weight`` times the weight of each family of disjoint paths
+    sources[k] -> sinks[k], k >= r, avoiding ``used``: path r + 1 starts
+    each time path r is yielded, so the nesting is at most the number of
+    paths plus the length of one path."""
+    if r == len(sources):
+        yield weight
+        return
+    start, goal = sources[r], sinks[r]
+    if start in used:
+        return
+    used.add(start)
+    for w in _paths(out, start, goal, used, weight):
+        yield from _families(out, sources, sinks, r + 1, used, w)
+    used.remove(start)
+
+
+def _boundary(net: PlanarNetwork):
+    """The sources, the sinks and the out-edges, read once per call."""
+    order = net._order()
+    return tuple(order[:net.n]), tuple(order[-net.n:]), net.out_edges()
+
+
+def _family_weights(boundary, rows: Sequence[int], cols: Sequence[int]):
     """Yield the weight of each vertex-disjoint, order-preserving path
     family connecting the sources in ``rows`` to the sinks in ``cols``."""
-    sources = [net.sources[i - 1] for i in rows]
-    sinks = [net.sinks[j - 1] for j in cols]
-    out = net.out_edges()
-
-    def families(r: int, used: set[int]):
-        if r == len(sources):
-            yield 1
-            return
-        for verts, w in _paths_avoiding(net, out, sources[r], sinks[r], used):
-            for rest in families(r + 1, used | verts):
-                yield w * rest
-
-    return families(0, set())
+    sources, sinks, out = boundary
+    return _families(out, [sources[i - 1] for i in rows],
+                     [sinks[j - 1] for j in cols], 0, set(), 1)
 
 
 def disjoint_path_minor(net: PlanarNetwork, spec: MinorSpec):
     """Sum over vertex-disjoint, order-preserving path families connecting
     the sources in ``spec.rows`` to the sinks in ``spec.cols`` of the
-    product of all edge weights.  Brute force; the independent oracle for
-    the determinant identity behind `weight_matrix` minors."""
+    product of all edge weights.  Brute force: the independent oracle for
+    the minors of `weight_matrix`."""
     spec.validate_for(net.n)
-    return sum(_disjoint_families(net, spec.rows, spec.cols))
+    return sum(_family_weights(_boundary(net), spec.rows, spec.cols))
 
 
 def has_disjoint_family(net: PlanarNetwork, rows: Sequence[int],
                         cols: Sequence[int]) -> bool:
     """Whether some vertex-disjoint family joins ``rows`` to ``cols``."""
-    return next(_disjoint_families(net, rows, cols), None) is not None
+    return next(_family_weights(_boundary(net), rows, cols), None) \
+        is not None
 
 
 def is_totally_connected(net: PlanarNetwork) -> bool:
     """True iff every pair of equal-size boundary subsets is joined by some
     vertex-disjoint family."""
-    return all(has_disjoint_family(net, spec.rows, spec.cols)
-               for spec in all_minor_specs(net.n))
+    boundary = _boundary(net)
+    return all(next(_family_weights(boundary, s.rows, s.cols), None)
+               is not None for s in all_minor_specs(net.n))
 
 
 # ---------------------------------------------------------------------------

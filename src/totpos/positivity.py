@@ -264,18 +264,24 @@ def _sylvester_witness(x: Matrix, on_rows: list[dict[int, int]],
 # Neville elimination
 
 
-def _neville_failure(x: Matrix) -> MinorSpec | None:
+def _neville_failure(x: Matrix, singular: str) -> MinorSpec | None:
     """None when the Neville passes of x and of x^T both pass; else the
-    initial minor of the first failing pivot.
+    initial minor of the first failing pivot, or, when x is singular,
+    :class:`NotApplicableError` with the message ``singular``.
 
     The passes run on the row-cleared integer matrix and its transpose,
     and a positive scaling of rows or columns keeps every sign they read.
+    x is singular when some row of it, cleared afresh (the passes work in
+    place), adds no column to the rank profile of the rows before it: a
+    rank pass, not ``x.det()``.
     """
     rows, _ = _integer_rows(x.rows)
     columns = [list(column) for column in zip(*rows)]
     for m, transpose in ((rows, False), (columns, True)):
         failed = _neville(m)
         if failed is not None:
+            if None in _pivot_columns(_integer_rows(x.rows)[0]):
+                raise NotApplicableError(singular)
             i, k = failed[::-1] if transpose else failed
             return initial_minor_spec(x.n, i + 1, k + 1)
     return None
@@ -286,10 +292,7 @@ def test_tnn_neville(x: Matrix) -> bool:
     of x and one of x^T (Gasca and Peña 1992): no row exchange, no
     negative multiplier, positive diagonal pivots.  O(n^3); raises
     :class:`NotApplicableError` on singular input."""
-    failed = _neville_failure(x) is not None
-    if failed and _singular(x):
-        raise NotApplicableError(_SINGULAR)
-    return not failed
+    return _neville_failure(x, _SINGULAR) is None
 
 
 def tnn_neville_report(x: Matrix, guard: int = 16) \
@@ -304,11 +307,9 @@ def tnn_neville_report(x: Matrix, guard: int = 16) \
     ``guard`` raises :class:`GuardExceeded` there.
     """
     n = x.n
-    spec = _neville_failure(x)
+    spec = _neville_failure(x, _SINGULAR)
     if spec is None:
         return True, n * n, []
-    if _singular(x):
-        raise NotApplicableError(_SINGULAR)
     value = minor(x, spec)
     if value < 0:
         return False, n * n, [(spec, value)]
@@ -365,10 +366,8 @@ def oscillation_criteria(x: Matrix, guard: int = 6) -> dict[str, bool]:
 
 
 def _check_oscillation_input(x: Matrix, guard: int) -> None:
-    tnn = _neville_failure(x) is None
-    if not tnn and _singular(x):
-        raise NotApplicableError("oscillation is defined for invertible "
-                                 "totally nonnegative matrices")
+    tnn = _neville_failure(x, "oscillation is defined for invertible "
+                           "totally nonnegative matrices") is None
     check_guard(x.n, guard)
     if not tnn:
         raise NotApplicableError("input is not totally nonnegative")
@@ -426,13 +425,6 @@ def _entering_pivots(rows: list[list[int]]) -> list[int]:
         raise NotApplicableError("Bruhat type is computed for invertible "
                                  "matrices only")
     return columns
-
-
-def _singular(x: Matrix) -> bool:
-    """Whether x is singular: some row of it adds no column to the rank
-    profile of the rows before it.  A rank pass, not ``x.det()``."""
-    rows, _ = _integer_rows(x.rows)
-    return None in _pivot_columns(rows)
 
 
 def _pivot_columns(rows: list[list[int]]):

@@ -217,14 +217,6 @@ class Letter(Record):
         if index < 1:
             raise ValueError("letter index must be >= 1")
 
-    def __eq__(self, other):
-        if other.__class__ is not Letter:
-            return NotImplemented
-        return self.kind == other.kind and self.index == other.index
-
-    def __hash__(self):
-        return hash((self.kind, self.index))
-
     @property
     def is_slant(self) -> bool:
         return self.kind != DIAG

@@ -184,6 +184,15 @@ class TestSolidFamilies:
         assert family(zero)[0] == [0] * len(specs_of(5))
         assert family(zero, stop=lambda v: v <= 0) is None
 
+    def test_stop_fires_on_a_corner_block_value(self):
+        # the centre entry, the determinant's condensation divisor, is 0,
+        # so the determinant is read off the eliminated corner block, and
+        # the stop must fire there
+        x = Matrix([[1, 2, 1], [3, 0, 1], [1, 1, 5]])
+        spec = MinorSpec((1, 2, 3), (1, 2, 3))
+        assert minor_family(x, [spec]) == ([-26], [1, 1, 1])
+        assert minor_family(x, [spec], stop=lambda v: v <= 0) is None
+
     def test_tp_verdicts_build_no_spec(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a spec was built")
@@ -654,9 +663,9 @@ def test_oscillation_criteria_check_input_once(monkeypatch):
     calls = []
     check = pv._neville_failure
 
-    def counting(x):
+    def counting(x, singular):
         calls.append(x)
-        return check(x)
+        return check(x, singular)
 
     monkeypatch.setattr(pv, "_neville_failure", counting)
     x = Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
@@ -677,7 +686,7 @@ def test_oscillation_criteria_use_no_brute_force(monkeypatch):
 
 
 def test_is_oscillatory_checks_the_criterion_first(monkeypatch):
-    def refuse(x):
+    def refuse(x, singular):
         raise AssertionError("input checked before the criterion")
 
     monkeypatch.setattr(pv, "_neville_failure", refuse)

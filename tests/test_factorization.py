@@ -523,3 +523,7 @@ class TestTwistMonomial:
         rng = random.Random(91)
         scheme = rand_full_scheme(rng, 3)
         assert verify_twist_monomial(scheme, 3)
+
+    def test_rejects_a_scheme_not_of_full_type(self):
+        with pytest.raises(WordError, match="needs a full-type scheme"):
+            verify_twist_monomial(staircase_scheme(3)[:-1], 3)

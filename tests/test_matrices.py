@@ -223,6 +223,11 @@ class TestMatrixOps:
             assert x * x.inverse() == Matrix.identity(n)
             done += 1
 
+    def test_negative_power(self):
+        x = Matrix([[2, 1], [1, 1]])
+        assert x ** -1 == x.inverse() == Matrix([[1, -1], [-1, 2]])
+        assert x ** -3 * x ** 3 == Matrix.identity(2)
+
     def test_rank(self):
         rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         assert exact_rank(rows) == 1

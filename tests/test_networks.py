@@ -1,5 +1,6 @@
 """Planar networks: weight matrices, the path oracle, chips."""
 
+import gc
 import random
 from fractions import Fraction
 from math import comb
@@ -12,8 +13,9 @@ from totpos.exact import LaurentPoly
 from totpos.matrices import Matrix, MinorSpec, all_minor_specs, minor
 from totpos.networks import (NetworkError, PlanarNetwork, chip, chips_of_word,
                              concatenate, disjoint_path_minor,
-                             is_totally_connected, standard_network,
-                             weight_matrix, weight_matrix_raw)
+                             has_disjoint_family, is_totally_connected,
+                             standard_network, weight_matrix,
+                             weight_matrix_raw)
 from totpos.positivity import is_tnn_bruteforce, is_tp_bruteforce
 from totpos.words import (Letter, lower, parse_word, product_map,
                           staircase_scheme, upper, diag)
@@ -151,7 +153,69 @@ class TestWeightMatrix:
             == Matrix([[Fraction(3, 2), 0], [0, 0]])
 
 
+@st.composite
+def walk_networks(draw):
+    """Networks on n = 1..4 for the path walk: random grid networks
+    (`rand_network`) with some edges dropped, so some families do not
+    exist, and standard networks with nonzero weights of mixed sign."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        net = rand_network(draw(st.randoms(use_true_random=False)), n,
+                           draw(st.integers(0, 3)))
+        keep = draw(st.lists(st.booleans(), min_size=len(net.edges),
+                             max_size=len(net.edges)))
+        return PlanarNetwork(n, net.vertices,
+                             tuple(e for e, k in zip(net.edges, keep) if k))
+    weight = st.fractions(-9, 9, max_denominator=9).filter(bool)
+    return standard_network(n, draw(st.lists(weight, min_size=n * n,
+                                             max_size=n * n)))
+
+
 class TestDisjointPathOracle:
+    @settings(deadline=None, max_examples=60)
+    @given(net=walk_networks())
+    def test_walk_against_the_sweep(self, net):
+        # at unit weights each minor of the weight matrix counts the
+        # families, so it is positive iff one exists
+        counts = weight_matrix(PlanarNetwork(
+            net.n, net.vertices, tuple((u, v, 1) for u, v, _ in net.edges)))
+        wm = weight_matrix(net)
+        for spec in all_minor_specs(net.n):
+            assert disjoint_path_minor(net, spec) == minor(wm, spec)
+            assert has_disjoint_family(net, spec.rows, spec.cols) \
+                == (minor(counts, spec) > 0)
+
+    @pytest.mark.parametrize("rows, cols, joined", [
+        ((), (), True), ((1,), (1, 2), True), ((1, 2), (1,), IndexError),
+        ((4,), (1,), IndexError), ((0,), (1,), True),
+        ((1, 1), (1, 2), False)])
+    def test_boundary_indexing(self, rows, cols, joined):
+        # source i - 1 and sink j - 1 of each row i and column j: a column
+        # past the last row is never read, row 0 is the top source, and a
+        # repeated row is a used source
+        net = standard_network(3)
+        if joined is IndexError:
+            with pytest.raises(IndexError):
+                has_disjoint_family(net, rows, cols)
+        else:
+            assert has_disjoint_family(net, rows, cols) is joined
+
+    def test_leaves_no_cyclic_garbage(self):
+        net = standard_network(4, [Fraction(k, 3) for k in range(1, 17)])
+        gc.collect()
+        flags, start = gc.get_debug(), len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            disjoint_path_minor(net, MinorSpec((1, 2, 3), (2, 3, 4)))
+            has_disjoint_family(net, (1, 2), (2, 3))
+            is_totally_connected(net)
+            gc.collect()
+            left = len(gc.garbage) - start
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[start:]
+        assert left == 0
+
     def test_symbolic_23_23(self):
         net, v = symbolic_standard_3()
         got = disjoint_path_minor(net, MinorSpec((2, 3), (2, 3)))
@@ -432,6 +496,11 @@ class TestStandardNetwork:
             assert weight_matrix(again) == product_map(
                 staircase_scheme(n), t, n)
             validated.clear()
+
+    def test_weight_count(self):
+        with pytest.raises(NetworkError,
+                           match="expected 9 essential weights"):
+            standard_network(3, [Fraction(1)] * 8)
 
     def test_single_edge_for_n1(self):
         net = standard_network(1, [Fraction(5)])

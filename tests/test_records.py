@@ -47,7 +47,8 @@ CASES = [
        "letter @1 is not a crossing"),
       (dict(word=(lower(1),), n=2), DiagramError,
        "upper crossings do not form a reduced word for the reversal of "
-       "1..2")]),
+       "1..2"),
+      (dict(word=(upper(2),), n=2), DiagramError, "height 2 out of range")]),
     (Chamber, dict(spec=MinorSpec((1,), (2,)), level=1, start=0, stop=2,
                    bounded=True),
      "Chamber(spec=MinorSpec(rows=(1,), cols=(2,)), level=1, start=0, "
@@ -72,7 +73,11 @@ CASES = [
      [(dict(n=1, vertices=((0, 1), (0, 1)), edges=()), NetworkError,
        "duplicate vertex coordinates"),
       (dict(n=2, vertices=((0, 1), (1, 1)), edges=((0, 1, 1),)),
-       NetworkError, "expected 2 sources and sinks, found 1 / 1")]),
+       NetworkError, "expected 2 sources and sinks, found 1 / 1"),
+      (dict(n=1, vertices=((0, 1), (1, 1)), edges=((0, 2, 1),)),
+       NetworkError, "edge endpoint out of range"),
+      (dict(n=1, vertices=((0, 1), (1, 1)), edges=((1, 0, 1),)),
+       NetworkError, "edges must increase strictly in x")]),
 ]
 
 

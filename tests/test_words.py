@@ -144,6 +144,13 @@ class TestPermutations:
         s2 = Permutation.transposition(3, 2)
         assert (s1 * s2).images == (2, 3, 1)
 
+    def test_inverse(self):
+        assert Permutation((2, 3, 1)).inverse().images == (3, 1, 2)
+        for p in (Permutation((2, 3, 1)), Permutation.reversal(4),
+                  Permutation.identity(1)):
+            assert p * p.inverse() == p.inverse() * p \
+                == Permutation.identity(p.n)
+
     def test_composition_of_different_sizes(self):
         for p, q in ((Permutation.identity(2), Permutation.identity(3)),
                      (Permutation.reversal(4), Permutation.reversal(3))):
