@@ -182,7 +182,7 @@ def _cmd_twist(args) -> int:
     x = _load(args.matrix)
     try:
         result = fz.twist(x)
-    except (SingularLeadingMinorError, ZeroDivisionError) as exc:
+    except SingularLeadingMinorError as exc:
         _emit(args, {"verdict": False, "error": str(exc)},
               [f"twist undefined: {exc}"])
         return 1

@@ -28,6 +28,8 @@ from math import lcm
 from operator import add, sub
 from typing import Mapping, Sequence
 
+from .records import Record
+
 Scalar = Fraction
 
 
@@ -66,8 +68,9 @@ def _glex_key(exponents: tuple[int, ...]) -> tuple:
     return (sum(exponents), exponents)
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial with exact rational coefficients."""
+class LaurentPoly(Record):
+    """Sparse Laurent polynomial with exact rational coefficients: a
+    :class:`Record` whose ``terms`` field, a dict, needs its own hash."""
 
     __slots__ = ("variables", "terms")
 
@@ -84,9 +87,6 @@ class LaurentPoly:
                 clean[exps] = coeff
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -116,11 +116,6 @@ class LaurentPoly:
     def _check_ring(self, other: "LaurentPoly") -> None:
         if self.variables != other.variables:
             raise ValueError("Laurent polynomials live over different variables")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.variables, frozenset(self.terms.items())))

@@ -132,31 +132,31 @@ class MinorSpec(Record):
         return {"rows": list(self.rows), "cols": list(self.cols)}
 
 
-class Matrix:
-    """Immutable square matrix of exact rationals."""
+class Matrix(Record):
+    """Immutable square matrix of exact rationals: a :class:`Record` on one
+    field, ``rows``, a tuple of `Fraction` row tuples."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
         data = tuple(tuple(as_scalar(v) for v in row) for row in rows)
         n = len(data)
         if n == 0 or any(len(row) != n for row in data):
             raise ValueError("matrix must be square and nonempty")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", data)
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
         """A matrix from a square, nonempty tuple of `Fraction` row tuples,
         as the product kernel makes them, without coercing or checking them
-        again: the slots are set as ``__init__`` sets them."""
+        again."""
         mat = object.__new__(cls)
-        object.__setattr__(mat, "n", len(rows))
         object.__setattr__(mat, "rows", rows)
         return mat
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+    @property
+    def n(self) -> int:
+        return len(self.rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -177,14 +177,6 @@ class Matrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entry(*ij)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         """Integer dot products of the cleared rows of self and cleared
@@ -225,7 +217,7 @@ class Matrix:
         return Matrix([[Fraction(v, d) for v in row[n:]] for row in m])
 
     def submatrix_rows(self, rows: Sequence[int], cols: Sequence[int]):
-        """0-based-free helper: 1-based index lists -> list-of-lists."""
+        """The entries on the 1-based ``rows`` x ``cols``, as row lists."""
         return [[self.rows[i - 1][j - 1] for j in cols] for i in rows]
 
     def det(self) -> Fraction:

@@ -1,15 +1,17 @@
 """Immutable value classes on ``__slots__``, written out by hand.
 
-Every ``totpos`` command runs in a fresh interpreter.  Generating value
-classes at import time with the standard library's class decorator would
-cost each command a noticeable share of its run: the decorator's module
-imports ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``), and
-each decorated class ``exec``s its generated methods.  A :class:`Record`
-subclass lists its fields as ``__slots__`` and sets them with
-``object.__setattr__`` in its own ``__init__``; the rest comes from here:
-the ``Name(field=value, ...)`` repr, equality and hashing on the tuple of
-its fields, and an ``AttributeError`` on assignment.  A class on a hot
-path overrides ``__eq__`` and ``__hash__`` with direct field comparisons.
+Every value class of the package is a :class:`Record`: its fields are its
+``__slots__``, set with ``object.__setattr__`` in its own ``__init__``.
+The rest comes from here: equality and hashing on the tuple of its
+fields, an ``AttributeError`` on assignment or deletion, copy and pickle
+through the constructor, and a ``Name(field=value, ...)`` repr that a
+class may replace.  Three classes depart from the contract: ``MinorSpec``
+overrides equality and hashing for speed, ``LaurentPoly`` overrides
+hashing because its ``terms`` field is a dict, and ``MoveGraph`` is the
+one mutable record.  Every ``totpos`` command runs in a fresh
+interpreter, so classes generated by the standard library's class
+decorator would cost each one the import of ``inspect`` (with ``ast``,
+``dis`` and ``tokenize``) and an ``exec`` per class.
 """
 
 from __future__ import annotations

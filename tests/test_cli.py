@@ -286,6 +286,18 @@ class TestFactorTwist:
         assert Matrix.from_json(report) \
             == Matrix([[1, 2, 1], [2, 5, 3], [1, 3, 3]])
 
+    @pytest.mark.parametrize("report, out", [
+        ([], "twist undefined: leading principal minor of order 2 "
+             "vanishes\n"),
+        (["--report", "json"], '{"verdict": false, "error": "leading '
+                               'principal minor of order 2 vanishes"}\n'),
+    ])
+    def test_twist_of_a_singular_matrix(self, report, out, tmp_path, capsys):
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({"n": 2, "rows": [[1, 2], [2, 4]]}))
+        assert main(["twist", str(path), *report]) == 1
+        assert capsys.readouterr() == (out, "")
+
 
 class TestDiagrams:
     def test_enumerate_prints_vertex_count(self, capsys):
@@ -536,6 +548,21 @@ class TestErrors:
             paths[name].write_text(json.dumps(data))
         assert main([arg.format(**paths) for arg in argv]) == code
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, err", [
+        (["test", "{unit3}", "--method", "chamber", "--diagram", "q~"],
+         "bad word 'q~': invalid literal for int() with base 10: 'q'"),
+        (["diagrams", "--n", "3"], "diagrams: pass --enumerate or --word"),
+        (["somos", "--terms", "6", "--seed", "1,2,x,4,5"],
+         "bad seed '1,2,x,4,5': Invalid literal for Fraction: 'x'"),
+        (["somos", "--terms", "6", "--seed", "1,2,3,4,1/0"],
+         "bad seed '1,2,3,4,1/0': Fraction(1, 0)"),
+        (["somos", "--terms", "6", "--seed", "1,2,3"],
+         "seed needs exactly five comma-separated values"),
+    ])
+    def test_usage_error_messages(self, argv, err, unit3, capsys):
+        assert main([arg.format(unit3=unit3) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", f"totpos: {err}\n")
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,5 +1,6 @@
 """Exact scalar and Laurent-polynomial arithmetic."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,25 @@ class TestLaurentArithmetic:
     def test_str(self):
         f = var("p") ** 2 - var("p") * var("q") + var("q") ** 2
         assert str(f) == "p^2 - p*q + q^2"
+
+    def test_zero_str_and_reflected_subtraction(self):
+        assert str(LaurentPoly.zero(VARS)) == "0"
+        assert 1 - var("p") == poly({(0, 0): 1, (1, 0): -1})
+        assert "1/2" - var("q") == poly({(0, 0): Fraction(1, 2), (0, 1): -1})
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: var("p") + LaurentPoly.variable(("p",), "p"), ValueError,
+         "Laurent polynomials live over different variables"),
+        (lambda: var("p") * 1.5, TypeError,
+         "cannot coerce 1.5 into this Laurent ring"),
+        (lambda: (var("p") + 1) ** -1, ValueError,
+         "negative powers are only defined for monomials"),
+        (lambda: var("p").evaluate([1]), ValueError,
+         "wrong number of coordinates"),
+    ])
+    def test_errors(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
 
 
 small_coeffs = st.integers(min_value=-4, max_value=4)

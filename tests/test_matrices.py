@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -222,6 +223,20 @@ class TestMatrixOps:
                 continue
             assert x * x.inverse() == Matrix.identity(n)
             done += 1
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Matrix.identity(2).entry(3, 1), IndexError,
+         "entry (3,1) out of range"),
+        (lambda: Matrix.identity(2)[1, 0], IndexError,
+         "entry (1,0) out of range"),
+        (lambda: Matrix.identity(2) * Matrix.identity(3), ValueError,
+         "dimension mismatch"),
+        (lambda: Matrix.from_json({"n": 3, "rows": [[1, 0], [0, 1]]}),
+         ValueError, "declared size does not match row data"),
+    ])
+    def test_errors(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_negative_power(self):
         x = Matrix([[2, 1], [1, 1]])

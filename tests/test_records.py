@@ -13,7 +13,8 @@ import pytest
 import totpos
 from totpos.diagrams import (Chamber, DiagramError, DiagramMove,
                              DoubleWiringDiagram, MoveGraph)
-from totpos.matrices import MinorSpec
+from totpos.exact import LaurentPoly
+from totpos.matrices import Matrix, MinorSpec
 from totpos.networks import NetworkError, PlanarNetwork
 from totpos.words import Letter, Move, Permutation, diag, lower, upper
 
@@ -63,6 +64,18 @@ CASES = [
      "cols=(1,)), z=MinorSpec(rows=(2,), cols=(2,)), a=MinorSpec(rows=(1,), "
      "cols=(2,)), b=MinorSpec(rows=(2,), cols=(1,)), "
      "c=MinorSpec(rows=(1, 2), cols=(1, 2)), d=None)", []),
+    (Matrix, dict(rows=((1, "1/2"), (0, -3))),
+     "Matrix([['1', '1/2'], ['0', '-3']])",
+     [(dict(rows=((1, 2),)), ValueError,
+       "matrix must be square and nonempty"),
+      (dict(rows=()), ValueError, "matrix must be square and nonempty")]),
+    (LaurentPoly, dict(variables=("x", "y"),
+                       terms={(1, -1): 2, (0, 0): "1/2"}),
+     "LaurentPoly(2*x*y^-1 + 1/2)",
+     [(dict(variables=("x",), terms={(1, -1): 2}), ValueError,
+       "exponent vector length does not match variables"),
+      (dict(variables=("x",), terms={(1,): True}), TypeError,
+       "cannot interpret True as an exact scalar")]),
     (MoveGraph, dict(n=1, keys=[KEY], representatives={KEY: ()}, edges=[]),
      "MoveGraph(n=1, keys=[(((1,), (1,)),)], "
      "representatives={(((1,), (1,)),): ()}, edges=[])", []),
@@ -90,6 +103,7 @@ def test_record_contract(cls, fields, text, invalid):
     assert obj == twin and not obj != twin
     assert obj != object() and obj != (*fields.values(),)
     assert copy.copy(obj) == obj == pickle.loads(pickle.dumps(obj))
+    assert copy.deepcopy(obj) == obj
     name = next(iter(fields))
     if cls is MoveGraph:
         # the one mutable record: no hash, and its fields can be set

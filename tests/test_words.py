@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -416,8 +417,12 @@ class TestValidateScheme:
             validate_scheme(parse_word("@1 @1 @2 1 1~"), 2)
 
     def test_non_reduced_subword_fails(self):
-        with pytest.raises(WordError):
+        with pytest.raises(WordError, match=re.escape(
+                "upper subword [1, 1] is not reduced")):
             validate_scheme(parse_word("1 1 @1 @2"), 2)
+        with pytest.raises(WordError, match=re.escape(
+                "lower subword [1, 1] is not reduced")):
+            validate_scheme(parse_word("1~ 1~ @1 @2"), 2)
 
 
 class TestTransport:
@@ -484,6 +489,14 @@ class TestTransport:
         for move in moves:
             with pytest.raises(WordError, match=message):
                 local_move_transport(word, params, move)
+
+    def test_mixed_transport_with_a_zero_total_is_rejected(self):
+        # 1 @1 @2 1~ at (1, -1, 1, 1): the diag parameter the move makes,
+        # -1 + 1 * 1 * 1, is 0
+        with pytest.raises(WordError, match="^mixed transport undefined at "
+                                            "this parameter point$"):
+            transport_params(parse_word("1 @1 @2 1~"), [1, -1, 1, 1],
+                             [Move("mixed", 0)])
 
     def test_length_mismatch_without_moves(self):
         with pytest.raises(WordError, match="length mismatch"):
