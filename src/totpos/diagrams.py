@@ -40,20 +40,21 @@ tuple of letter codes, those of a scheme's slants in :mod:`totpos.words`
 label is one int, ``rows_mask << n | cols_mask``.
 The walk along a word keeps the label of each level and flips it with one
 XOR per crossing, as a crossing at height h changes only level h.  Labels
-are decoded to increasing (rows, cols) tuples, valid by construction, and
-Letter and :class:`MinorSpec` objects are made only for a move that is
-returned or kept as an edge witness, one letter per code and one spec per
-label within a call.
+are decoded to increasing (rows, cols) tuples, valid by construction.
+One builder, `_move`, makes every :class:`DiagramMove`, and only for a
+move that is returned or kept as an edge witness.  It reads one speller
+(`_spelling`) and one spec table (`_specs`) per call, so the moves of a
+call share one letter tuple per distinct word and one spec per chamber.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable
+from typing import Callable, Iterable
 
 from .matrices import Matrix, MinorSpec, _sweep_family
 from .records import Record
-from .words import (LOWER, UPPER, Letter, Word, _encode, format_word,
+from .words import (LOWER, UPPER, Word, _encode, format_word, infer_n,
                     is_reduced_word, lower, parse_word, upper)
 
 
@@ -85,9 +86,7 @@ class DoubleWiringDiagram(Record):
     @classmethod
     def from_text(cls, text: str, n: int | None = None) -> "DoubleWiringDiagram":
         word = parse_word(text)
-        if n is None:
-            n = max((l.index + 1 for l in word), default=1)
-        return cls(word, n)
+        return cls(word, infer_n(word) if n is None else n)
 
     def __str__(self) -> str:
         return format_word(self.word)
@@ -118,12 +117,6 @@ def _codes(word: Word, n: int) -> tuple[int, ...]:
             raise DiagramError(f"letter {letter} is not a crossing of a "
                                f"diagram with n={n}")
     return tuple(_encode(word, n))
-
-
-def _letters(n: int) -> dict[int, Letter]:
-    """One letter object per code."""
-    letters = [*map(lower, range(1, n)), *map(upper, range(1, n))]
-    return dict(zip(_encode(letters, n), letters))
 
 
 def _start(n: int) -> tuple[list[int], list[int]]:
@@ -329,29 +322,51 @@ def _result(found: Candidate) -> tuple[int, ...]:
     return word[:p] + (word[p + 1], word[p], word[p + 1]) + word[p + 3:]
 
 
-def _specs(found: list[Candidate], n: int) -> dict[int, MinorSpec]:
-    """One trusted spec per chamber the candidates name."""
-    return {label: MinorSpec.trusted(*_unpack(label, n))
-            for label in {label for f in found for label in f[3:]} - {None}}
+def _spelling(n: int) -> Callable[[tuple[int, ...]], Word]:
+    """A speller of int-coded words: one letter object per code, and each
+    distinct word spelled once, into one shared tuple."""
+    letters = [*map(lower, range(1, n)), *map(upper, range(1, n))]
+    decode = dict(zip(_encode(letters, n), letters)).__getitem__
+    spelled: dict[tuple[int, ...], Word] = {}
+
+    def spell(word: tuple[int, ...]) -> Word:
+        out = spelled.get(word)
+        if out is None:
+            out = spelled[word] = tuple(map(decode, word))
+        return out
+    return spell
 
 
-def _move(found: Candidate, letters: dict[int, Letter],
-          specs: dict[int, MinorSpec]) -> DiagramMove:
-    """The full move of a candidate, its letters from ``letters`` and its
+def _specs(labels: Iterable[int | None], n: int) \
+        -> dict[int | None, MinorSpec | None]:
+    """One trusted spec per chamber label; the bottom region's None maps
+    to None."""
+    specs: dict = {label: MinorSpec.trusted(*_unpack(label, n))
+                   for label in set(labels) - {None}}
+    specs[None] = None
+    return specs
+
+
+def _move(found: Candidate, spell: Callable[[tuple[int, ...]], Word],
+          specs: dict[int | None, MinorSpec | None]) -> DiagramMove:
+    """The full move of a candidate, its words from ``spell`` and its
     specs from ``specs``, so the moves of one call share them."""
-    word, p, kind, *labels = found
-    y, z, a, b, c, d = (None if label is None else specs[label]
-                        for label in labels)
-    return DiagramMove(kind, tuple(letters[x] for x in word), p,
-                       tuple(letters[x] for x in _result(found)),
-                       y, z, a, b, c, d)
+    word, p, kind, y, z, a, b, c, d = found
+    return DiagramMove(kind, spell(word), p, spell(_result(found)),
+                       specs[y], specs[z], specs[a], specs[b], specs[c],
+                       specs[d])
+
+
+def _built(found: list[Candidate], n: int) -> list[DiagramMove]:
+    """The full moves of the candidates of one call."""
+    spell = _spelling(n)
+    specs = _specs((label for f in found for label in f[3:]), n)
+    return [_move(f, spell, specs) for f in found]
 
 
 def moves_from_word(word: Word, n: int) -> list[DiagramMove]:
     """The moves on literally adjacent crossings of ``word``."""
-    found = _word_moves(_codes(word, n), n, _start(n))
-    letters, specs = _letters(n), _specs(found, n)
-    return [_move(f, letters, specs) for f in found]
+    return _built(_word_moves(_codes(word, n), n, _start(n)), n)
 
 
 def _check_guard(n: int, guard: int) -> None:
@@ -369,10 +384,8 @@ def local_moves(d: DoubleWiringDiagram, guard: int = 4) -> list[DiagramMove]:
     raises before the walk."""
     _check_guard(d.n, guard)
     start = _start(d.n)
-    found = [f for w in _commutation_class(_codes(d.word, d.n), d.n)
-             for f in _word_moves(w, d.n, start)]
-    letters, specs = _letters(d.n), _specs(found, d.n)
-    return [_move(f, letters, specs) for f in found]
+    return _built([f for w in _commutation_class(_codes(d.word, d.n), d.n)
+                   for f in _word_moves(w, d.n, start)], d.n)
 
 
 # ---------------------------------------------------------------------------
@@ -380,23 +393,21 @@ def local_moves(d: DoubleWiringDiagram, guard: int = 4) -> list[DiagramMove]:
 
 
 class MoveGraph(Record):
-    """The move graph; unlike the other records its fields can be set."""
+    """The move graph.  Its fields hold lists and a dict, so it has no
+    hash."""
 
     __slots__ = ("n",
                  "keys",             # canonical forms, in BFS order
                  "representatives",
                  "edges")            # one witness move per edge
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, n: int, keys: list[tuple],
                  representatives: dict[tuple, Word],
                  edges: list[tuple[tuple, tuple, DiagramMove]]):
-        self.n = n
-        self.keys = keys
-        self.representatives = representatives
-        self.edges = edges
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "representatives", representatives)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def vertex_count(self) -> int:
@@ -459,23 +470,10 @@ def enumerate_move_graph(n: int, guard: int = 4) -> MoveGraph:
                     found_edges.append((k, t, found))
         frontier = nxt
     # every witness chamber is a chamber of a class reached
-    pairs = {label: _unpack(label, n) for label in set().union(*keys)}
-    specs = {label: MinorSpec.trusted(*pair) for label, pair in pairs.items()}
-    specs[None] = None
-    letters = _letters(n)
-    spelled: dict[tuple[int, ...], Word] = {}
-
-    def spell(word: tuple[int, ...]) -> Word:
-        if word not in spelled:
-            spelled[word] = tuple(map(letters.__getitem__, word))
-        return spelled[word]
-
+    spell, specs = _spelling(n), _specs(set().union(*keys), n)
+    pairs = {label: (spec.rows, spec.cols) for label, spec in specs.items()
+             if label is not None}
     names = [tuple(sorted(map(pairs.__getitem__, key))) for key in keys]
-    edges = []
-    for k, t, found in found_edges:
-        word, p, kind, y, z, a, b, c, d = found
-        edges.append((names[k], names[t],
-                      DiagramMove(kind, spell(word), p, spell(_result(found)),
-                                  specs[y], specs[z], specs[a], specs[b],
-                                  specs[c], specs[d])))
+    edges = [(names[k], names[t], _move(found, spell, specs))
+             for k, t, found in found_edges]
     return MoveGraph(n, names, dict(zip(names, map(spell, reps))), edges)

@@ -5,13 +5,14 @@ Every value class of the package is a :class:`Record`: its fields are its
 The rest comes from here: equality and hashing on the tuple of its
 fields, an ``AttributeError`` on assignment or deletion, copy and pickle
 through the constructor, and a ``Name(field=value, ...)`` repr that a
-class may replace.  Three classes depart from the contract: ``MinorSpec``
-overrides equality and hashing for speed, ``LaurentPoly`` overrides
-hashing because its ``terms`` field is a dict, and ``MoveGraph`` is the
-one mutable record.  Every ``totpos`` command runs in a fresh
-interpreter, so classes generated by the standard library's class
-decorator would cost each one the import of ``inspect`` (with ``ast``,
-``dis`` and ``tokenize``) and an ``exec`` per class.
+class may replace.  Two classes depart from the contract: ``MinorSpec``
+overrides equality and hashing for speed, and ``LaurentPoly`` overrides
+hashing because its ``terms`` field is a dict.  A record whose fields
+hold lists or dicts, such as ``MoveGraph``, is not hashable.  Every
+``totpos`` command runs in a fresh interpreter, so classes generated by
+the standard library's class decorator would cost each one the import of
+``inspect`` (with ``ast``, ``dis`` and ``tokenize``) and an ``exec`` per
+class.
 """
 
 from __future__ import annotations

@@ -50,8 +50,9 @@ tests.
 fetching each staircase letter, from the left, to its place: the
 constructive proof of Tits' word property, with a mixed move where an
 upper and a lower letter of one index meet.  `move_path` joins two routes.
-The router, `_Rewriter`, rewrites one mutable list and logs move codes;
-`Move` values are built from the log only for these public lists.
+The router, `_route`, rewrites one mutable list and logs move codes, and
+one builder, `_moves`, makes `Move` values from move codes, for these
+public lists and for `applicable_moves`.
 
 One code, `_encode`, turns letters into ints, and the double wiring
 diagrams share it: kind k (0 lower, 1 upper, 2 diag) and index i give
@@ -477,13 +478,12 @@ def applicable_moves(word: Word) -> list[Move]:
     n = infer_n(word)
     codes = _encode(word, n)
     size = len(codes)
-    moves = [Move("swap", p) for p in range(size - 1)
-             if _commutes(codes[p], codes[p + 1], n)]
-    moves += [Move("braid", p) for p in range(size - 2)
-              if _braid_at(codes, p, n)]
-    moves += [Move("mixed", p) for p in range(size - 3)
-              if _mixed_at(codes, p, n)]
-    return moves
+    return _moves([p << 2 for p in range(size - 1)
+                   if _commutes(codes[p], codes[p + 1], n)]
+                  + [p << 2 | 1 for p in range(size - 2)
+                     if _braid_at(codes, p, n)]
+                  + [p << 2 | 2 for p in range(size - 3)
+                     if _mixed_at(codes, p, n)])
 
 
 def _rewrite(word: list[int], move: int) -> None:
@@ -600,84 +600,67 @@ def apply_move_word(word: Word, move: Move) -> Word:
 # routing a scheme to the staircase scheme
 
 
-class _Rewriter:
-    """A word as a mutable list of letter codes at size n, with a log of
-    move codes; `bring` rewrites it letter by letter."""
-
-    def __init__(self, word: list[int], n: int):
-        self.word = word
-        self.n = n
-        self.log: list[int] = []
-
-    def bring(self, letter: int, p: int) -> None:
-        """Rewrite the word so that ``letter`` sits at position p, leaving
-        the positions before p alone.  A diag letter is fetched with one
-        swap per position passed, as it commutes with everything.  A diag
-        met while fetching a slant goes to the end of the word; otherwise
-        ``letter`` is fetched to p + 1 and exchanged with the letter
-        ``here`` at p by a swap if they commute, a braid if they are slants
-        of one kind (``here`` fetched to p + 2 first), or a mixed move if
-        they are slants of opposite kinds and one index i (@i fetched to
-        p + 1 and @i+1 to p + 2 first).  The mixed branch needs both diags
-        beyond p + 1.  It runs only while lowers are placed, and every diag
-        met at a fetched position has gone to the end by then; uppers may
-        lie before p, but on 3793 mixed moves of random routes (n = 4 to 16)
-        no diag did.
-
-        A fetch at p nests fetches at p + 1 and p + 2 only, so the recursion
-        is at most ``len(word) - p`` deep.  That reaches the word length, past
-        Python's frame limit from n = 32 on, so it runs on a stack of pending
-        fetches (pairs) and move codes, at most three per level.  A diag's
-        passage is logged as the swaps on its way."""
-        word, log, n = self.word, self.log, self.n
-        todo: list = [(letter, p)]
-        while todo:
-            task = todo.pop()
-            if task.__class__ is int:
-                _rewrite(word, task)
-                log.append(task)
-                continue
-            letter, p = task
-            here = word[p]
-            if here == letter:
-                continue
-            if letter > 2 * n:
-                q = word.index(letter, p)
-                word.insert(p, word.pop(q))
-                log += [i << 2 for i in range(q - 1, p - 1, -1)]
-            elif here > 2 * n:
-                word.append(word.pop(p))
-                log += [i << 2 for i in range(p, len(word) - 1)]
-                todo.append(task)
-            elif _commutes(here, letter, n):
-                todo += [p << 2, (letter, p + 1)]
-            elif (here > n) == (letter > n):
-                todo += [p << 2 | 1, (here, p + 2), (letter, p + 1)]
-            else:
-                at = 2 * n + (here - 1) % n + 1  # @i
-                todo += [p << 2 | 2, (at + 1, p + 2), (at, p + 1),
-                         (letter, p + 1)]
-
-
 def _route(word: Word, n: int) -> list[int]:
     """Move codes rewriting a full-type scheme into the staircase scheme:
-    its letters are fetched one by one, from the left, by
-    `_Rewriter.bring`."""
+    each staircase letter is fetched, from the left, to its position p,
+    leaving the positions before p alone.  A diag letter is fetched with
+    one swap per position passed, as it commutes with everything.  A diag
+    met while fetching a slant goes to the end of the word; otherwise the
+    letter is fetched to p + 1 and exchanged with the letter ``here`` at p
+    by a swap if they commute, a braid if they are slants of one kind
+    (``here`` fetched to p + 2 first), or a mixed move if they are slants
+    of opposite kinds and one index i (@i fetched to p + 1 and @i+1 to
+    p + 2 first).  The mixed branch needs both diags beyond p + 1.  It
+    runs only while lowers are placed, and every diag met at a fetched
+    position has gone to the end by then; uppers may lie before p, but on
+    3793 mixed moves of random routes (n = 4 to 16) no diag did.
+
+    A fetch at p nests fetches at p + 1 and p + 2 only, so the recursion
+    is at most ``len(word) - p`` deep.  That reaches the word length, past
+    Python's frame limit from n = 32 on, so it runs on a stack of pending
+    fetches (pairs) and move codes, at most three per level, with the
+    staircase's fetches pushed once, in reverse, so that they pop left to
+    right.  A diag's passage is logged as the swaps on its way."""
     target = _encode(staircase_scheme(n), n)
-    rw = _Rewriter(_encode(word, n), n)
-    for p, letter in enumerate(target):
-        rw.bring(letter, p)
-    if rw.word != target:
+    letters = _encode(word, n)
+    log: list[int] = []
+    todo: list = [(target[p], p) for p in reversed(range(len(target)))]
+    while todo:
+        task = todo.pop()
+        if task.__class__ is int:
+            _rewrite(letters, task)
+            log.append(task)
+            continue
+        letter, p = task
+        here = letters[p]
+        if here == letter:
+            continue
+        if letter > 2 * n:
+            q = letters.index(letter, p)
+            letters.insert(p, letters.pop(q))
+            log += [i << 2 for i in range(q - 1, p - 1, -1)]
+        elif here > 2 * n:
+            letters.append(letters.pop(p))
+            log += [i << 2 for i in range(p, len(letters) - 1)]
+            todo.append(task)
+        elif _commutes(here, letter, n):
+            todo += [p << 2, (letter, p + 1)]
+        elif (here > n) == (letter > n):
+            todo += [p << 2 | 1, (here, p + 2), (letter, p + 1)]
+        else:
+            at = 2 * n + (here - 1) % n + 1  # @i
+            todo += [p << 2 | 2, (at + 1, p + 2), (at, p + 1),
+                     (letter, p + 1)]
+    if letters != target:
         raise WordError("rewriting failed to reach the staircase")
-    return rw.log
+    return log
 
 
 def moves_to_staircase(word: Word, n: int | None = None) -> list[Move]:
     """A move sequence rewriting a full-type scheme into the staircase
     scheme: the lowers, then the diags, then the uppers of the staircase are
-    fetched one by one, from the left, to their positions by
-    `_Rewriter.bring`.  Raises if the word is not a scheme of type
-    (reversal, reversal)."""
+    fetched one by one, from the left, to their positions by `_route`.
+    Raises if the word is not a scheme of type (reversal, reversal)."""
     if n is None:
         n = infer_n(word)
     if not is_full_scheme(word, n):

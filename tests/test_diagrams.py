@@ -165,6 +165,24 @@ class TestLocalMoves:
                 assert value == minor(x, move.z)
                 assert value > 0
 
+    def test_moves_of_one_call_share_words_and_specs(self):
+        # one letter tuple per distinct word and one spec per chamber,
+        # within each call
+        d = minimal_diagram(4)
+        for moves in (local_moves(d), moves_from_word(d.word, 4),
+                      [move for *_, move in enumerate_move_graph(3).edges]):
+            words = [w for m in moves for w in (m.word, m.result)]
+            assert len({id(w) for w in words}) == len(set(words))
+            specs = [s for m in moves for s in (m.y, m.z, m.a, m.b, m.c, m.d)
+                     if s is not None]
+            assert len({id(s) for s in specs}) == len(set(specs))
+
+    def test_from_text_infers_n_from_the_crossings(self):
+        assert DoubleWiringDiagram.from_text(RUNNING_EXAMPLE).n == 3
+        assert DoubleWiringDiagram.from_text("").n == 1
+        with pytest.raises(DiagramError, match="letter @3 is not a crossing"):
+            DoubleWiringDiagram.from_text("1~ @3 1")
+
     def test_guard_raises_before_the_class_walk(self):
         # the minimal diagram's class at n = 5 is far too large to walk in
         # a test; the guard has to stop it before the walk starts

@@ -106,20 +106,18 @@ def test_record_contract(cls, fields, text, invalid):
     assert copy.deepcopy(obj) == obj
     name = next(iter(fields))
     if cls is MoveGraph:
-        # the one mutable record: no hash, and its fields can be set
+        # its fields hold lists and a dict, so it has no hash
         with pytest.raises(TypeError):
             hash(obj)
-        twin.n = 2
-        assert twin.n == 2 and obj != twin
     else:
         assert hash(obj) == hash(twin)
-        with pytest.raises(AttributeError):
-            setattr(obj, name, getattr(obj, name))
-        with pytest.raises(AttributeError):
-            delattr(obj, name)
-        with pytest.raises(AttributeError):
-            obj.extra = 1
-        assert repr(obj) == text
+    with pytest.raises(AttributeError):
+        setattr(obj, name, getattr(obj, name))
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert repr(obj) == text
     for bad, error, message in invalid:
         with pytest.raises(error, match=re.escape(message)):
             cls(**bad)

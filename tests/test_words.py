@@ -563,6 +563,26 @@ class TestApplyMoveWord:
         with pytest.raises(WordError):
             apply_move_word(parse_word(text), move)
 
+    def test_applicable_moves_are_the_moves_that_apply(self):
+        # swaps, then braids, then mixed moves, each by position
+        rng = random.Random(61)
+        words = [parse_word("1 2 1 @1 @2 1~ 2~ 1~ 2~"),
+                 parse_word("1~ @1 @2 1 2 1 2")]
+        words += [rand_walk_full_scheme(rng, n) for n in (2, 3, 4, 5)
+                  for _ in range(5)]
+        for word in words:
+            expected = []
+            for kind in ("swap", "braid", "mixed"):
+                for p in range(len(word)):
+                    try:
+                        oracle_apply_move(word, Move(kind, p))
+                    except WordError:
+                        continue
+                    expected.append(Move(kind, p))
+            assert applicable_moves(word) == expected
+        assert {m.kind for w in words for m in applicable_moves(w)} \
+            == {"swap", "braid", "mixed"}
+
     def test_rewrites(self):
         assert apply_move_word(parse_word("1 3"), Move("swap", 0)) \
             == parse_word("3 1")
