@@ -3,8 +3,7 @@ than a comment or a docstring, so blank lines, comments and docstrings are
 left out.  A docstring here is any statement that is a string literal
 alone.  Prints one count per file and the total, as ``wc -l`` does.
 
-    python3 tools/code_lines.py                # src/totpos/*.py
-    python3 tools/code_lines.py FILE [FILE ...]
+    python3 tools/code_lines.py src/totpos/*.py
 
 Standard library only (``tokenize``).
 """
@@ -15,7 +14,6 @@ import sys
 import tokenize
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -37,10 +35,7 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    files = [(a, Path(a)) for a in argv] or [
-        (str(p.relative_to(ROOT)), p)
-        for p in sorted((ROOT / "src" / "totpos").glob("*.py"))]
-    counts = [(code_lines(path), name) for name, path in files]
+    counts = [(code_lines(Path(name)), name) for name in argv]
     total = sum(count for count, _ in counts)
     width = len(str(total))
     for count, name in counts:
